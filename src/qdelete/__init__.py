@@ -5,7 +5,7 @@ information from the second copy of a pure input, leaving a blank state
 behind.  Subpackage layout:
 
 * `qlinalg`   - states, tensor products, partial traces, distances
-* `machine`   - machine parameters, validation, application, file format
+* `machine`   - machine parameters, the 12x4 isometry, validation, file format
 * `metrics`   - distortion and fidelity, closed forms plus simulation oracles
 * `presets`   - named machines with frozen expected averages
 * `optimizer` - derivative-free search over the constraint manifold
@@ -20,6 +20,8 @@ from .machine import (
     apply,
     apply_basis,
     couplings,
+    isometry,
+    outputs,
     validate,
 )
 from .presets import PresetRecord, by_name as preset_by_name
@@ -35,6 +37,8 @@ __all__ = [
     "apply",
     "apply_basis",
     "couplings",
+    "isometry",
+    "outputs",
     "preset_by_name",
     "validate",
     "__version__",

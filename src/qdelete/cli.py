@@ -47,9 +47,9 @@ def _invalid(message: str) -> int:
 def cmd_validate(args) -> int:
     try:
         params = machine.load(args.file)
-    except (OSError, machine.MachineFormatError) as exc:
+        report = machine.validate(params, tol=args.tol)
+    except (OSError, ValueError) as exc:  # a parse error or a bad --tol
         return _fail(str(exc))
-    report = machine.validate(params, tol=args.tol)
     print(f"row0 norm defect:     {_f10(report.row0_norm_defect)}")
     print(f"row1 norm defect:     {_f10(report.row1_norm_defect)}")
     print(f"orthogonality defect: {_f10(report.orthogonality_defect)}")
@@ -139,6 +139,15 @@ def cmd_sweep(args) -> int:
 # cases
 
 
+def _avg_fidelity(deficit: float) -> float:
+    """`metrics.avg_fidelity`, without its out-of-range flag for a zero deficit.
+
+    A deficit of exactly 0 is perfect deletion (the "perfect" preset), a
+    valid value that the library's open-interval check would flag.
+    """
+    return 1.0 if deficit == 0.0 else metrics.avg_fidelity(deficit)
+
+
 def collect_case_rows() -> list[dict]:
     """Metric table for every registry preset, by all evaluation routes."""
     rows = []
@@ -159,8 +168,8 @@ def collect_case_rows() -> list[dict]:
                 "dbar_legacy": metrics.avg_distortion(dc, "legacy"),
                 "dbar_analytic": metrics.avg_distortion(dc, "analytic"),
                 "dbar_quad": metrics.avg_distortion_quadrature(dc),
-                "fbar_legacy": metrics.avg_fidelity(deficit_legacy),
-                "fbar_consistent": metrics.avg_fidelity(deficit_consistent),
+                "fbar_legacy": _avg_fidelity(deficit_legacy),
+                "fbar_consistent": _avg_fidelity(deficit_consistent),
                 "fbar_quad": fbar_quad,
             }
         )
@@ -255,6 +264,8 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
 def cmd_diagnose(args) -> int:
     if args.samples < 1:
         return _fail(f"--samples must be >= 1, got {args.samples}")
+    if args.m1p is not None and not -1.0 <= args.m1p <= 1.0:
+        return _fail(f"--m1p must be a finite real in [-1, 1], got {args.m1p}")
     report = run_diagnose(args.samples, args.seed, args.m1p)
     print(f"samples: {report.samples}   seed: {report.seed}")
     print("average distortion, closed form vs quadrature:")

@@ -12,9 +12,10 @@ complex amplitudes, four per input:
     |1>|1>|Q> -> |1>|sigma>|A1>
 
 The ancilla basis {|Q>, |A0>, |A1>} is fixed and orthonormal (indices 0, 1, 2
-of the third tensor factor).  The map is an isometry exactly when the two
-amplitude rows (a_i, b_i, c_i, d_i) are orthonormal in C^4; `validate` reports
-how far a parameter set is from satisfying that.
+of the third tensor factor).  Every simulation goes through the 12x4 matrix V
+of `isometry`.  The map is an isometry exactly when V^dagger V = 1, that is,
+when the two amplitude rows (a_i, b_i, c_i, d_i) are orthonormal in C^4;
+`validate` reports how far a parameter set is from satisfying that.
 
 Machine parameter files are JSON objects with keys "a0", "b0", "c0", "d0",
 "a1", "b1", "c1", "d1", each a two-element array [re, im], plus "m1p", the
@@ -42,12 +43,20 @@ DEFAULT_VALIDATION_TOL = 1e-10
 #: conventions of the metrics module coincide.
 DEFAULT_M1P = math.sqrt(0.5)
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
-_ANC_KETS = np.eye(3, dtype=complex)
-
 #: Keys of the machine JSON format, in canonical order.
 AMPLITUDE_KEYS = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
+
+#: Flat positions in the row-major 12x4 isometry of (sigma, row0, row1, sigma):
+#: sigma fills |0>|.>|A0> of column 0 and |1>|.>|A1> of column 3, and row i
+#: fills |01>, |10>, |00>, |11> (ancilla |Q>) of column 1 + i.
+_ISOMETRY_SCATTER = np.array(
+    [4 * qlinalg.joint_index(0, q2, ANC_A0) for q2 in (0, 1)]
+    + [4 * qlinalg.joint_index(q1, q2, ANC_Q) + col
+       for col in (1, 2) for q1, q2 in ((0, 1), (1, 0), (0, 0), (1, 1))]
+    + [4 * qlinalg.joint_index(1, q2, ANC_A1) + 3 for q2 in (0, 1)]
+)
+
+_EYE4 = np.eye(4)
 
 
 class MachineFormatError(ValueError):
@@ -147,33 +156,36 @@ def couplings(p: MachineParams) -> Couplings:
     return Couplings(g=p.a0 + p.a1, h=p.b0 + p.b1, e=p.c0 + p.c1, f=p.d0 + p.d1)
 
 
+def isometry(p: MachineParams) -> np.ndarray:
+    """The machine as a 12x4 matrix; column 2i+j is the image of |i>|j>|Q>."""
+    s0, s1 = p.sigma.ket()
+    v = np.zeros(4 * qlinalg.JOINT_DIM, dtype=complex)
+    v[_ISOMETRY_SCATTER] = (s0, s1, p.a0, p.b0, p.c0, p.d0, p.a1, p.b1, p.c1, p.d1, s0, s1)
+    return v.reshape(qlinalg.JOINT_DIM, 4)
+
+
 def validate(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> ValidationReport:
     """Check the isometry conditions and report the defects.
 
-    Row norm defects are ``| ||row_i||^2 - 1 |``, the orthogonality defect is
-    the modulus of the row inner product, and the Gram defect is the maximum
-    entrywise deviation of the Gram matrix of the four basis images from the
-    4x4 identity.  A report is always produced; nothing is raised.
+    All defects are read from the Gram matrix G = V^dagger V: the row norm
+    defects ``| ||row_i||^2 - 1 |`` from G[1, 1] and G[2, 2], the orthogonality
+    defect (the modulus of the row inner product) from G[1, 2], and the Gram
+    defect as the maximum entrywise deviation of G from the identity.  Raises
+    ValueError unless ``tol`` is finite and positive; otherwise never raises.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    row0, row1 = p.row0(), p.row1()
-    r0 = abs(float(np.vdot(row0, row0).real) - 1.0)
-    r1 = abs(float(np.vdot(row1, row1).real) - 1.0)
-    orth = abs(complex(np.vdot(row1, row0)))
-
-    images = np.array([apply_basis(p, i, j) for i in (0, 1) for j in (0, 1)])
-    gram = images @ images.conj().T
-    gram_defect = float(np.max(np.abs(gram - np.eye(4))))
-
-    worst = max(r0, r1, orth, gram_defect)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    v = isometry(p)
+    defects = np.abs(v.conj().T @ v - _EYE4)
+    # The Gram defect bounds the other three: their entries are part of it.
+    gram_defect = float(defects.max())
     return ValidationReport(
-        row0_norm_defect=r0,
-        row1_norm_defect=r1,
-        orthogonality_defect=orth,
+        row0_norm_defect=float(defects[1, 1]),
+        row1_norm_defect=float(defects[2, 2]),
+        orthogonality_defect=float(defects[1, 2]),
         gram_defect=gram_defect,
         tol=tol,
-        is_valid=worst <= tol,
+        is_valid=gram_defect <= tol,
     )
 
 
@@ -187,22 +199,37 @@ def require_valid(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> Vali
 
 def apply_basis(p: MachineParams, i: int, j: int) -> np.ndarray:
     """Image of the basis input |i>|j>|Q> as a flat 12-amplitude vector."""
-    if (i, j) == (0, 0):
-        return qlinalg.tensor3(_KET0, p.sigma.ket(), _ANC_KETS[ANC_A0])
-    if (i, j) == (1, 1):
-        return qlinalg.tensor3(_KET1, p.sigma.ket(), _ANC_KETS[ANC_A1])
-    if (i, j) == (0, 1):
-        a, b, c, d = p.a0, p.b0, p.c0, p.d0
-    elif (i, j) == (1, 0):
-        a, b, c, d = p.a1, p.b1, p.c1, p.d1
-    else:
+    if i not in (0, 1) or j not in (0, 1):
         raise ValueError(f"basis labels must be bits, got ({i}, {j})")
-    out = np.zeros(qlinalg.JOINT_DIM, dtype=complex)
-    out[qlinalg.joint_index(0, 1, ANC_Q)] = a
-    out[qlinalg.joint_index(1, 0, ANC_Q)] = b
-    out[qlinalg.joint_index(0, 0, ANC_Q)] = c
-    out[qlinalg.joint_index(1, 1, ANC_Q)] = d
-    return out
+    return isometry(p)[:, 2 * i + j]
+
+
+def alpha_sq(alpha: float) -> float:
+    """x = alpha^2 for an input amplitude alpha, rejected unless it lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    return alpha * alpha
+
+
+def check_alpha_sq(alpha_sq) -> np.ndarray:
+    """x = alpha^2 as a float array; raises ValueError unless every x lies in [0, 1]."""
+    x = np.asarray(alpha_sq, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # also false for NaN
+        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq!r}")
+    return x
+
+
+def inputs(alpha_sq) -> np.ndarray:
+    """Amplitudes (x, ab, ab, 1 - x), ab = sqrt(x(1-x)), of the two-copy input
+    (alpha|0> + beta|1>)^{(x)2} on |00>, |01>, |10>, |11>; shape (..., 4)."""
+    x = check_alpha_sq(alpha_sq)
+    ab = np.sqrt(x * (1.0 - x))
+    return np.stack((x, ab, ab, 1.0 - x), axis=-1)
+
+
+def outputs(p: MachineParams, alpha_sq) -> np.ndarray:
+    """Output states ``inputs(alpha_sq) @ V.T``, shape (..., 12): the simulation kernel."""
+    return inputs(alpha_sq) @ isometry(p).T
 
 
 def apply(p: MachineParams, alpha: float) -> np.ndarray:
@@ -211,14 +238,7 @@ def apply(p: MachineParams, alpha: float) -> np.ndarray:
     beta is the nonnegative root sqrt(1 - alpha^2).  For a valid machine the
     result is normalized to 1 within 1e-12.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    beta = math.sqrt(1.0 - alpha * alpha)
-    return (
-        alpha * alpha * apply_basis(p, 0, 0)
-        + alpha * beta * (apply_basis(p, 0, 1) + apply_basis(p, 1, 0))
-        + beta * beta * apply_basis(p, 1, 1)
-    )
+    return outputs(p, alpha_sq(alpha))
 
 
 def to_dict(p: MachineParams) -> dict:

@@ -6,9 +6,10 @@ are quadratic in the couplings g, h, e, f.  Two evaluation routes are
 provided for every quantity:
 
 * closed forms in the couplings (this module), and
-* direct simulation: apply the machine, take a partial trace, and measure
-  (`distortion_direct`, `fidelity_direct`), which serves as the independent
-  oracle for the closed forms.
+* direct simulation: apply the machine, take a partial trace, and measure,
+  in one batched pass over the grid (`machine.outputs`, then the batched
+  partial traces of `qlinalg`); it is the independent oracle for the closed
+  forms.
 
 Distortion is the squared Hilbert-Schmidt distance between the ideal input
 state and the kept mode's reduced state,
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .machine import BlankState, Couplings, MachineParams, apply, apply_basis, require_valid
+from .machine import BlankState, Couplings, MachineParams, alpha_sq, require_valid
+from .machine import check_alpha_sq, inputs, outputs
 
 #: Cross-term constant historically used for the average distortion.
 LEGACY_CROSS_CONSTANT = 0.589
@@ -63,6 +65,15 @@ class ConvergenceError(RuntimeError):
     """The two quadrature refinement levels failed to agree."""
 
 
+def _converged(what: str, coarse: float, fine: float) -> float:
+    """The refined level, once it agrees with the coarse one within tolerance."""
+    if abs(fine - coarse) > QUAD_AGREEMENT_TOL:
+        raise ConvergenceError(
+            f"{what} quadrature did not converge: levels differ by {abs(fine - coarse):.3e}"
+        )
+    return fine
+
+
 def _unit_interval_gauss(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return 0.5 * (nodes + 1.0), 0.5 * weights
@@ -70,12 +81,23 @@ def _unit_interval_gauss(n: int):
 
 _QX, _QW = _unit_interval_gauss(QUAD_ORDER)
 _QX_FINE, _QW_FINE = _unit_interval_gauss(QUAD_ORDER_REFINED)
+_QX_BOTH = np.concatenate((_QX, _QX_FINE))
 
 
-def _check_alpha_sq(alpha_sq) -> None:
-    x = np.asarray(alpha_sq, dtype=float)
-    if np.any(np.isnan(x)) or np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq!r}")
+def _fidelity_nodes(p: MachineParams, xs) -> np.ndarray:
+    """Direct-simulation fidelity at a batch of x: apply, trace out mode 1, measure.
+
+    Contracting as ``(rho @ sig) @ conj(sig)`` keeps F(0) and F(1) exactly 1.0.
+    """
+    rho = qlinalg.partial_trace_mode2(outputs(p, xs))
+    sig = p.sigma.ket()
+    return ((rho @ sig) @ sig.conj()).real
+
+
+def _distortion_nodes(p: MachineParams, xs) -> np.ndarray:
+    """Direct-simulation distortion at a batch of x: Tr[(input - rho_1)^2]."""
+    d = input_state(xs) - qlinalg.partial_trace_mode1(outputs(p, xs))
+    return np.einsum("...ij,...ji->...", d, d).real
 
 
 @dataclass(frozen=True)
@@ -125,18 +147,18 @@ class Case4Metrics:
     avg_fidelity_consistent: float
 
 
-def input_state(alpha_sq: float) -> np.ndarray:
-    """Density matrix of the pure input alpha|0> + beta|1>, x = alpha^2."""
-    _check_alpha_sq(alpha_sq)
-    x = float(alpha_sq)
-    ab = math.sqrt(x * (1.0 - x))
-    return np.array([[x, ab], [ab, 1.0 - x]], dtype=complex)
+def input_state(alpha_sq) -> np.ndarray:
+    """Density matrix of the pure input alpha|0> + beta|1>, x = alpha^2.
+
+    Its entries are the two-copy amplitudes `inputs`; a grid gives a stack.
+    """
+    x = np.asarray(alpha_sq, dtype=float)
+    return inputs(x).reshape(x.shape + (2, 2)).astype(complex)
 
 
 def mode1_state_closed(c: Couplings, alpha_sq: float) -> np.ndarray:
     """Closed-form reduced state of the kept mode."""
-    _check_alpha_sq(alpha_sq)
-    x = float(alpha_sq)
+    x = float(check_alpha_sq(alpha_sq))
     y = x * (1.0 - x)
     g, h, e, f = c.g, c.h, c.e, c.f
     rho = np.empty((2, 2), dtype=complex)
@@ -153,8 +175,7 @@ def mode2_state_closed(c: Couplings, sigma: BlankState, alpha_sq: float) -> np.n
     The blank-state projector, weighted by x^2 + (1-x)^2, is expanded in the
     computational basis via |sigma> = m1p|0> + sqrt(1 - m1p^2)|1>.
     """
-    _check_alpha_sq(alpha_sq)
-    x = float(alpha_sq)
+    x = float(check_alpha_sq(alpha_sq))
     y = x * (1.0 - x)
     g, h, e, f = c.g, c.h, c.e, c.f
     sig = sigma.ket()
@@ -187,8 +208,7 @@ def distortion_coefficients(c: Couplings) -> DistortionCoefficients:
 
 def distortion_closed(dc: DistortionCoefficients, alpha_sq):
     """Closed-form distortion at x = alpha_sq; accepts scalars or arrays."""
-    _check_alpha_sq(alpha_sq)
-    x = np.asarray(alpha_sq, dtype=float)
+    x = check_alpha_sq(alpha_sq)
     y = x * (1.0 - x)
     out = dc.quartic * y * y - 2.0 * dc.coherence_sum() * y ** 1.5 + 2.0 * y
     return out if out.ndim else float(out)
@@ -200,8 +220,7 @@ def distortion_direct(p: MachineParams, alpha: float) -> float:
     Requires a valid machine; agrees with `distortion_closed` within 1e-10.
     """
     require_valid(p)
-    rho_out = qlinalg.partial_trace_mode1(apply(p, alpha))
-    return qlinalg.hs_distance_sq(input_state(alpha * alpha), rho_out)
+    return float(_distortion_nodes(p, alpha_sq(alpha)))
 
 
 def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
@@ -230,18 +249,13 @@ def avg_distortion_quadrature(dc: DistortionCoefficients) -> float:
     :class:`ConvergenceError` if they disagree by more than 1e-8.
     """
     coarse, fine = distortion_quadrature_levels(dc)
-    if abs(fine - coarse) > QUAD_AGREEMENT_TOL:
-        raise ConvergenceError(
-            f"distortion quadrature did not converge: levels differ by {abs(fine - coarse):.3e}"
-        )
-    return fine
+    return _converged("distortion", coarse, fine)
 
 
 def fidelity_direct(p: MachineParams, alpha: float) -> float:
     """Fidelity of deletion by direct simulation: blank-state overlap of mode 2."""
     require_valid(p)
-    rho_out = qlinalg.partial_trace_mode2(apply(p, alpha))
-    return qlinalg.expectation(rho_out, p.sigma.ket())
+    return float(_fidelity_nodes(p, alpha_sq(alpha)))
 
 
 def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") -> float:
@@ -299,8 +313,7 @@ def avg_fidelity(deficit: float) -> float:
 
 def fidelity_closed(deficit: float, alpha_sq):
     """Closed-form fidelity curve F(x) = 1 - deficit * x(1-x); scalar or array."""
-    _check_alpha_sq(alpha_sq)
-    x = np.asarray(alpha_sq, dtype=float)
+    x = check_alpha_sq(alpha_sq)
     out = 1.0 - deficit * x * (1.0 - x)
     return out if out.ndim else float(out)
 
@@ -313,26 +326,7 @@ def avg_fidelity_closed_quadrature(deficit: float) -> float:
     """
     coarse = float(np.sum(_QW * fidelity_closed(deficit, _QX)))
     fine = float(np.sum(_QW_FINE * fidelity_closed(deficit, _QX_FINE)))
-    if abs(fine - coarse) > QUAD_AGREEMENT_TOL:
-        raise ConvergenceError(
-            f"fidelity quadrature did not converge: levels differ by {abs(fine - coarse):.3e}"
-        )
-    return fine
-
-
-def _fidelity_nodes(p: MachineParams, xs: np.ndarray) -> np.ndarray:
-    """Direct-simulation fidelity at many x values, batched over the grid."""
-    img00 = apply_basis(p, 0, 0)
-    img_cross = apply_basis(p, 0, 1) + apply_basis(p, 1, 0)
-    img11 = apply_basis(p, 1, 1)
-    ab = np.sqrt(xs * (1.0 - xs))
-    states = (
-        xs[:, None] * img00 + ab[:, None] * img_cross + (1.0 - xs)[:, None] * img11
-    )
-    t = states.reshape(-1, 2, 2, 3)
-    rho2 = np.einsum("nijk,nilk->njl", t, t.conj())
-    sig = p.sigma.ket()
-    return np.einsum("j,njl,l->n", sig.conj(), rho2, sig).real
+    return _converged("fidelity", coarse, fine)
 
 
 def avg_fidelity_quadrature(p: MachineParams) -> float:
@@ -343,39 +337,22 @@ def avg_fidelity_quadrature(p: MachineParams) -> float:
     refinement levels disagree.
     """
     require_valid(p)
-    coarse = float(np.sum(_QW * _fidelity_nodes(p, _QX)))
-    fine = float(np.sum(_QW_FINE * _fidelity_nodes(p, _QX_FINE)))
-    if abs(fine - coarse) > QUAD_AGREEMENT_TOL:
-        raise ConvergenceError(
-            f"fidelity quadrature did not converge: levels differ by {abs(fine - coarse):.3e}"
-        )
-    return fine
+    values = _fidelity_nodes(p, _QX_BOTH)
+    coarse = float(np.sum(_QW * values[:QUAD_ORDER]))
+    fine = float(np.sum(_QW_FINE * values[QUAD_ORDER:]))
+    return _converged("fidelity", coarse, fine)
 
 
 def fidelity_curve(p: MachineParams, alpha_sq_grid) -> np.ndarray:
-    """Direct-simulation fidelity at each x of a grid (one oracle call per point)."""
-    _check_alpha_sq(alpha_sq_grid)
+    """Direct-simulation fidelity at each x of a grid, in one batched pass."""
     require_valid(p)
-    xs = np.atleast_1d(np.asarray(alpha_sq_grid, dtype=float))
-    sig = p.sigma.ket()
-    out = np.empty(xs.shape, dtype=float)
-    for i, x in enumerate(xs):
-        rho = qlinalg.partial_trace_mode2(apply(p, math.sqrt(x)))
-        out[i] = qlinalg.expectation(rho, sig)
-    return out
+    return _fidelity_nodes(p, np.atleast_1d(alpha_sq_grid))
 
 
 def distortion_curve(p: MachineParams, alpha_sq_grid) -> np.ndarray:
-    """Direct-simulation distortion at each x of a grid."""
-    _check_alpha_sq(alpha_sq_grid)
+    """Direct-simulation distortion at each x of a grid, in one batched pass."""
     require_valid(p)
-    xs = np.atleast_1d(np.asarray(alpha_sq_grid, dtype=float))
-    out = np.empty(xs.shape, dtype=float)
-    for i, x in enumerate(xs):
-        alpha = math.sqrt(x)
-        rho = qlinalg.partial_trace_mode1(apply(p, alpha))
-        out[i] = qlinalg.hs_distance_sq(input_state(x), rho)
-    return out
+    return _distortion_nodes(p, np.atleast_1d(alpha_sq_grid))
 
 
 def case4_metrics(c: Couplings, sigma: BlankState) -> Case4Metrics:

@@ -4,6 +4,8 @@ Pure joint states live in C^2 (x) C^2 (x) C^3 and are stored as flat complex
 vectors of length 12 indexed by (q1, q2, anc) with flat index
 ``6*q1 + 3*q2 + anc``.  This convention is normative: file formats and tests
 rely on it.  Reduced single-qubit states are 2x2 complex Hermitian matrices.
+The partial traces also take a stack of states, shape (..., 12), and return
+the stack of reduced states, shape (..., 2, 2).
 
 All operations are pure functions on immutable values.
 """
@@ -56,20 +58,25 @@ def norm_sq(state) -> float:
     return float(np.vdot(state, state).real)
 
 
+def _split(state) -> np.ndarray:
+    state = np.asarray(state, dtype=complex)
+    return state.reshape(state.shape[:-1] + (2, 2, 3))
+
+
 def partial_trace_mode1(state) -> np.ndarray:
     """Reduced density matrix of the first qubit, tracing out mode 2 and the ancilla.
 
     rho[i, i'] = sum_{j,k} s[i,j,k] * conj(s[i',j,k]); Hermitian with
-    trace equal to the squared norm of the input.
+    trace equal to the squared norm of the input.  Leading axes are batch axes.
     """
-    t = np.asarray(state, dtype=complex).reshape(2, 2, 3)
-    return np.einsum("ijk,ljk->il", t, t.conj())
+    t = _split(state)
+    return np.einsum("...ijk,...ljk->...il", t, t.conj())
 
 
 def partial_trace_mode2(state) -> np.ndarray:
     """Reduced density matrix of the second qubit, tracing out mode 1 and the ancilla."""
-    t = np.asarray(state, dtype=complex).reshape(2, 2, 3)
-    return np.einsum("ijk,ilk->jl", t, t.conj())
+    t = _split(state)
+    return np.einsum("...ijk,...ilk->...jl", t, t.conj())
 
 
 def hs_distance_sq(a, b) -> float:

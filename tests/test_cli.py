@@ -60,6 +60,14 @@ def test_validate_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_validate_bad_tol_is_usage_error(tmp_path, capsys, tol):
+    path = write_machine(tmp_path, by_name("case3").params)
+    assert cli.main(["validate", str(path), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tol" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -199,6 +207,18 @@ def test_run_diagnose_with_m1p_override():
 def test_diagnose_rejects_bad_samples(capsys):
     assert cli.main(["diagnose", "--samples", "0"]) == 2
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m1p", ["2", "-1.5", "nan", "inf"])
+def test_diagnose_rejects_bad_m1p(capsys, m1p):
+    assert cli.main(["diagnose", "--samples", "1", "--m1p", m1p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--m1p" in err
+
+
+def test_cases_command_emits_no_warning(recwarn):
+    assert cli.main(["cases"]) == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

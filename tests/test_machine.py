@@ -53,6 +53,26 @@ def test_validate_rejects_nonpositive_tol():
         machine.validate(case3_params(), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError):
+        machine.validate(case3_params(), tol=tol)
+
+
+def test_validate_reads_defects_from_gram_of_isometry():
+    rng = np.random.default_rng(105)
+    for _ in range(10):
+        row0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        row1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        p = MachineParams.from_rows(row0, row1, BlankState(rng.uniform(-1.0, 1.0)))
+        report = machine.validate(p)
+        assert report.row0_norm_defect == pytest.approx(abs(np.vdot(row0, row0).real - 1.0))
+        assert report.row1_norm_defect == pytest.approx(abs(np.vdot(row1, row1).real - 1.0))
+        assert report.orthogonality_defect == pytest.approx(abs(np.vdot(row1, row0)))
+        v = machine.isometry(p)
+        assert report.gram_defect == pytest.approx(np.max(np.abs(v.conj().T @ v - np.eye(4))))
+
+
 def test_require_valid_raises_with_report():
     with pytest.raises(machine.MachineValidationError) as excinfo:
         machine.require_valid(MachineParams(a0=1.0, a1=1.0))
@@ -123,6 +143,40 @@ def test_apply_basis_case3_off_diagonal():
 def test_apply_basis_rejects_bad_labels():
     with pytest.raises(ValueError):
         machine.apply_basis(case3_params(), 0, 2)
+    with pytest.raises(ValueError):
+        machine.apply_basis(case3_params(), -1, 0)
+
+
+def test_isometry_columns_are_basis_images():
+    p = MachineParams(a0=0.6, b0=0.8j, c1=1.0, sigma=BlankState(0.6))
+    v = machine.isometry(p)
+    assert v.shape == (12, 4)
+    for i in (0, 1):
+        for j in (0, 1):
+            assert_allclose(v[:, 2 * i + j], machine.apply_basis(p, i, j), atol=0)
+    assert v[qlinalg.joint_index(0, 1, 0), 1] == 0.6
+    assert v[qlinalg.joint_index(1, 0, 0), 1] == 0.8j
+    assert v[qlinalg.joint_index(0, 0, 0), 2] == 1.0
+    assert v[qlinalg.joint_index(0, 1, 1), 0] == 0.8
+    assert v[qlinalg.joint_index(1, 0, 2), 3] == 0.6
+    assert np.count_nonzero(v) == 7
+
+
+def test_outputs_match_apply_per_point():
+    rng = np.random.default_rng(106)
+    xs = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=9)))
+    for _ in range(5):
+        p = random_machine(rng)
+        batch = machine.outputs(p, xs)
+        assert batch.shape == (xs.size, 12)
+        for x, state in zip(xs, batch):
+            assert_allclose(state, machine.apply(p, math.sqrt(x)), atol=1e-15)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.1], [math.nan], -0.1])
+def test_outputs_reject_out_of_range_grid(grid):
+    with pytest.raises(ValueError):
+        machine.outputs(case3_params(), grid)
 
 
 def test_apply_endpoints_are_products():

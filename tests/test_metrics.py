@@ -399,13 +399,66 @@ def test_fidelity_closed_and_formula_quadrature():
 
 
 def test_batched_fidelity_nodes_match_scalar_oracle():
+    # reference: one `apply`, partial trace and expectation per grid point
     rng = np.random.default_rng(9)
     xs = np.linspace(0.01, 0.99, 37)
     for _ in range(5):
         p = random_machine(rng)
         batched = metrics._fidelity_nodes(p, xs)
-        scalar = metrics.fidelity_curve(p, xs)
+        scalar = [
+            qlinalg.expectation(
+                qlinalg.partial_trace_mode2(machine.apply(p, math.sqrt(x))), p.sigma.ket()
+            )
+            for x in xs
+        ]
         assert_allclose(batched, scalar, atol=1e-13)
+
+
+def test_batched_distortion_nodes_match_scalar_oracle():
+    rng = np.random.default_rng(21)
+    xs = np.linspace(0.0, 1.0, 37)
+    for _ in range(5):
+        p = random_machine(rng)
+        batched = metrics.distortion_curve(p, xs)
+        scalar = [
+            qlinalg.hs_distance_sq(
+                metrics.input_state(x), qlinalg.partial_trace_mode1(machine.apply(p, math.sqrt(x)))
+            )
+            for x in xs
+        ]
+        assert_allclose(batched, scalar, atol=1e-13)
+
+
+def test_curves_keep_scalar_grid_one_dimensional():
+    p = by_name("case3").params
+    assert metrics.fidelity_curve(p, 0.5).shape == (1,)
+    assert metrics.distortion_curve(p, 0.5).shape == (1,)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.5], [math.nan], [-0.25]])
+def test_curves_reject_bad_grid(grid):
+    p = by_name("case3").params
+    with pytest.raises(ValueError):
+        metrics.fidelity_curve(p, grid)
+    with pytest.raises(ValueError):
+        metrics.distortion_curve(p, grid)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0001, math.nan])
+def test_direct_oracles_reject_bad_alpha(alpha):
+    p = by_name("case3").params
+    with pytest.raises(ValueError):
+        metrics.fidelity_direct(p, alpha)
+    with pytest.raises(ValueError):
+        metrics.distortion_direct(p, alpha)
+
+
+def test_input_state_stacks_over_a_grid():
+    xs = np.array([0.0, 0.3, 1.0])
+    stacked = metrics.input_state(xs)
+    assert stacked.shape == (3, 2, 2)
+    for x, rho in zip(xs, stacked):
+        assert_allclose(rho, metrics.input_state(float(x)), atol=0)
 
 
 def test_endpoint_exactness_on_random_machines():

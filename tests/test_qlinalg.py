@@ -153,6 +153,16 @@ def test_partial_traces_hermitian_psd():
             assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+def test_partial_traces_batched_match_per_state():
+    rng = np.random.default_rng(20)
+    batch = np.array([random_state(rng, normalize=False) for _ in range(6)]).reshape(2, 3, 12)
+    for trace in (qlinalg.partial_trace_mode1, qlinalg.partial_trace_mode2):
+        stacked = trace(batch)
+        assert stacked.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(2, 3):
+            assert_allclose(stacked[idx], trace(batch[idx]), atol=1e-15)
+
+
 def test_hs_distance_examples():
     rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
     rho1 = np.array([[0, 0], [0, 1]], dtype=complex)
