@@ -204,8 +204,8 @@ def apply_basis(p: MachineParams, i: int, j: int) -> np.ndarray:
     return isometry(p)[:, 2 * i + j]
 
 
-def alpha_sq(alpha: float) -> float:
-    """x = alpha^2 for an input amplitude alpha, rejected unless it lies in [0, 1]."""
+def input_weight(alpha: float) -> float:
+    """The input weight x = alpha^2; raises ValueError unless alpha lies in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     return alpha * alpha
@@ -238,7 +238,7 @@ def apply(p: MachineParams, alpha: float) -> np.ndarray:
     beta is the nonnegative root sqrt(1 - alpha^2).  For a valid machine the
     result is normalized to 1 within 1e-12.
     """
-    return outputs(p, alpha_sq(alpha))
+    return outputs(p, input_weight(alpha))
 
 
 def to_dict(p: MachineParams) -> dict:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .machine import BlankState, Couplings, MachineParams, alpha_sq, require_valid
+from .machine import BlankState, Couplings, MachineParams, input_weight, require_valid
 from .machine import check_alpha_sq, inputs, outputs
 
 #: Cross-term constant historically used for the average distortion.
@@ -152,8 +152,7 @@ def input_state(alpha_sq) -> np.ndarray:
 
     Its entries are the two-copy amplitudes `inputs`; a grid gives a stack.
     """
-    x = np.asarray(alpha_sq, dtype=float)
-    return inputs(x).reshape(x.shape + (2, 2)).astype(complex)
+    return inputs(alpha_sq).reshape(np.shape(alpha_sq) + (2, 2)).astype(complex)
 
 
 def mode1_state_closed(c: Couplings, alpha_sq: float) -> np.ndarray:
@@ -220,7 +219,7 @@ def distortion_direct(p: MachineParams, alpha: float) -> float:
     Requires a valid machine; agrees with `distortion_closed` within 1e-10.
     """
     require_valid(p)
-    return float(_distortion_nodes(p, alpha_sq(alpha)))
+    return float(_distortion_nodes(p, input_weight(alpha)))
 
 
 def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
@@ -255,7 +254,7 @@ def avg_distortion_quadrature(dc: DistortionCoefficients) -> float:
 def fidelity_direct(p: MachineParams, alpha: float) -> float:
     """Fidelity of deletion by direct simulation: blank-state overlap of mode 2."""
     require_valid(p)
-    return float(_fidelity_nodes(p, alpha_sq(alpha)))
+    return float(_fidelity_nodes(p, input_weight(alpha)))
 
 
 def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") -> float:
