@@ -30,26 +30,12 @@ def _f17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _invalid(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INVALID
-
-
 # ---------------------------------------------------------------------------
 # validate
 
 
 def cmd_validate(args) -> int:
-    try:
-        params = machine.load(args.file)
-        report = machine.validate(params, tol=args.tol)
-    except (OSError, ValueError) as exc:  # a parse error or a bad --tol
-        return _fail(str(exc))
+    report = machine.validate(machine.load(args.file), tol=args.tol)
     print(f"row0 norm defect:     {_f10(report.row0_norm_defect)}")
     print(f"row1 norm defect:     {_f10(report.row1_norm_defect)}")
     print(f"orthogonality defect: {_f10(report.orthogonality_defect)}")
@@ -116,17 +102,9 @@ def render_sweep_csv(xs, fidelity, distortion, formula_mode: bool) -> str:
 
 def cmd_sweep(args) -> int:
     if args.points < 2:
-        return _fail(f"--points must be >= 2, got {args.points}")
-    try:
-        params, record = _resolve_machine_source(args)
-    except machine.MachineValidationError as exc:
-        return _invalid(str(exc))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        xs, fidelity, distortion, formula_mode = sweep_table(params, record, args.points)
-    except machine.MachineValidationError as exc:
-        return _invalid(str(exc))
+        raise ValueError(f"--points must be >= 2, got {args.points}")
+    params, record = _resolve_machine_source(args)
+    xs, fidelity, distortion, formula_mode = sweep_table(params, record, args.points)
     text = render_sweep_csv(xs, fidelity, distortion, formula_mode)
     if args.out is None:
         sys.stdout.write(text)
@@ -263,9 +241,9 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
 
 def cmd_diagnose(args) -> int:
     if args.samples < 1:
-        return _fail(f"--samples must be >= 1, got {args.samples}")
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.m1p is not None and not -1.0 <= args.m1p <= 1.0:
-        return _fail(f"--m1p must be a finite real in [-1, 1], got {args.m1p}")
+        raise ValueError(f"--m1p must be a finite real in [-1, 1], got {args.m1p}")
     report = run_diagnose(args.samples, args.seed, args.m1p)
     print(f"samples: {report.samples}   seed: {report.seed}")
     print("average distortion, closed form vs quadrature:")
@@ -306,26 +284,17 @@ def render_history_csv(history) -> str:
 
 
 def cmd_optimize(args) -> int:
-    try:
-        cfg = optimizer.OptConfig(
-            objective=args.objective,
-            weight_fidelity=args.wf,
-            weight_distortion=args.wd,
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            seed=args.seed,
-            tol=args.tol,
-        )
-        warm = _resolve_warm_start(args.warm_start) if args.warm_start else None
-    except machine.MachineValidationError as exc:
-        return _invalid(str(exc))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-
-    try:
-        result = optimizer.optimize(cfg, warm_start=warm)
-    except machine.MachineValidationError as exc:
-        return _invalid(str(exc))
+    cfg = optimizer.OptConfig(
+        objective=args.objective,
+        weight_fidelity=args.wf,
+        weight_distortion=args.wd,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        seed=args.seed,
+        tol=args.tol,
+    )
+    warm = _resolve_warm_start(args.warm_start) if args.warm_start else None
+    result = optimizer.optimize(cfg, warm_start=warm)
 
     print(f"objective: {cfg.objective}   seed: {cfg.seed}   restarts: {cfg.restarts}")
     print(f"best objective:     {_f10(result.best_objective)}")
@@ -399,9 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; an invalid machine exits 1, any other bad input exits 2."""
+    args = _PARSER.parse_args(argv)
+    try:
+        return args.func(args)
+    except machine.MachineValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (OSError, ValueError) as exc:  # unreadable files and bad values, named by the message
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

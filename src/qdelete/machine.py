@@ -251,11 +251,20 @@ def to_dict(p: MachineParams) -> dict:
     return out
 
 
+def _to_float(key: str, x) -> float:
+    """A JSON number as a float; raises :class:`MachineFormatError` naming ``key``
+    for an integer too large to convert."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise MachineFormatError(f"key {key!r} has a number too large for a float") from None
+
+
 def from_dict(data: dict) -> MachineParams:
     """Parse a machine parameter dictionary, rejecting malformed input.
 
     Raises :class:`MachineFormatError` naming the offending key on missing
-    keys, malformed entries, or non-finite values.
+    keys, malformed entries, or non-finite or overflowing values.
     """
     if not isinstance(data, dict):
         raise MachineFormatError("machine description must be a JSON object")
@@ -270,26 +279,32 @@ def from_dict(data: dict) -> MachineParams:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
         ):
             raise MachineFormatError(f"key {key!r} must be a two-element array [re, im]")
-        re, im = float(value[0]), float(value[1])
+        re, im = _to_float(key, value[0]), _to_float(key, value[1])
         if not (math.isfinite(re) and math.isfinite(im)):
             raise MachineFormatError(f"key {key!r} has non-finite value {value!r}")
         amps[key] = complex(re, im)
     if "m1p" not in data:
         raise MachineFormatError("missing key 'm1p'")
     m1p = data["m1p"]
-    if not isinstance(m1p, (int, float)) or isinstance(m1p, bool) or not math.isfinite(m1p):
+    if isinstance(m1p, int) and not isinstance(m1p, bool):
+        m1p = _to_float("m1p", m1p)
+    if not isinstance(m1p, float) or not math.isfinite(m1p):
         raise MachineFormatError(f"key 'm1p' must be a finite real, got {m1p!r}")
     if not -1.0 <= m1p <= 1.0:
         raise MachineFormatError(f"key 'm1p' must lie in [-1, 1], got {m1p!r}")
-    return MachineParams(sigma=BlankState(float(m1p)), **amps)
+    return MachineParams(sigma=BlankState(m1p), **amps)
 
 
 def load(path) -> MachineParams:
-    """Load machine parameters from a JSON file."""
+    """Load machine parameters from a JSON file.
+
+    Raises :class:`MachineFormatError` for content that is not UTF-8 JSON,
+    including numbers too long to parse and nesting too deep to decode.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
         raise MachineFormatError(f"invalid JSON in {path}: {exc}") from exc
     return from_dict(data)
 

@@ -84,6 +84,11 @@ _QX_FINE, _QW_FINE = _unit_interval_gauss(QUAD_ORDER_REFINED)
 _QX_BOTH = np.concatenate((_QX, _QX_FINE))
 
 
+def _levels(values) -> tuple[float, float]:
+    """Coarse and refined quadrature sums of an integrand sampled at `_QX_BOTH`."""
+    return float(np.sum(_QW * values[:QUAD_ORDER])), float(np.sum(_QW_FINE * values[QUAD_ORDER:]))
+
+
 def _fidelity_nodes(p: MachineParams, xs) -> np.ndarray:
     """Direct-simulation fidelity at a batch of x: apply, trace out mode 1, measure.
 
@@ -236,9 +241,7 @@ def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
 
 def distortion_quadrature_levels(dc: DistortionCoefficients) -> tuple[float, float]:
     """Both refinement levels of the distortion averaging quadrature."""
-    coarse = float(np.sum(_QW * distortion_closed(dc, _QX)))
-    fine = float(np.sum(_QW_FINE * distortion_closed(dc, _QX_FINE)))
-    return coarse, fine
+    return _levels(distortion_closed(dc, _QX_BOTH))
 
 
 def avg_distortion_quadrature(dc: DistortionCoefficients) -> float:
@@ -323,9 +326,7 @@ def avg_fidelity_closed_quadrature(deficit: float) -> float:
     This is the averaging route for formula-mode presets, which have no
     machine realization for the simulation-based quadrature to act on.
     """
-    coarse = float(np.sum(_QW * fidelity_closed(deficit, _QX)))
-    fine = float(np.sum(_QW_FINE * fidelity_closed(deficit, _QX_FINE)))
-    return _converged("fidelity", coarse, fine)
+    return _converged("fidelity", *_levels(fidelity_closed(deficit, _QX_BOTH)))
 
 
 def avg_fidelity_quadrature(p: MachineParams) -> float:
@@ -336,10 +337,7 @@ def avg_fidelity_quadrature(p: MachineParams) -> float:
     refinement levels disagree.
     """
     require_valid(p)
-    values = _fidelity_nodes(p, _QX_BOTH)
-    coarse = float(np.sum(_QW * values[:QUAD_ORDER]))
-    fine = float(np.sum(_QW_FINE * values[QUAD_ORDER:]))
-    return _converged("fidelity", coarse, fine)
+    return _converged("fidelity", *_levels(_fidelity_nodes(p, _QX_BOTH)))
 
 
 def fidelity_curve(p: MachineParams, alpha_sq_grid) -> np.ndarray:

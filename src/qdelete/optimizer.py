@@ -8,8 +8,9 @@ terms are involved.  Nelder-Mead simplex searches run from independently
 seeded random starts and the best machine over all restarts is returned.
 
 Objectives are maximized: average fidelity, negated average distortion, or a
-weighted combination, all evaluated through the quadrature routines of the
-metrics module.
+weighted combination, all scored by one formula on the closed-form averages
+of the metrics module.  The simulation-quadrature oracle checks the returned
+machine once per solve.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ OBJECTIVE_MAX_FIDELITY = "max-fidelity"
 OBJECTIVE_MIN_DISTORTION = "min-distortion"
 OBJECTIVE_WEIGHTED = "weighted"
 OBJECTIVES = (OBJECTIVE_MAX_FIDELITY, OBJECTIVE_MIN_DISTORTION, OBJECTIVE_WEIGHTED)
+
+#: (wf, wd) of the unweighted objectives; the weighted one takes the config's.
+#: 1.0 * Fbar - 0.0 * Dbar is bit-equal to Fbar.
+_WEIGHTS = {OBJECTIVE_MAX_FIDELITY: (1.0, 0.0), OBJECTIVE_MIN_DISTORTION: (0.0, 1.0)}
 
 #: Minimization value returned for raw points that fail to decode; large
 #: enough that the simplex always moves away from degenerate points.
@@ -61,10 +66,13 @@ class OptConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
         if self.objective == OBJECTIVE_WEIGHTED:
-            if self.weight_fidelity < 0 or self.weight_distortion < 0:
-                raise ValueError("objective weights must be non-negative")
-            if self.weight_fidelity == 0 and self.weight_distortion == 0:
+            weights = (self.weight_fidelity, self.weight_distortion)
+            if not all(math.isfinite(w) and w >= 0 for w in weights):
+                raise ValueError(f"weights must be finite and non-negative, got {weights}")
+            if weights == (0, 0):
                 raise ValueError("objective weights must not both be zero")
 
 
@@ -152,15 +160,17 @@ def random_machine(rng: np.random.Generator) -> MachineParams:
 
 
 def evaluate(p: MachineParams, cfg: OptConfig) -> float:
-    """Objective value of a valid machine; larger is better for every objective."""
+    """Objective wf * Fbar - wd * Dbar of a valid machine; larger is better.
+
+    Fbar = 1 - k/6 with k the consistent-mode deficit, which the simulation
+    oracle realizes; Dbar is the analytic-mode average distortion.
+    """
     require_valid(p)
-    if cfg.objective == OBJECTIVE_MAX_FIDELITY:
-        return metrics.avg_fidelity_quadrature(p)
-    dbar = metrics.avg_distortion_quadrature(metrics.distortion_coefficients(couplings(p)))
-    if cfg.objective == OBJECTIVE_MIN_DISTORTION:
-        return -dbar
-    fbar = metrics.avg_fidelity_quadrature(p)
-    return cfg.weight_fidelity * fbar - cfg.weight_distortion * dbar
+    c = couplings(p)
+    fbar = 1.0 - metrics.fidelity_deficit(c, p.sigma) / 6.0
+    dbar = metrics.avg_distortion(metrics.distortion_coefficients(c))
+    wf, wd = _WEIGHTS.get(cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion))
+    return wf * fbar - wd * dbar
 
 
 def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResult:

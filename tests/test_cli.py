@@ -316,3 +316,80 @@ def test_optimize_requires_out(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["optimize", "--seed", "1"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# every subcommand: bad input exits 2
+
+
+def hostile_file(tmp_path, kind):
+    data = machine.to_dict(by_name("case3").params)
+    if kind == "huge-int-m1p":
+        data["m1p"] = 10**400
+    elif kind == "huge-int-amplitude":
+        data["b1"] = [10**400, 0]
+    elif kind == "nan-literal":
+        data["m1p"] = math.nan
+    blob = json.dumps(data).encode("utf-8")
+    if kind == "nested-1e5-deep":
+        blob = b"[" * 100_000 + b"]" * 100_000
+    elif kind == "non-utf8":
+        blob = b"\xff" + blob
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(blob)
+    return str(path)
+
+
+HOSTILE = ("huge-int-m1p", "huge-int-amplitude", "nan-literal", "nested-1e5-deep", "non-utf8")
+OPT = ["optimize", "--restarts", "1", "--max-iters", "5"]
+WEIGHTED = OPT + ["--objective", "weighted"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(["validate", f"@{kind}"], id=f"validate-{kind}") for kind in HOSTILE]
+    + [pytest.param(["sweep", "--machine", f"@{kind}"], id=f"sweep-{kind}") for kind in HOSTILE]
+    + [pytest.param(OPT + ["--warm-start", f"@{kind}"], id=f"optimize-{kind}") for kind in HOSTILE]
+    + [
+        pytest.param(["validate", "@valid", "--tol", "-inf"], id="validate-tol-neg-inf"),
+        pytest.param(["sweep", "--preset", "case3", "--points", "0"], id="sweep-points-0"),
+        pytest.param(["sweep", "--preset", "case3", "--points", "-3"], id="sweep-points-neg"),
+        pytest.param(["sweep", "--preset", "case3", "--points", "nan"], id="sweep-points-nan"),
+        pytest.param(["sweep", "--preset", "case3", "--m1p", "nan"], id="sweep-m1p-nan"),
+        pytest.param(["sweep", "--preset", "case1", "--m1p", "inf"], id="sweep-m1p-inf"),
+        pytest.param(["sweep", "--machine", "@valid", "--m1p", "-2"], id="sweep-m1p-neg"),
+        pytest.param(["diagnose", "--samples", "-1"], id="diagnose-samples-neg"),
+        pytest.param(["diagnose", "--samples", "inf"], id="diagnose-samples-inf"),
+        pytest.param(["diagnose", "--seed", "nan"], id="diagnose-seed-nan"),
+        pytest.param(["diagnose", "--samples", "1", "--m1p", "-inf"], id="diagnose-m1p-neg-inf"),
+        pytest.param(OPT[:1] + ["--restarts", "-1"], id="optimize-restarts-neg"),
+        pytest.param(OPT[:1] + ["--max-iters", "0"], id="optimize-max-iters-0"),
+        pytest.param(OPT + ["--tol", "nan"], id="optimize-tol-nan"),
+        pytest.param(OPT + ["--tol", "inf"], id="optimize-tol-inf"),
+        pytest.param(OPT + ["--tol", "-1"], id="optimize-tol-neg"),
+        pytest.param(WEIGHTED + ["--wf", "nan"], id="optimize-wf-nan"),
+        pytest.param(WEIGHTED + ["--wf", "inf", "--wd", "inf"], id="optimize-weights-inf"),
+        pytest.param(WEIGHTED + ["--wd", "-1"], id="optimize-wd-neg"),
+        pytest.param(WEIGHTED + ["--wf", "0", "--wd", "0"], id="optimize-weights-0"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    def resolve(token):
+        if not token.startswith("@"):
+            return token
+        if token == "@valid":
+            return str(write_machine(tmp_path, by_name("case3").params))
+        return hostile_file(tmp_path, token[1:])
+
+    argv = [resolve(token) for token in argv]
+    if argv[0] == "optimize":
+        argv += ["--out", str(tmp_path / "best.json")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects values of the wrong type
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") or err.startswith("usage: qdelete")
+    assert "Traceback" not in err
+    assert not (tmp_path / "best.json").exists()

@@ -306,6 +306,32 @@ def test_from_dict_rejects_out_of_range_m1p():
     assert "m1p" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("key", ["a0", "d1", "m1p"])
+def test_from_dict_names_key_of_integer_too_large_for_a_float(key):
+    data = machine.to_dict(case3_params())
+    data[key] = 10**400 if key == "m1p" else [0, -(10**400)]
+    with pytest.raises(machine.MachineFormatError) as excinfo:
+        machine.from_dict(data)
+    assert key in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"m1p": 1' + b"0" * 5000 + b"}",
+        b"\xff\xfe" + b"{}",
+        json.dumps({"m1p": 0.5}).encode("utf-16"),
+    ],
+    ids=["nested-1e5-deep", "5000-digit-integer", "invalid-utf8", "utf16"],
+)
+def test_load_rejects_hostile_files(tmp_path, blob):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(blob)
+    with pytest.raises(machine.MachineFormatError):
+        machine.load(path)
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

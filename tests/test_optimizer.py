@@ -106,6 +106,23 @@ def test_config_validation():
         optimizer.OptConfig(objective="weighted", weight_fidelity=-1.0)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(objective="weighted", weight_fidelity=math.nan),
+        dict(objective="weighted", weight_distortion=math.nan),
+        dict(objective="weighted", weight_fidelity=math.inf, weight_distortion=math.inf),
+        dict(objective="weighted", weight_distortion=-math.inf),
+        dict(tol=math.nan),
+        dict(tol=math.inf),
+        dict(tol=-1.0),
+    ],
+)
+def test_config_rejects_non_finite_weights_and_bad_tol(settings):
+    with pytest.raises(ValueError):
+        optimizer.OptConfig(**settings)
+
+
 def test_evaluate_known_machines():
     cfg_f = optimizer.OptConfig(objective="max-fidelity")
     cfg_d = optimizer.OptConfig(objective="min-distortion")
@@ -121,6 +138,19 @@ def test_evaluate_requires_valid_machine():
     cfg = optimizer.OptConfig()
     with pytest.raises(machine.MachineValidationError):
         optimizer.evaluate(MachineParams(a0=1.0, a1=1.0), cfg)
+
+
+def test_evaluate_runs_no_oracle_and_validates_once(monkeypatch):
+    calls = []
+    validate = machine.validate
+    monkeypatch.setattr(machine, "validate", lambda *a, **k: calls.append(1) or validate(*a, **k))
+    for name in ("avg_fidelity_quadrature", "avg_distortion_quadrature", "_fidelity_nodes"):
+        monkeypatch.setattr(metrics, name, lambda *a, **k: pytest.fail("oracle called"))
+    p = by_name("case3").params
+    for objective in optimizer.OBJECTIVES:
+        calls.clear()
+        optimizer.evaluate(p, optimizer.OptConfig(objective=objective))
+        assert len(calls) == 1
 
 
 def test_objective_invariant_under_joint_row_phase():
@@ -177,6 +207,17 @@ def test_optimize_result_machine_is_valid_and_reproducible():
     assert abs(metrics.avg_fidelity_quadrature(result.best_machine) - result.avg_fidelity) <= 1e-8
     dc = metrics.distortion_coefficients(couplings(result.best_machine))
     assert abs(metrics.avg_distortion_quadrature(dc) - result.avg_distortion) <= 1e-8
+
+
+@pytest.mark.parametrize("objective", optimizer.OBJECTIVES)
+def test_optimize_best_objective_matches_the_oracle_report(objective):
+    result = optimizer.optimize(optimizer.OptConfig(objective=objective, **SMALL))
+    oracle = {
+        "max-fidelity": result.avg_fidelity,
+        "min-distortion": -result.avg_distortion,
+        "weighted": result.avg_fidelity - result.avg_distortion,
+    }[objective]
+    assert abs(result.best_objective - oracle) <= 1e-8
 
 
 def test_optimize_respects_bounds():

@@ -1,4 +1,5 @@
-"""Property-based tests of the simulation kernel on random machines.
+"""Property-based tests of the simulation kernel and the search objective on
+random machines.
 
 Machines are drawn as the QR factor of a complex Gaussian 4x2 matrix (so the
 two amplitude rows are orthonormal), with a random blank-state overlap.
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qdelete import machine, metrics, qlinalg
+from qdelete import machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, MachineParams
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -24,6 +25,7 @@ ANC = np.eye(3, dtype=complex)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 overlaps = st.floats(min_value=-1.0, max_value=1.0)
+weights = st.floats(min_value=0.0, max_value=2.0)
 grids = st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20).map(
     lambda xs: np.array([0.0, 1.0] + xs)
 )
@@ -100,6 +102,24 @@ def test_fidelity_curve_matches_consistent_closed_form(seed, m1p, xs):
     deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
     closed = metrics.fidelity_closed(deficit, xs)
     assert_allclose(metrics.fidelity_curve(p, xs), closed, rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(seeds, overlaps, weights, weights)
+def test_evaluate_matches_the_oracle_quadrature(seed, m1p, wf, wd):
+    # The 128-node rule misses the (x(1-x))^1.5 term of the distortion by
+    # about 1e-11; the fidelity integrand is a polynomial it integrates exactly.
+    assume(wf > 0 or wd > 0)
+    p = qr_machine(seed, m1p)
+    fbar = metrics.avg_fidelity_quadrature(p)
+    dbar = metrics.avg_distortion_quadrature(metrics.distortion_coefficients(machine.couplings(p)))
+    for objective, expected, tol in (
+        ("max-fidelity", fbar, 1e-10),
+        ("min-distortion", -dbar, 1e-8),
+        ("weighted", wf * fbar - wd * dbar, wf * 1e-10 + wd * 1e-8),
+    ):
+        cfg = optimizer.OptConfig(objective=objective, weight_fidelity=wf, weight_distortion=wd)
+        assert abs(optimizer.evaluate(p, cfg) - expected) <= tol
 
 
 @PROPERTY
