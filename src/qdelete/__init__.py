@@ -8,7 +8,7 @@ behind.  Subpackage layout:
 * `machine`   - machine parameters, the 12x4 isometry, validation, file format
 * `metrics`   - distortion and fidelity, closed forms plus simulation oracles
 * `presets`   - named machines with frozen expected averages
-* `optimizer` - derivative-free search over the constraint manifold
+* `optimizer` - derivative-free search over the coupling sphere
 * `cli`       - the `qdelete` command
 """
 

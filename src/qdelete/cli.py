@@ -193,6 +193,8 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
     """Quantify both closed-form ambiguities against the simulation oracle."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, 21)
     legacy_const_gap = abs(metrics.LEGACY_CROSS_CONSTANT - metrics.ANALYTIC_CROSS_CONSTANT)

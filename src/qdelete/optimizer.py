@@ -1,11 +1,12 @@
-"""Derivative-free search over the machine's isometry constraint manifold.
+"""Derivative-free search over the coupling sphere.
 
-A search point is a raw real 17-vector: two complex 4-vectors (interleaved
-re/im) plus an angle theta with m1p = cos(theta).  Decoding normalizes the
-first vector and Gram-Schmidt-orthonormalizes the second against it, so every
-decoded machine satisfies the isometry conditions by construction; no penalty
+Every metric depends only on the couplings u = row0 + row1 = (g, h, e, f) and
+m1p, and valid machines fill exactly the sphere |u|^2 = 2 in C^4 times
+[-1, 1].  A search point is a raw real 9-vector: u as interleaved (re, im)
+pairs, scaled onto the sphere, and theta with m1p = cos(theta); no penalty
 terms are involved.  Nelder-Mead simplex searches run from independently
-seeded random starts and the best machine over all restarts is returned.
+seeded random starts, and the best point over all restarts is decoded into a
+machine whose rows are orthonormal by construction.
 
 Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination, all scored by one formula on the closed-form averages
@@ -22,9 +23,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import metrics
-from .machine import BlankState, MachineParams, couplings, require_valid
+from .machine import BlankState, Couplings, MachineParams, couplings, require_valid
 
-RAW_DIM = 17
+RAW_DIM = 9
 
 OBJECTIVE_MAX_FIDELITY = "max-fidelity"
 OBJECTIVE_MIN_DISTORTION = "min-distortion"
@@ -39,7 +40,7 @@ _WEIGHTS = {OBJECTIVE_MAX_FIDELITY: (1.0, 0.0), OBJECTIVE_MIN_DISTORTION: (0.0, 
 #: enough that the simplex always moves away from degenerate points.
 _DEGENERATE_PENALTY = 1e6
 
-#: Raw vectors closer than this to a degenerate configuration fail to decode.
+#: Raw points whose coupling vector is shorter than this fail to decode.
 _DEGENERACY_TOL = 1e-12
 
 
@@ -66,6 +67,8 @@ class OptConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
         if self.objective == OBJECTIVE_WEIGHTED:
@@ -95,82 +98,66 @@ class OptResult:
     history: list[HistoryEntry] = field(repr=False)
 
 
-def decode(raw) -> MachineParams:
-    """Decode a raw 17-vector into a valid machine.
-
-    raw[0:8] and raw[8:16] hold the two amplitude rows as interleaved
-    (re, im) pairs; raw[16] is theta with m1p = cos(theta).  The first row is
-    normalized, the second is orthonormalized against it.  Raises
-    :class:`DecodeError` for non-finite input, a near-zero first row, or a
-    second row within 1e-12 of the span of the first.
-    """
-    raw = np.asarray(raw, dtype=float)
+def _sphere_point(raw) -> tuple[np.ndarray, float]:
+    """Couplings u scaled to |u|^2 = 2 and m1p = cos(theta) of a raw point."""
+    raw = np.ascontiguousarray(raw, dtype=float)
     if raw.shape != (RAW_DIM,):
         raise DecodeError(f"raw point must have shape ({RAW_DIM},), got {raw.shape}")
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise DecodeError("raw point has non-finite entries")
+    u = raw[0:8].view(complex)
+    norm = math.hypot(*raw[0:8])
+    if norm < _DEGENERACY_TOL:
+        raise DecodeError("coupling vector is numerically zero")
+    return u * (math.sqrt(2.0) / norm), math.cos(raw[8])
 
-    pairs0 = raw[0:8].reshape(4, 2)
-    pairs1 = raw[8:16].reshape(4, 2)
-    v0 = pairs0[:, 0] + 1j * pairs0[:, 1]
-    v1 = pairs1[:, 0] + 1j * pairs1[:, 1]
 
-    n0 = np.linalg.norm(v0)
-    if n0 < _DEGENERACY_TOL:
-        raise DecodeError("first row vector is numerically zero")
-    v0 = v0 / n0
+def decode(raw) -> MachineParams:
+    """Decode a raw 9-vector into a valid machine with its couplings and m1p.
 
-    n1 = np.linalg.norm(v1)
-    if n1 < _DEGENERACY_TOL:
-        raise DecodeError("second row vector is numerically zero")
-    v1 = v1 / n1
-    residual = v1 - np.vdot(v0, v1) * v0
-    n_res = np.linalg.norm(residual)
-    if n_res < _DEGENERACY_TOL:
-        raise DecodeError("second row vector lies in the span of the first")
-    v1 = residual / n_res
-
-    return MachineParams.from_rows(v0, v1, BlankState(math.cos(raw[16])))
+    The rows are u/2 -+ w with w = conj(-h, g, -f, e)/2, which is orthogonal
+    to u with |w|^2 = 1/2, so they are orthonormal for every u.  Raises
+    :class:`DecodeError` for a wrong shape, non-finite entries or |u| < 1e-12.
+    """
+    u, m1p = _sphere_point(raw)
+    w = u[[1, 0, 3, 2]].conj() * np.array([-0.5, 0.5, -0.5, 0.5])
+    return MachineParams.from_rows(u / 2 - w, u / 2 + w, BlankState(m1p))
 
 
 def encode(p: MachineParams) -> np.ndarray:
-    """Inverse of :func:`decode` for machines whose rows are already orthonormal."""
-    raw = np.empty(RAW_DIM)
-    row0, row1 = p.row0(), p.row1()
-    raw[0:8] = np.column_stack([row0.real, row0.imag]).ravel()
-    raw[8:16] = np.column_stack([row1.real, row1.imag]).ravel()
-    raw[16] = math.acos(max(-1.0, min(1.0, p.sigma.m1p)))
-    return raw
+    """A raw point of ``p``'s couplings and m1p; decoding it keeps p's metrics."""
+    c = couplings(p)
+    u = np.array([c.g, c.h, c.e, c.f], dtype=complex)
+    return np.append(u.view(float), math.acos(p.sigma.m1p))
 
 
 def sample_raw(rng: np.random.Generator) -> np.ndarray:
-    """Draw a standard-normal raw point, redrawing until it decodes."""
-    while True:
-        raw = rng.standard_normal(RAW_DIM)
-        try:
-            decode(raw)
-        except DecodeError:
-            continue
-        return raw
+    """Draw a standard-normal raw point; it fails to decode with probability 0."""
+    return rng.standard_normal(RAW_DIM)
 
 
 def random_machine(rng: np.random.Generator) -> MachineParams:
-    """Draw a random valid machine (Gaussian rows, orthonormalized)."""
-    return decode(sample_raw(rng))
+    """Draw a valid machine: rows from the QR of a complex Gaussian 4x2, m1p = cos N(0,1)."""
+    q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    return MachineParams.from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))
 
 
-def evaluate(p: MachineParams, cfg: OptConfig) -> float:
-    """Objective wf * Fbar - wd * Dbar of a valid machine; larger is better.
+def _score(c: Couplings, sigma: BlankState, cfg: OptConfig) -> float:
+    """Objective wf * Fbar - wd * Dbar of a point of the coupling sphere.
 
     Fbar = 1 - k/6 with k the consistent-mode deficit, which the simulation
     oracle realizes; Dbar is the analytic-mode average distortion.
     """
-    require_valid(p)
-    c = couplings(p)
-    fbar = 1.0 - metrics.fidelity_deficit(c, p.sigma) / 6.0
+    fbar = 1.0 - metrics.fidelity_deficit(c, sigma) / 6.0
     dbar = metrics.avg_distortion(metrics.distortion_coefficients(c))
     wf, wd = _WEIGHTS.get(cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion))
     return wf * fbar - wd * dbar
+
+
+def evaluate(p: MachineParams, cfg: OptConfig) -> float:
+    """Objective wf * Fbar - wd * Dbar of a valid machine; larger is better."""
+    require_valid(p)
+    return _score(couplings(p), p.sigma, cfg)
 
 
 def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResult:
@@ -200,11 +187,11 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
             nonlocal evaluation, best_value, best_raw
             evaluation += 1
             try:
-                p = decode(raw)
+                u, m1p = _sphere_point(raw)
             except DecodeError:
                 history.append(HistoryEntry(restart, evaluation, best_value))
                 return _DEGENERATE_PENALTY
-            value = evaluate(p, cfg)
+            value = _score(Couplings(*u.tolist()), BlankState(m1p), cfg)
             if value > best_value:
                 best_value = value
                 best_raw = np.array(raw, dtype=float)

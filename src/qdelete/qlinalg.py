@@ -17,12 +17,6 @@ import numpy as np
 #: Dimension of the flat joint state vector.
 JOINT_DIM = 12
 
-#: Absolute tolerance for single-step algebraic identities.
-ATOL_ALGEBRAIC = 1e-12
-
-#: Absolute tolerance for chained computations.
-ATOL_CHAINED = 1e-9
-
 
 def joint_index(q1: int, q2: int, anc: int) -> int:
     """Flat index of the basis vector |q1, q2, anc>."""

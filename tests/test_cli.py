@@ -361,9 +361,11 @@ WEIGHTED = OPT + ["--objective", "weighted"]
         pytest.param(["diagnose", "--samples", "-1"], id="diagnose-samples-neg"),
         pytest.param(["diagnose", "--samples", "inf"], id="diagnose-samples-inf"),
         pytest.param(["diagnose", "--seed", "nan"], id="diagnose-seed-nan"),
+        pytest.param(["diagnose", "--seed", "-3"], id="diagnose-seed-neg"),
         pytest.param(["diagnose", "--samples", "1", "--m1p", "-inf"], id="diagnose-m1p-neg-inf"),
         pytest.param(OPT[:1] + ["--restarts", "-1"], id="optimize-restarts-neg"),
         pytest.param(OPT[:1] + ["--max-iters", "0"], id="optimize-max-iters-0"),
+        pytest.param(OPT + ["--seed", "-1"], id="optimize-seed-neg"),
         pytest.param(OPT + ["--tol", "nan"], id="optimize-tol-nan"),
         pytest.param(OPT + ["--tol", "inf"], id="optimize-tol-inf"),
         pytest.param(OPT + ["--tol", "-1"], id="optimize-tol-neg"),
@@ -393,3 +395,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error: ") or err.startswith("usage: qdelete")
     assert "Traceback" not in err
     assert not (tmp_path / "best.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["diagnose", "--seed", "-3"], OPT + ["--seed", "-1", "--out", "best.json"]]
+)
+def test_negative_seed_is_rejected_by_name(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer
 from qdelete.machine import BlankState, MachineParams, couplings
-from qdelete.presets import by_name
+from qdelete.presets import PERFECT_AVG_DISTORTION, by_name
 
 SMALL = dict(restarts=2, max_iters=80, seed=5)
 
 
+def raw_of(u, m1p):
+    """Raw search point of the couplings u = (g, h, e, f) and m1p."""
+    return np.append(np.asarray(u, dtype=complex).view(float), math.acos(m1p))
+
+
 def case3_raw():
-    raw = np.zeros(optimizer.RAW_DIM)
-    raw[0] = 1.0   # row0 = (1, 0, 0, 0)
-    raw[10] = 1.0  # row1 = (0, 1, 0, 0)
-    return raw
+    return raw_of([1.0, 1.0, 0.0, 0.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -24,17 +27,11 @@ def case3_raw():
 
 def test_decode_orthonormal_input_is_untouched():
     p = optimizer.decode(case3_raw())
+    assert couplings(p) == machine.Couplings(1.0, 1.0, 0.0, 0.0)
     assert p.a0 == 1.0 and p.b1 == 1.0
     assert p.a1 == 0.0 and p.b0 == 0.0
     assert p.sigma.m1p == 1.0
     assert machine.validate(p, tol=1e-12).is_valid
-
-
-def test_decode_rejects_parallel_rows():
-    raw = case3_raw()
-    raw[8:16] = raw[0:8]
-    with pytest.raises(optimizer.DecodeError):
-        optimizer.decode(raw)
 
 
 def test_decode_rejects_zero_row():
@@ -45,12 +42,14 @@ def test_decode_rejects_zero_row():
 
 
 def test_decode_rejects_non_finite_and_bad_shape():
-    raw = case3_raw()
-    raw[3] = math.nan
-    with pytest.raises(optimizer.DecodeError):
-        optimizer.decode(raw)
-    with pytest.raises(optimizer.DecodeError):
-        optimizer.decode(np.zeros(5))
+    for index in (3, 8):
+        raw = case3_raw()
+        raw[index] = math.nan
+        with pytest.raises(optimizer.DecodeError):
+            optimizer.decode(raw)
+    for size in (5, 17):
+        with pytest.raises(optimizer.DecodeError):
+            optimizer.decode(np.zeros(size))
 
 
 def test_decode_seed_42_draw_is_tightly_valid():
@@ -75,7 +74,6 @@ def test_decode_invariant_under_positive_row_scaling():
     raw = optimizer.sample_raw(rng)
     scaled = raw.copy()
     scaled[0:8] *= 3.5
-    scaled[8:16] *= 0.25
     p, q = optimizer.decode(raw), optimizer.decode(scaled)
     assert_allclose(q.row0(), p.row0(), atol=1e-12)
     assert_allclose(q.row1(), p.row1(), atol=1e-12)
@@ -84,11 +82,26 @@ def test_decode_invariant_under_positive_row_scaling():
 
 def test_encode_decode_round_trip():
     rng = np.random.default_rng(45)
-    for p in (by_name("case3").params, optimizer.random_machine(rng)):
+    cfg = optimizer.OptConfig(objective="weighted")
+    machines = [by_name("case3").params] + [optimizer.random_machine(rng) for _ in range(5)]
+    for p in machines:
         q = optimizer.decode(optimizer.encode(p))
-        assert_allclose(q.row0(), p.row0(), atol=1e-12)
-        assert_allclose(q.row1(), p.row1(), atol=1e-12)
+        c, d = couplings(p), couplings(q)
+        assert_allclose([d.g, d.h, d.e, d.f], [c.g, c.h, c.e, c.f], rtol=0, atol=1e-12)
         assert abs(q.sigma.m1p - p.sigma.m1p) <= 1e-12
+        assert abs(optimizer.evaluate(q, cfg) - optimizer.evaluate(p, cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("m1p", [-1.0, -0.6, 0.0, 0.3, math.sqrt(0.5), 0.9, 1.0])
+def test_decoded_certificate_couplings_reach_both_optima(m1p):
+    # (g, h, e, f) = (s, m, m, s) attains Fbar = 1 and the lower bound
+    # D* = 2/5 - 3pi/32 of Dbar at the same time, for every m1p.
+    s = math.sqrt(1.0 - m1p * m1p)
+    p = optimizer.decode(raw_of([s, m1p, m1p, s], m1p))
+    assert machine.validate(p, tol=1e-12).is_valid
+    dc = metrics.distortion_coefficients(couplings(p))
+    assert abs(metrics.avg_fidelity_quadrature(p) - 1.0) <= 1e-10
+    assert abs(metrics.avg_distortion_quadrature(dc) - PERFECT_AVG_DISTORTION) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +129,7 @@ def test_config_validation():
         dict(tol=math.nan),
         dict(tol=math.inf),
         dict(tol=-1.0),
+        dict(seed=-1),
     ],
 )
 def test_config_rejects_non_finite_weights_and_bad_tol(settings):
@@ -151,6 +165,24 @@ def test_evaluate_runs_no_oracle_and_validates_once(monkeypatch):
         calls.clear()
         optimizer.evaluate(p, optimizer.OptConfig(objective=objective))
         assert len(calls) == 1
+
+
+def test_search_loop_builds_no_machine_and_validates_outside_it(monkeypatch):
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(machine, "validate", counted(machine.validate))
+    monkeypatch.setattr(optimizer, "decode", counted(optimizer.decode))
+    result = optimizer.optimize(optimizer.OptConfig(**SMALL), warm_start=by_name("perfect").params)
+    assert len(result.history) > 100
+    # the warm start and the oracle report validate; the best point decodes once
+    assert calls == {"validate": 2, "decode": 1}
 
 
 def test_objective_invariant_under_joint_row_phase():
@@ -235,6 +267,21 @@ def test_optimize_beats_the_known_feasible_points_given_budget():
     cfg = optimizer.OptConfig(objective="min-distortion", restarts=4, max_iters=400, seed=11)
     result = optimizer.optimize(cfg)
     assert result.avg_distortion <= 1.0 / 3.0 + 1e-3
+
+
+@pytest.mark.parametrize("objective", ["max-fidelity", "min-distortion"])
+def test_optimize_reaches_the_certified_optimum_and_never_beats_it(objective):
+    cfg = optimizer.OptConfig(objective=objective, restarts=2, max_iters=400, seed=5)
+    result = optimizer.optimize(cfg)
+    if objective == "max-fidelity":
+        gaps = (1.0 - result.best_objective, 1.0 - result.avg_fidelity)
+    else:
+        gaps = (
+            -result.best_objective - PERFECT_AVG_DISTORTION,
+            result.avg_distortion - PERFECT_AVG_DISTORTION,
+        )
+    for gap in gaps:
+        assert -1e-12 <= gap <= 1e-8
 
 
 def test_optimize_warm_start_keeps_perfect_fidelity():

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, MachineParams
+from qdelete.presets import PERFECT_AVG_DISTORTION
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -120,6 +121,18 @@ def test_evaluate_matches_the_oracle_quadrature(seed, m1p, wf, wd):
     ):
         cfg = optimizer.OptConfig(objective=objective, weight_fidelity=wf, weight_distortion=wd)
         assert abs(optimizer.evaluate(p, cfg) - expected) <= tol
+
+
+@PROPERTY
+@given(seeds, overlaps)
+def test_closed_form_averages_respect_the_certified_optima(seed, m1p):
+    # Fbar <= 1, and Cauchy-Schwarz on the coherence term gives
+    # Dbar >= D* = 2/5 - 3pi/32 for every valid machine.
+    c = machine.couplings(qr_machine(seed, m1p))
+    fbar = 1.0 - metrics.fidelity_deficit(c, BlankState(m1p)) / 6.0
+    dbar = metrics.avg_distortion(metrics.distortion_coefficients(c))
+    assert fbar <= 1.0 + 1e-12
+    assert dbar >= PERFECT_AVG_DISTORTION - 1e-12
 
 
 @PROPERTY
