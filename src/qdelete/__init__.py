@@ -17,8 +17,6 @@ from .machine import (
     Couplings,
     MachineParams,
     ValidationReport,
-    apply,
-    apply_basis,
     couplings,
     isometry,
     outputs,
@@ -34,8 +32,6 @@ __all__ = [
     "MachineParams",
     "PresetRecord",
     "ValidationReport",
-    "apply",
-    "apply_basis",
     "couplings",
     "isometry",
     "outputs",

@@ -218,7 +218,7 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
         dev_analytic = abs(metrics.avg_distortion(dc, "analytic") - fine)
         max_legacy = max(max_legacy, dev_legacy)
         max_analytic = max(max_analytic, dev_analytic)
-        predicted = legacy_const_gap * abs(dc.coherence_sum())
+        predicted = legacy_const_gap * abs(dc.coherence_sum)
         max_mismatch = max(max_mismatch, abs(dev_legacy - predicted))
 
         deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")

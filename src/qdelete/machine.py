@@ -197,20 +197,6 @@ def require_valid(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> Vali
     return report
 
 
-def apply_basis(p: MachineParams, i: int, j: int) -> np.ndarray:
-    """Image of the basis input |i>|j>|Q> as a flat 12-amplitude vector."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError(f"basis labels must be bits, got ({i}, {j})")
-    return isometry(p)[:, 2 * i + j]
-
-
-def input_weight(alpha: float) -> float:
-    """The input weight x = alpha^2; raises ValueError unless alpha lies in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return alpha * alpha
-
-
 def check_alpha_sq(alpha_sq) -> np.ndarray:
     """x = alpha^2 as a float array; raises ValueError unless every x lies in [0, 1]."""
     x = np.asarray(alpha_sq, dtype=float)
@@ -228,17 +214,11 @@ def inputs(alpha_sq) -> np.ndarray:
 
 
 def outputs(p: MachineParams, alpha_sq) -> np.ndarray:
-    """Output states ``inputs(alpha_sq) @ V.T``, shape (..., 12): the simulation kernel."""
-    return inputs(alpha_sq) @ isometry(p).T
+    """Output states ``inputs(alpha_sq) @ V.T``, shape (..., 12): the simulation kernel.
 
-
-def apply(p: MachineParams, alpha: float) -> np.ndarray:
-    """Output state for the two-copy input (alpha|0> + beta|1>)^{(x)2} |Q>.
-
-    beta is the nonnegative root sqrt(1 - alpha^2).  For a valid machine the
-    result is normalized to 1 within 1e-12.
+    For a valid machine every output state has unit norm within 1e-12.
     """
-    return outputs(p, input_weight(alpha))
+    return inputs(alpha_sq) @ isometry(p).T
 
 
 def to_dict(p: MachineParams) -> dict:

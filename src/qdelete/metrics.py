@@ -6,15 +6,21 @@ are quadratic in the couplings g, h, e, f.  Two evaluation routes are
 provided for every quantity:
 
 * closed forms in the couplings (this module), and
-* direct simulation: apply the machine, take a partial trace, and measure,
-  in one batched pass over the grid (`machine.outputs`, then the batched
-  partial traces of `qlinalg`); it is the independent oracle for the closed
-  forms.
+* direct simulation: simulate the machine, take a partial trace, and
+  measure, in one batched pass over the grid (`machine.outputs`, then the
+  batched partial traces of `qlinalg`); it is the independent oracle for the
+  closed forms.
 
 Distortion is the squared Hilbert-Schmidt distance between the ideal input
-state and the kept mode's reduced state,
+state and the kept mode's reduced state.  With y = x(1-x) it is the
+polynomial
 
-    D(x) = quartic * x^2 (1-x)^2 - 2 Re(coherence sum) * (x(1-x))^(3/2) + 2 x(1-x),
+    D(x) = quartic * y^2 - 2 * coherence_sum * y^(3/2) + 2 y,
+
+whose two coefficients (`DistortionCoefficients`) are
+
+    quartic       = (|e|^2 + |g|^2 - 1)^2 + (|h|^2 + |f|^2 - 1)^2 + 2 |coherence|^2,
+    coherence_sum = 2 Re(coherence),  with coherence = e conj(h) + g conj(f);
 
 and the fidelity of deletion is the blank-state overlap of the deleted mode,
 F(x) = 1 - deficit * x(1-x).  Averages are uniform integrals over x in [0, 1].
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .machine import BlankState, Couplings, MachineParams, input_weight, require_valid
+from .machine import BlankState, Couplings, MachineParams, require_valid
 from .machine import check_alpha_sq, inputs, outputs
 
 #: Cross-term constant historically used for the average distortion.
@@ -90,7 +96,7 @@ def _levels(values) -> tuple[float, float]:
 
 
 def _fidelity_nodes(p: MachineParams, xs) -> np.ndarray:
-    """Direct-simulation fidelity at a batch of x: apply, trace out mode 1, measure.
+    """Direct-simulation fidelity at a batch of x: simulate, trace out mode 1, measure.
 
     Contracting as ``(rho @ sig) @ conj(sig)`` keeps F(0) and F(1) exactly 1.0.
     """
@@ -107,37 +113,13 @@ def _distortion_nodes(p: MachineParams, xs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistortionCoefficients:
-    """Coefficients of the kept-mode distortion polynomial.
+    """The two coefficients of the distortion polynomial (see the module docstring).
 
-    For coefficients derived from couplings, ``coherence_conj`` equals
-    ``conj(coherence)`` and ``quartic = population_defect + 2|coherence|^2``;
-    records constructed by hand (formula mode) may break those relations.
+    Records built by hand (formula mode) may hold any pair of values.
     """
 
-    weight0: float          # |e|^2 + |g|^2, population coupling onto |0><0|
-    weight1: float          # |h|^2 + |f|^2, population coupling onto |1><1|
-    coherence: complex      # e*conj(h) + g*conj(f), off-diagonal coupling
-    coherence_conj: complex # h*conj(e) + f*conj(g)
-    population_defect: float  # (weight0 - 1)^2 + (weight1 - 1)^2
-    quartic: float            # population_defect + 2*coherence*coherence_conj
-
-    def coherence_sum(self) -> float:
-        """Re(coherence + coherence_conj); real for coupling-derived records."""
-        return float((self.coherence + self.coherence_conj).real)
-
-
-@dataclass(frozen=True)
-class FidelityDeficits:
-    """The fidelity deficit under both index conventions.
-
-    ``case4_defect`` and ``case4_deficit`` are populated only when e = f = 0
-    (the exchange-only machine family); otherwise they are NaN.
-    """
-
-    legacy: float
-    consistent: float
-    case4_deficit: float = math.nan
-    case4_defect: float = math.nan
+    quartic: float        # coefficient of y^2; >= 0 for coupling-derived records
+    coherence_sum: float  # 2 Re(e conj(h) + g conj(f))
 
 
 @dataclass(frozen=True)
@@ -194,19 +176,11 @@ def mode2_state_closed(c: Couplings, sigma: BlankState, alpha_sq: float) -> np.n
 def distortion_coefficients(c: Couplings) -> DistortionCoefficients:
     """Distortion polynomial coefficients derived from the couplings."""
     g, h, e, f = c.g, c.h, c.e, c.f
-    weight0 = abs(e) ** 2 + abs(g) ** 2
-    weight1 = abs(h) ** 2 + abs(f) ** 2
-    coherence = e * np.conj(h) + g * np.conj(f)
-    coherence_conj = h * np.conj(e) + f * np.conj(g)
-    population_defect = (weight0 - 1.0) ** 2 + (weight1 - 1.0) ** 2
-    quartic = population_defect + 2.0 * float((coherence * coherence_conj).real)
+    coherence = e * h.conjugate() + g * f.conjugate()
+    defect = (abs(e) ** 2 + abs(g) ** 2 - 1.0) ** 2 + (abs(h) ** 2 + abs(f) ** 2 - 1.0) ** 2
     return DistortionCoefficients(
-        weight0=float(weight0),
-        weight1=float(weight1),
-        coherence=complex(coherence),
-        coherence_conj=complex(coherence_conj),
-        population_defect=float(population_defect),
-        quartic=float(quartic),
+        quartic=float(defect + 2.0 * (coherence * coherence.conjugate()).real),
+        coherence_sum=float(2.0 * coherence.real),
     )
 
 
@@ -214,17 +188,8 @@ def distortion_closed(dc: DistortionCoefficients, alpha_sq):
     """Closed-form distortion at x = alpha_sq; accepts scalars or arrays."""
     x = check_alpha_sq(alpha_sq)
     y = x * (1.0 - x)
-    out = dc.quartic * y * y - 2.0 * dc.coherence_sum() * y ** 1.5 + 2.0 * y
+    out = dc.quartic * y * y - 2.0 * dc.coherence_sum * y ** 1.5 + 2.0 * y
     return out if out.ndim else float(out)
-
-
-def distortion_direct(p: MachineParams, alpha: float) -> float:
-    """Distortion by direct simulation: apply, trace out, and measure.
-
-    Requires a valid machine; agrees with `distortion_closed` within 1e-10.
-    """
-    require_valid(p)
-    return float(_distortion_nodes(p, input_weight(alpha)))
 
 
 def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
@@ -236,7 +201,7 @@ def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
     if mode not in DISTORTION_MODES:
         raise ValueError(f"mode must be one of {DISTORTION_MODES}, got {mode!r}")
     const = LEGACY_CROSS_CONSTANT if mode == "legacy" else ANALYTIC_CROSS_CONSTANT
-    return dc.quartic / 30.0 + 1.0 / 3.0 - const * dc.coherence_sum()
+    return dc.quartic / 30.0 + 1.0 / 3.0 - const * dc.coherence_sum
 
 
 def distortion_quadrature_levels(dc: DistortionCoefficients) -> tuple[float, float]:
@@ -252,12 +217,6 @@ def avg_distortion_quadrature(dc: DistortionCoefficients) -> float:
     """
     coarse, fine = distortion_quadrature_levels(dc)
     return _converged("distortion", coarse, fine)
-
-
-def fidelity_direct(p: MachineParams, alpha: float) -> float:
-    """Fidelity of deletion by direct simulation: blank-state overlap of mode 2."""
-    require_valid(p)
-    return float(_fidelity_nodes(p, input_weight(alpha)))
 
 
 def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") -> float:
@@ -280,21 +239,6 @@ def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") 
     else:
         bracket = he * msq + gf * (s * s) + m * s * cross
     return 2.0 - bracket
-
-
-def fidelity_deficits(c: Couplings, sigma: BlankState) -> FidelityDeficits:
-    """Deficit under both conventions, plus the e = f = 0 specialization."""
-    legacy = fidelity_deficit(c, sigma, "legacy")
-    consistent = fidelity_deficit(c, sigma, "consistent")
-    if abs(c.e) <= 1e-12 and abs(c.f) <= 1e-12:
-        c4 = case4_metrics(c, sigma)
-        return FidelityDeficits(
-            legacy=legacy,
-            consistent=consistent,
-            case4_deficit=c4.deficit,
-            case4_defect=c4.population_defect,
-        )
-    return FidelityDeficits(legacy=legacy, consistent=consistent)
 
 
 def avg_fidelity(deficit: float) -> float:

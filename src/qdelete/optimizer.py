@@ -45,7 +45,7 @@ _DEGENERACY_TOL = 1e-12
 
 
 class DecodeError(ValueError):
-    """A raw search point does not decode to a machine; redraw and retry."""
+    """A raw search point does not decode to a machine; the search scores it as a penalty."""
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,11 @@ class PresetRecord:
     sigma: BlankState
     expected_avg_distortion: float
     expected_avg_fidelity: float
-    feasible_as_unitary: bool
+
+    @property
+    def feasible_as_unitary(self) -> bool:
+        """Whether a valid machine realizes the preset (formula-only presets have none)."""
+        return self.params is not None
 
 
 def case1() -> PresetRecord:
@@ -66,7 +70,6 @@ def case1() -> PresetRecord:
         sigma=BlankState(DEFAULT_M1P),
         expected_avg_distortion=2.0 / 5.0,
         expected_avg_fidelity=2.0 / 3.0,
-        feasible_as_unitary=False,
     )
 
 
@@ -81,7 +84,6 @@ def case2(sigma: BlankState | None = None) -> PresetRecord:
         sigma=sigma,
         expected_avg_distortion=1.0 / 3.0,
         expected_avg_fidelity=5.0 / 6.0,
-        feasible_as_unitary=True,
     )
 
 
@@ -96,7 +98,6 @@ def case3(sigma: BlankState | None = None) -> PresetRecord:
         sigma=sigma,
         expected_avg_distortion=1.0 / 3.0,
         expected_avg_fidelity=5.0 / 6.0,
-        feasible_as_unitary=True,
     )
 
 
@@ -126,7 +127,6 @@ def case4(
         sigma=sigma,
         expected_avg_distortion=c4.avg_distortion,
         expected_avg_fidelity=c4.avg_fidelity,
-        feasible_as_unitary=True,
     )
 
 
@@ -145,7 +145,6 @@ def perfect_fidelity() -> PresetRecord:
         sigma=sigma,
         expected_avg_distortion=PERFECT_AVG_DISTORTION,
         expected_avg_fidelity=1.0,
-        feasible_as_unitary=True,
     )
 
 

@@ -122,38 +122,38 @@ def test_coupling_norm_identity_on_random_valid_machines():
 
 
 # ---------------------------------------------------------------------------
-# application
+# application: the isometry and the batched outputs
 
 
 def test_apply_basis_diagonal_inputs():
+    # column 2i + j of the isometry is the image of |i>|j>|Q>
     p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(1.0))
-    assert_allclose(machine.apply_basis(p, 0, 0), qlinalg.basis_state(0, 0, 1), atol=0)
+    assert_allclose(machine.isometry(p)[:, 0], qlinalg.basis_state(0, 0, 1), atol=0)
 
     p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(0.0))
-    assert_allclose(machine.apply_basis(p, 1, 1), qlinalg.basis_state(1, 1, 2), atol=0)
+    assert_allclose(machine.isometry(p)[:, 3], qlinalg.basis_state(1, 1, 2), atol=0)
 
 
 def test_apply_basis_case3_off_diagonal():
-    s = machine.apply_basis(case3_params(), 0, 1)
-    assert_allclose(s, qlinalg.basis_state(0, 1, 0), atol=0)
-    s = machine.apply_basis(case3_params(), 1, 0)
-    assert_allclose(s, qlinalg.basis_state(1, 0, 0), atol=0)
-
-
-def test_apply_basis_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        machine.apply_basis(case3_params(), 0, 2)
-    with pytest.raises(ValueError):
-        machine.apply_basis(case3_params(), -1, 0)
+    v = machine.isometry(case3_params())
+    assert_allclose(v[:, 1], qlinalg.basis_state(0, 1, 0), atol=0)
+    assert_allclose(v[:, 2], qlinalg.basis_state(1, 0, 0), atol=0)
 
 
 def test_isometry_columns_are_basis_images():
     p = MachineParams(a0=0.6, b0=0.8j, c1=1.0, sigma=BlankState(0.6))
     v = machine.isometry(p)
     assert v.shape == (12, 4)
-    for i in (0, 1):
-        for j in (0, 1):
-            assert_allclose(v[:, 2 * i + j], machine.apply_basis(p, i, j), atol=0)
+    # the images of |00>, |01>, |10>, |11> (times |Q>) from the machine's definition
+    basis = qlinalg.basis_state
+    s0, s1 = p.sigma.ket()
+    images = [s0 * basis(0, 0, 1) + s1 * basis(0, 1, 1)]
+    for a, b, c, d in (p.row0(), p.row1()):
+        images.append(
+            a * basis(0, 1, 0) + b * basis(1, 0, 0) + c * basis(0, 0, 0) + d * basis(1, 1, 0)
+        )
+    images.append(s0 * basis(1, 0, 2) + s1 * basis(1, 1, 2))
+    assert_allclose(v, np.stack(images, axis=1), atol=0)
     assert v[qlinalg.joint_index(0, 1, 0), 1] == 0.6
     assert v[qlinalg.joint_index(1, 0, 0), 1] == 0.8j
     assert v[qlinalg.joint_index(0, 0, 0), 2] == 1.0
@@ -163,6 +163,7 @@ def test_isometry_columns_are_basis_images():
 
 
 def test_outputs_match_apply_per_point():
+    # a grid gives the same states as one call per point
     rng = np.random.default_rng(106)
     xs = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=9)))
     for _ in range(5):
@@ -170,7 +171,9 @@ def test_outputs_match_apply_per_point():
         batch = machine.outputs(p, xs)
         assert batch.shape == (xs.size, 12)
         for x, state in zip(xs, batch):
-            assert_allclose(state, machine.apply(p, math.sqrt(x)), atol=1e-15)
+            single = machine.outputs(p, float(x))
+            assert single.shape == (12,)
+            assert_allclose(state, single, atol=1e-15)
 
 
 @pytest.mark.parametrize("grid", [[0.5, 1.1], [math.nan], -0.1])
@@ -181,13 +184,14 @@ def test_outputs_reject_out_of_range_grid(grid):
 
 def test_apply_endpoints_are_products():
     p = case3_params()
-    assert_allclose(machine.apply(p, 1.0), machine.apply_basis(p, 0, 0), atol=0)
-    assert_allclose(machine.apply(p, 0.0), machine.apply_basis(p, 1, 1), atol=0)
+    v = machine.isometry(p)
+    assert_allclose(machine.outputs(p, 1.0), v[:, 0], atol=0)
+    assert_allclose(machine.outputs(p, 0.0), v[:, 3], atol=0)
 
 
 def test_apply_case2_balanced_input():
     p = case2_params()
-    s = machine.apply(p, SQRT_HALF)
+    s = machine.outputs(p, 0.5)
     sig = p.sigma.ket()
     expected = np.zeros(12, dtype=complex)
     expected[qlinalg.joint_index(0, 0, 1)] = 0.5 * sig[0]
@@ -198,12 +202,6 @@ def test_apply_case2_balanced_input():
     expected[qlinalg.joint_index(1, 1, 2)] = 0.5 * sig[1]
     assert_allclose(s, expected, atol=1e-15)
     assert abs(qlinalg.norm_sq(s) - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("alpha", [-0.1, 1.0001, math.nan])
-def test_apply_rejects_out_of_range_alpha(alpha):
-    with pytest.raises(ValueError):
-        machine.apply(case3_params(), alpha)
 
 
 def test_apply_matches_coupling_expansion():
@@ -217,8 +215,8 @@ def test_apply_matches_coupling_expansion():
     for _ in range(10):
         p = random_machine(rng)
         c = machine.couplings(p)
-        alpha = float(rng.uniform(0.0, 1.0))
-        beta = math.sqrt(1.0 - alpha * alpha)
+        x = float(rng.uniform(0.0, 1.0))
+        alpha, beta = math.sqrt(x), math.sqrt(1.0 - x)
         sig = p.sigma.ket()
         expected = alpha * alpha * qlinalg.tensor3(ket0, sig, anc_a0)
         expected += beta * beta * qlinalg.tensor3(ket1, sig, anc_a1)
@@ -226,15 +224,15 @@ def test_apply_matches_coupling_expansion():
         expected[qlinalg.joint_index(1, 0, 0)] += alpha * beta * c.h
         expected[qlinalg.joint_index(0, 0, 0)] += alpha * beta * c.e
         expected[qlinalg.joint_index(1, 1, 0)] += alpha * beta * c.f
-        assert_allclose(machine.apply(p, alpha), expected, atol=1e-12)
+        assert_allclose(machine.outputs(p, x), expected, atol=1e-12)
 
 
 def test_apply_preserves_norm_on_valid_machines():
     rng = np.random.default_rng(102)
     for _ in range(25):
         p = random_machine(rng)
-        for alpha in rng.uniform(0.0, 1.0, size=4):
-            assert abs(qlinalg.norm_sq(machine.apply(p, alpha)) - 1.0) <= 1e-12
+        for x in rng.uniform(0.0, 1.0, size=4):
+            assert abs(qlinalg.norm_sq(machine.outputs(p, x)) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

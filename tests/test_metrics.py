@@ -16,18 +16,6 @@ CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)
 CASE3 = Couplings(g=1 + 0j, h=1 + 0j, e=0j, f=0j)
 
 
-def formula_coefficients(quartic, coherence):
-    """Hand-built coefficient record for formula-mode inputs."""
-    return metrics.DistortionCoefficients(
-        weight0=1.0,
-        weight1=1.0,
-        coherence=complex(coherence),
-        coherence_conj=complex(np.conj(coherence)),
-        population_defect=0.0,
-        quartic=quartic,
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed-form reduced states vs the partial-trace oracle
 
@@ -89,7 +77,7 @@ def test_reduced_states_match_oracle_on_random_machines():
         p = random_machine(rng)
         c = machine.couplings(p)
         for x in grid:
-            out = machine.apply(p, math.sqrt(x))
+            out = machine.outputs(p, x)
             assert_allclose(
                 metrics.mode1_state_closed(c, x),
                 qlinalg.partial_trace_mode1(out),
@@ -108,22 +96,20 @@ def test_reduced_states_match_oracle_on_random_machines():
 
 def test_distortion_coefficients_case1():
     dc = metrics.distortion_coefficients(CASE1)
-    assert dc.population_defect == 2.0
     assert dc.quartic == 2.0
-    assert dc.coherence == 0.0 and dc.coherence_conj == 0.0
+    assert dc.coherence_sum == 0.0
 
 
 def test_distortion_coefficients_case2():
     dc = metrics.distortion_coefficients(CASE2)
-    assert dc.weight0 == 1.0 and dc.weight1 == 1.0
-    assert dc.population_defect == 0.0 and dc.quartic == 0.0
-    assert dc.coherence == 0.0
+    assert dc.quartic == 0.0
+    assert dc.coherence_sum == 0.0
 
 
 def test_distortion_coefficients_case3():
     dc = metrics.distortion_coefficients(CASE3)
-    assert dc.weight0 == 1.0 and dc.weight1 == 1.0
-    assert dc.population_defect == 0.0 and dc.quartic == 0.0
+    assert dc.quartic == 0.0
+    assert dc.coherence_sum == 0.0
 
 
 def test_distortion_coefficients_invariants_on_random_couplings():
@@ -131,13 +117,10 @@ def test_distortion_coefficients_invariants_on_random_couplings():
     for _ in range(50):
         c = Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
         dc = metrics.distortion_coefficients(c)
-        assert dc.coherence_conj == np.conj(dc.coherence)
-        assert abs((dc.coherence + dc.coherence_conj).imag) == 0.0
-        assert dc.quartic >= dc.population_defect - 1e-15
-        product = (dc.coherence * dc.coherence_conj).real
-        assert product >= 0.0
-        assert abs(dc.quartic - dc.population_defect - 2.0 * product) <= 1e-12
-        assert dc.weight0 >= 0.0 and dc.weight1 >= 0.0
+        assert type(dc.quartic) is float and type(dc.coherence_sum) is float
+        assert dc.quartic >= 0.0
+        # quartic >= 2 |coherence|^2 and coherence_sum = 2 Re(coherence)
+        assert dc.coherence_sum ** 2 <= 2.0 * dc.quartic + 1e-12
 
 
 def test_distortion_closed_endpoints_vanish():
@@ -177,18 +160,18 @@ def test_distortion_closed_rejects_bad_grid():
 
 def test_distortion_direct_case3():
     p = by_name("case3").params
-    assert metrics.distortion_direct(p, 1.0) == 0.0
-    assert abs(metrics.distortion_direct(p, SQRT_HALF) - 0.5) <= 1e-12
+    assert metrics.distortion_curve(p, 1.0)[0] == 0.0
+    assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
 
 
 def test_distortion_direct_case2():
     p = by_name("case2").params
-    assert abs(metrics.distortion_direct(p, SQRT_HALF) - 0.5) <= 1e-12
+    assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
 
 
 def test_distortion_direct_requires_valid_machine():
     with pytest.raises(machine.MachineValidationError):
-        metrics.distortion_direct(MachineParams(a0=1.0, a1=1.0), 0.5)
+        metrics.distortion_curve(MachineParams(a0=1.0, a1=1.0), 0.5)
 
 
 def test_distortion_closed_matches_direct_on_random_machines():
@@ -199,7 +182,7 @@ def test_distortion_closed_matches_direct_on_random_machines():
         dc = metrics.distortion_coefficients(machine.couplings(p))
         for x in grid:
             closed = metrics.distortion_closed(dc, float(x))
-            direct = metrics.distortion_direct(p, math.sqrt(x))
+            direct = metrics.distortion_curve(p, x)[0]
             assert abs(closed - direct) <= 1e-10
 
 
@@ -221,7 +204,7 @@ def test_avg_distortion_case2_case3():
 
 
 def test_avg_distortion_modes_differ_with_coherence():
-    dc = formula_coefficients(quartic=0.0, coherence=0.5)  # coherence sum 1
+    dc = metrics.DistortionCoefficients(quartic=0.0, coherence_sum=1.0)
     legacy = metrics.avg_distortion(dc, "legacy")
     analytic = metrics.avg_distortion(dc, "analytic")
     assert abs(legacy - (1.0 / 3.0 - 0.589)) <= 1e-12
@@ -245,7 +228,7 @@ def test_avg_distortion_quadrature_known_values():
 def test_avg_distortion_quadrature_adjudicates_cross_constant():
     # The quadrature is the oracle for the cross-term constant: it must agree
     # with the analytic mode (3*pi/64) and refute the legacy 0.589.
-    dc = formula_coefficients(quartic=0.0, coherence=0.5)
+    dc = metrics.DistortionCoefficients(quartic=0.0, coherence_sum=1.0)
     quad = metrics.avg_distortion_quadrature(dc)
     assert abs(quad - metrics.avg_distortion(dc, "analytic")) <= 1e-6
     assert abs(quad - metrics.avg_distortion(dc, "legacy")) > 0.4
@@ -264,7 +247,7 @@ def test_avg_distortion_quadrature_matches_adaptive_integration():
 
 
 def test_quadrature_reports_non_convergence():
-    dc = formula_coefficients(quartic=0.0, coherence=1e9)
+    dc = metrics.DistortionCoefficients(quartic=0.0, coherence_sum=2e9)
     with pytest.raises(metrics.ConvergenceError):
         metrics.avg_distortion_quadrature(dc)
 
@@ -276,24 +259,24 @@ def test_quadrature_reports_non_convergence():
 def test_fidelity_direct_endpoints_exact():
     for name in ("case2", "case3", "perfect"):
         p = by_name(name).params
-        assert metrics.fidelity_direct(p, 0.0) == 1.0
-        assert metrics.fidelity_direct(p, 1.0) == 1.0
+        assert metrics.fidelity_curve(p, 0.0)[0] == 1.0
+        assert metrics.fidelity_curve(p, 1.0)[0] == 1.0
 
 
 def test_fidelity_direct_case3_balanced():
     p = by_name("case3").params
-    assert abs(metrics.fidelity_direct(p, SQRT_HALF) - 0.75) <= 1e-12
+    assert abs(metrics.fidelity_curve(p, 0.5)[0] - 0.75) <= 1e-12
 
 
 def test_fidelity_direct_perfect_preset_everywhere():
     p = by_name("perfect").params
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert abs(metrics.fidelity_direct(p, math.sqrt(x)) - 1.0) <= 1e-12
+        assert abs(metrics.fidelity_curve(p, x)[0] - 1.0) <= 1e-12
 
 
 def test_fidelity_direct_requires_valid_machine():
     with pytest.raises(machine.MachineValidationError):
-        metrics.fidelity_direct(MachineParams(a0=1.0, a1=1.0), 0.5)
+        metrics.fidelity_curve(MachineParams(a0=1.0, a1=1.0), 0.5)
 
 
 def test_fidelity_deficit_cases():
@@ -399,7 +382,7 @@ def test_fidelity_closed_and_formula_quadrature():
 
 
 def test_batched_fidelity_nodes_match_scalar_oracle():
-    # reference: one `apply`, partial trace and expectation per grid point
+    # reference: one single-point `outputs`, partial trace and expectation per grid point
     rng = np.random.default_rng(9)
     xs = np.linspace(0.01, 0.99, 37)
     for _ in range(5):
@@ -407,7 +390,7 @@ def test_batched_fidelity_nodes_match_scalar_oracle():
         batched = metrics._fidelity_nodes(p, xs)
         scalar = [
             qlinalg.expectation(
-                qlinalg.partial_trace_mode2(machine.apply(p, math.sqrt(x))), p.sigma.ket()
+                qlinalg.partial_trace_mode2(machine.outputs(p, x)), p.sigma.ket()
             )
             for x in xs
         ]
@@ -422,7 +405,7 @@ def test_batched_distortion_nodes_match_scalar_oracle():
         batched = metrics.distortion_curve(p, xs)
         scalar = [
             qlinalg.hs_distance_sq(
-                metrics.input_state(x), qlinalg.partial_trace_mode1(machine.apply(p, math.sqrt(x)))
+                metrics.input_state(x), qlinalg.partial_trace_mode1(machine.outputs(p, x))
             )
             for x in xs
         ]
@@ -444,15 +427,6 @@ def test_curves_reject_bad_grid(grid):
         metrics.distortion_curve(p, grid)
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 1.0001, math.nan])
-def test_direct_oracles_reject_bad_alpha(alpha):
-    p = by_name("case3").params
-    with pytest.raises(ValueError):
-        metrics.fidelity_direct(p, alpha)
-    with pytest.raises(ValueError):
-        metrics.distortion_direct(p, alpha)
-
-
 def test_input_state_stacks_over_a_grid():
     xs = np.array([0.0, 0.3, 1.0])
     stacked = metrics.input_state(xs)
@@ -465,10 +439,10 @@ def test_endpoint_exactness_on_random_machines():
     rng = np.random.default_rng(10)
     for _ in range(15):
         p = random_machine(rng)
-        assert abs(metrics.fidelity_direct(p, 0.0) - 1.0) <= 1e-12
-        assert abs(metrics.fidelity_direct(p, 1.0) - 1.0) <= 1e-12
-        assert abs(metrics.distortion_direct(p, 0.0)) <= 1e-12
-        assert abs(metrics.distortion_direct(p, 1.0)) <= 1e-12
+        assert abs(metrics.fidelity_curve(p, 0.0)[0] - 1.0) <= 1e-12
+        assert abs(metrics.fidelity_curve(p, 1.0)[0] - 1.0) <= 1e-12
+        assert abs(metrics.distortion_curve(p, 0.0)[0]) <= 1e-12
+        assert abs(metrics.distortion_curve(p, 1.0)[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +497,6 @@ def test_case4_matches_general_closed_forms():
             abs(metrics.fidelity_deficit(c, sigma, "consistent") - c4.deficit_consistent)
             <= 1e-12
         )
-
-
-def test_fidelity_deficits_record():
-    sigma = BlankState(SQRT_HALF)
-    both = metrics.fidelity_deficits(CASE3, sigma)
-    assert abs(both.legacy - 1.0) <= 1e-12
-    assert both.case4_deficit == pytest.approx(both.legacy)
-    assert both.case4_defect == pytest.approx(0.0)
-    general = metrics.fidelity_deficits(CASE2, sigma)
-    assert math.isnan(general.case4_deficit)
-    assert math.isnan(general.case4_defect)
 
 
 # ---------------------------------------------------------------------------

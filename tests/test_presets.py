@@ -87,7 +87,7 @@ def test_case3_couplings_and_balanced_distortion():
     record = presets.by_name("case3")
     c = record.couplings
     assert (c.g, c.h, c.e, c.f) == (1.0, 1.0, 0.0, 0.0)
-    assert abs(metrics.distortion_direct(record.params, math.sqrt(0.5)) - 0.5) <= 1e-12
+    assert abs(metrics.distortion_curve(record.params, 0.5)[0] - 0.5) <= 1e-12
 
 
 def test_case4_default_duplicates_case3():
@@ -122,9 +122,9 @@ def test_perfect_preset_pointwise_unit_fidelity():
     c = record.couplings
     assert (c.e, c.h, c.g, c.f) == (1.0, 1.0, 0.0, 0.0)
     for x in (0.0, 1.0):
-        assert metrics.fidelity_direct(record.params, math.sqrt(x)) == 1.0
+        assert metrics.fidelity_curve(record.params, x)[0] == 1.0
     for x in (0.25, 0.5, 0.75):
-        assert abs(metrics.fidelity_direct(record.params, math.sqrt(x)) - 1.0) <= 1e-12
+        assert abs(metrics.fidelity_curve(record.params, x)[0] - 1.0) <= 1e-12
 
 
 def test_perfect_preset_expected_distortion_value():
@@ -134,4 +134,4 @@ def test_perfect_preset_expected_distortion_value():
     assert record.expected_avg_distortion == pytest.approx(expected, abs=1e-15)
     dc = metrics.distortion_coefficients(record.couplings)
     assert dc.quartic == 2.0
-    assert dc.coherence_sum() == 2.0
+    assert dc.coherence_sum == 2.0

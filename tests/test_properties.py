@@ -1,10 +1,11 @@
-"""Property-based tests of the simulation kernel and the search objective on
-random machines.
+"""Property-based tests of the simulation kernel, the closed forms and the
+search objective on random machines.
 
 Machines are drawn as the QR factor of a complex Gaussian 4x2 matrix (so the
 two amplitude rows are orthonormal), with a random blank-state overlap.
-Grids always contain the endpoints x = 0 and x = 1.  Examples are
-derandomized so that every run checks the same cases.
+Grids always contain the endpoints x = 0 and x = 1.  The closed forms are
+also checked on arbitrary couplings, which no machine need realize.  Examples
+are derandomized so that every run checks the same cases.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer, qlinalg
-from qdelete.machine import BlankState, MachineParams
+from qdelete.machine import BlankState, Couplings, MachineParams
 from qdelete.presets import PERFECT_AVG_DISTORTION
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -27,6 +28,7 @@ ANC = np.eye(3, dtype=complex)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 overlaps = st.floats(min_value=-1.0, max_value=1.0)
 weights = st.floats(min_value=0.0, max_value=2.0)
+unit = st.floats(min_value=0.0, max_value=1.0)
 grids = st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20).map(
     lambda xs: np.array([0.0, 1.0] + xs)
 )
@@ -46,6 +48,19 @@ def qr_machine(seed: int, m1p: float, perturbation: float = 0.0, tilt: float = 0
     q = q + perturbation * noise
     row1 = math.cos(tilt) * q[:, 1] + math.sin(tilt) * q[:, 0]
     return MachineParams.from_rows(q[:, 0], row1, BlankState(m1p))
+
+
+def gaussian_couplings(seed: int, scale: float) -> Couplings:
+    """Complex Gaussian couplings times ``scale``; off the sphere |u|^2 = 2."""
+    rng = np.random.default_rng(seed)
+    return Couplings(*(scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))).tolist())
+
+
+#: Arbitrary couplings, scale 1e-3 to 10, plus case1's formula-mode zeros.
+scales = st.floats(min_value=-3.0, max_value=1.0).map(lambda exponent: 10.0 ** exponent)
+any_couplings = st.one_of(
+    st.just(Couplings(g=0j, h=0j, e=0j, f=0j)), st.builds(gaussian_couplings, seeds, scales)
+)
 
 
 def reference_images(p: MachineParams) -> list[np.ndarray]:
@@ -103,6 +118,21 @@ def test_fidelity_curve_matches_consistent_closed_form(seed, m1p, xs):
     deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
     closed = metrics.fidelity_closed(deficit, xs)
     assert_allclose(metrics.fidelity_curve(p, xs), closed, rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(any_couplings, overlaps, unit)
+def test_closed_forms_match_the_closed_reduced_states(c, m1p, x):
+    # The polynomial records reproduce the measurements of the closed-form
+    # reduced states for any couplings, valid machine or not.
+    sigma = BlankState(m1p)
+    distortion = qlinalg.hs_distance_sq(metrics.input_state(x), metrics.mode1_state_closed(c, x))
+    fidelity = qlinalg.expectation(metrics.mode2_state_closed(c, sigma, x), sigma.ket())
+    for closed, reference in (
+        (metrics.distortion_closed(metrics.distortion_coefficients(c), x), distortion),
+        (metrics.fidelity_closed(metrics.fidelity_deficit(c, sigma), x), fidelity),
+    ):
+        assert abs(closed - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdelete import qlinalg
-from qdelete.machine import apply
+from qdelete.machine import outputs
 from qdelete.presets import by_name
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -101,7 +101,7 @@ def test_partial_trace_mode1_product_state():
 def test_partial_trace_mode1_case3_balanced_input():
     # brute-force partial trace of the case3 output at alpha = beta = 1/sqrt(2)
     p = by_name("case3").params
-    rho = qlinalg.partial_trace_mode1(apply(p, math.sqrt(0.5)))
+    rho = qlinalg.partial_trace_mode1(outputs(p, 0.5))
     assert_allclose(rho, 0.5 * np.eye(2), atol=1e-12)
 
 
@@ -121,14 +121,14 @@ def test_partial_trace_mode2_product_state():
 def test_partial_trace_mode2_perfect_preset():
     p = by_name("perfect").params
     for alpha_sq in (0.0, 0.3, 0.5, 1.0):
-        rho = qlinalg.partial_trace_mode2(apply(p, math.sqrt(alpha_sq)))
+        rho = qlinalg.partial_trace_mode2(outputs(p, alpha_sq))
         assert_allclose(rho, np.array([[1, 0], [0, 0]], dtype=complex), atol=1e-12)
 
 
 def test_partial_trace_mode2_case2_balanced_input():
     record = by_name("case2")
     sigma = record.sigma.ket()
-    rho = qlinalg.partial_trace_mode2(apply(record.params, math.sqrt(0.5)))
+    rho = qlinalg.partial_trace_mode2(outputs(record.params, 0.5))
     expected = 0.5 * np.outer(sigma, sigma.conj()) + 0.25 * np.eye(2)
     assert_allclose(rho, expected, atol=1e-12)
 
