@@ -150,8 +150,8 @@ def mode1_state_closed(c: Couplings, alpha_sq: float) -> np.ndarray:
     rho = np.empty((2, 2), dtype=complex)
     rho[0, 0] = x * x + y * (abs(g) ** 2 + abs(e) ** 2)
     rho[1, 1] = (1.0 - x) ** 2 + y * (abs(f) ** 2 + abs(h) ** 2)
-    rho[0, 1] = y * (e * np.conj(h) + g * np.conj(f))
-    rho[1, 0] = y * (f * np.conj(g) + np.conj(e) * h)
+    rho[0, 1] = y * (e * h.conjugate() + g * f.conjugate())
+    rho[1, 0] = y * (f * g.conjugate() + e.conjugate() * h)
     return rho
 
 
@@ -168,8 +168,8 @@ def mode2_state_closed(c: Couplings, sigma: BlankState, alpha_sq: float) -> np.n
     rho = (x * x + (1.0 - x) ** 2) * np.outer(sig, sig.conj())
     rho[0, 0] += y * (abs(h) ** 2 + abs(e) ** 2)
     rho[1, 1] += y * (abs(g) ** 2 + abs(f) ** 2)
-    rho[0, 1] += y * (np.conj(g) * e + h * np.conj(f))
-    rho[1, 0] += y * (np.conj(e) * g + np.conj(h) * f)
+    rho[0, 1] += y * (g.conjugate() * e + h * f.conjugate())
+    rho[1, 0] += y * (e.conjugate() * g + h.conjugate() * f)
     return rho
 
 
@@ -233,7 +233,7 @@ def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") 
     m = sigma.m1p
     msq = m * m
     s = math.sqrt(1.0 - msq)
-    cross = 2.0 * float((np.conj(g) * e + h * np.conj(f)).real)
+    cross = 2.0 * float((g.conjugate() * e + h * f.conjugate()).real)
     if mode == "legacy":
         bracket = gf * msq + he * (s * s) + m * s * cross
     else:

@@ -98,18 +98,21 @@ class OptResult:
     history: list[HistoryEntry] = field(repr=False)
 
 
-def _sphere_point(raw) -> tuple[np.ndarray, float]:
-    """Couplings u scaled to |u|^2 = 2 and m1p = cos(theta) of a raw point."""
-    raw = np.ascontiguousarray(raw, dtype=float)
+def _sphere_point(raw: np.ndarray) -> tuple[list[complex], float]:
+    """Couplings u scaled to |u|^2 = 2 and m1p = cos(theta) of a raw float array.
+
+    After `raw.tolist()` it is plain Python, since it runs at every search evaluation.
+    """
     if raw.shape != (RAW_DIM,):
         raise DecodeError(f"raw point must have shape ({RAW_DIM},), got {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise DecodeError("raw point has non-finite entries")
-    u = raw[0:8].view(complex)
-    norm = math.hypot(*raw[0:8])
+    r = raw.tolist()
+    norm = math.hypot(*r[0:8])
+    if not (math.isfinite(norm) and math.isfinite(r[8])):
+        raise DecodeError("raw point has non-finite entries or an overflowing norm")
     if norm < _DEGENERACY_TOL:
         raise DecodeError("coupling vector is numerically zero")
-    return u * (math.sqrt(2.0) / norm), math.cos(raw[8])
+    k = math.sqrt(2.0) / norm
+    return [complex(r[i], r[i + 1]) * k for i in range(0, 8, 2)], math.cos(r[8])
 
 
 def decode(raw) -> MachineParams:
@@ -117,9 +120,11 @@ def decode(raw) -> MachineParams:
 
     The rows are u/2 -+ w with w = conj(-h, g, -f, e)/2, which is orthogonal
     to u with |w|^2 = 1/2, so they are orthonormal for every u.  Raises
-    :class:`DecodeError` for a wrong shape, non-finite entries or |u| < 1e-12.
+    :class:`DecodeError` for a wrong shape, non-finite entries, |u| < 1e-12
+    or a |u| that overflows.
     """
-    u, m1p = _sphere_point(raw)
+    u, m1p = _sphere_point(np.asarray(raw, dtype=float))
+    u = np.array(u)
     w = u[[1, 0, 3, 2]].conj() * np.array([-0.5, 0.5, -0.5, 0.5])
     return MachineParams.from_rows(u / 2 - w, u / 2 + w, BlankState(m1p))
 
@@ -191,10 +196,10 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
             except DecodeError:
                 history.append(HistoryEntry(restart, evaluation, best_value))
                 return _DEGENERATE_PENALTY
-            value = _score(Couplings(*u.tolist()), BlankState(m1p), cfg)
+            value = _score(Couplings(*u), BlankState(m1p), cfg)
             if value > best_value:
                 best_value = value
-                best_raw = np.array(raw, dtype=float)
+                best_raw = raw  # minimize passes each point as its own copy
             history.append(HistoryEntry(restart, evaluation, best_value))
             return -value
 

@@ -24,7 +24,6 @@ conventions coincide, except "perfect", which needs m1p = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import metrics

@@ -11,9 +11,9 @@ import time
 import numpy as np
 
 from qdelete import cli, machine, metrics, optimizer, qlinalg
-from qdelete.machine import BlankState, Couplings, MachineParams
+from qdelete.machine import BlankState, Couplings
 from qdelete.optimizer import OptConfig, random_machine
-from qdelete.presets import all_presets, by_name, case4
+from qdelete.presets import by_name, case4
 
 SAMPLE_SEED = 20260811
 N_MACHINES = 200

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer
@@ -42,14 +44,48 @@ def test_decode_rejects_zero_row():
 
 
 def test_decode_rejects_non_finite_and_bad_shape():
-    for index in (3, 8):
-        raw = case3_raw()
-        raw[index] = math.nan
+    # _sphere_point is the search's decode; it must reject what decode rejects.
+    bad = []
+    for index in range(optimizer.RAW_DIM):
+        for value in (math.nan, math.inf, -math.inf):
+            raw = case3_raw()
+            raw[index] = value
+            bad.append(raw)
+    bad += [np.ones(shape) for shape in ((5,), (17,), (3, 3), ())]
+    for raw in bad:
+        with pytest.raises(optimizer.DecodeError):
+            optimizer._sphere_point(raw)
         with pytest.raises(optimizer.DecodeError):
             optimizer.decode(raw)
-    for size in (5, 17):
-        with pytest.raises(optimizer.DecodeError):
-            optimizer.decode(np.zeros(size))
+
+
+def test_overflowing_coupling_norm_fails_to_decode():
+    # Every entry is finite, but |u| is not: scaling onto the sphere would
+    # give u = 0, which no valid machine has.
+    raw = np.full(optimizer.RAW_DIM, 1e308)
+    with pytest.raises(optimizer.DecodeError):
+        optimizer.decode(raw)
+
+
+def test_decode_accepts_a_plain_list():
+    raw = optimizer.sample_raw(np.random.default_rng(47))
+    assert optimizer.decode(raw.tolist()) == optimizer.decode(raw)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-8.0, max_value=8.0),
+)
+def test_sphere_point_is_exactly_the_numpy_scaling(seed, exponent):
+    # The search scores Python complexes; they must be bit for bit the
+    # complex128 view of the raw couplings times sqrt(2)/|u|.
+    raw = optimizer.sample_raw(np.random.default_rng(seed)) * 10.0 ** exponent
+    u, m1p = optimizer._sphere_point(raw)
+    reference = raw[0:8].view(complex) * (math.sqrt(2.0) / math.hypot(*raw[0:8]))
+    assert all(type(z) is complex for z in u) and type(m1p) is float
+    assert u == reference.tolist()
+    assert m1p == math.cos(raw[8])
 
 
 def test_decode_seed_42_draw_is_tightly_valid():

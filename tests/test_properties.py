@@ -135,6 +135,87 @@ def test_closed_forms_match_the_closed_reduced_states(c, m1p, x):
         assert abs(closed - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
+def np_conj_fidelity_deficit(c: Couplings, sigma: BlankState, mode: str) -> float:
+    """`metrics.fidelity_deficit` as written with `np.conj`, the exactness reference."""
+    g, h, e, f = c.g, c.h, c.e, c.f
+    gf = abs(g) ** 2 + abs(f) ** 2
+    he = abs(h) ** 2 + abs(e) ** 2
+    m = sigma.m1p
+    msq = m * m
+    s = math.sqrt(1.0 - msq)
+    cross = 2.0 * float((np.conj(g) * e + h * np.conj(f)).real)
+    if mode == "legacy":
+        return 2.0 - (gf * msq + he * (s * s) + m * s * cross)
+    return 2.0 - (he * msq + gf * (s * s) + m * s * cross)
+
+
+def np_conj_reduced_states(c: Couplings, sigma: BlankState, x: float):
+    """Both closed reduced states as written with `np.conj`, the exactness reference."""
+    y = x * (1.0 - x)
+    g, h, e, f = c.g, c.h, c.e, c.f
+    rho1 = np.empty((2, 2), dtype=complex)
+    rho1[0, 0] = x * x + y * (abs(g) ** 2 + abs(e) ** 2)
+    rho1[1, 1] = (1.0 - x) ** 2 + y * (abs(f) ** 2 + abs(h) ** 2)
+    rho1[0, 1] = y * (e * np.conj(h) + g * np.conj(f))
+    rho1[1, 0] = y * (f * np.conj(g) + np.conj(e) * h)
+    sig = sigma.ket()
+    rho2 = (x * x + (1.0 - x) ** 2) * np.outer(sig, sig.conj())
+    rho2[0, 0] += y * (abs(h) ** 2 + abs(e) ** 2)
+    rho2[1, 1] += y * (abs(g) ** 2 + abs(f) ** 2)
+    rho2[0, 1] += y * (np.conj(g) * e + h * np.conj(f))
+    rho2[1, 0] += y * (np.conj(e) * g + np.conj(h) * f)
+    return rho1, rho2
+
+
+#: The scalar types couplings reach the closed forms as: Python complex from
+#: the search, numpy complex128 from arrays, and real values from real rows.
+SCALAR_KINDS = {
+    "complex": lambda v: v.tolist(),
+    "complex128": list,
+    "float": lambda v: v.real.tolist(),
+    "float64": lambda v: list(v.real),
+}
+
+
+@PROPERTY
+@given(seeds, scales, st.sampled_from(sorted(SCALAR_KINDS)), overlaps, unit)
+def test_conjugate_closed_forms_equal_the_np_conj_forms_exactly(seed, scale, kind, m1p, x):
+    rng = np.random.default_rng(seed)
+    values = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    c = Couplings(*SCALAR_KINDS[kind](values))
+    sigma = BlankState(m1p)
+    for mode in metrics.DEFICIT_MODES:
+        assert metrics.fidelity_deficit(c, sigma, mode) == np_conj_fidelity_deficit(c, sigma, mode)
+    rho1, rho2 = np_conj_reduced_states(c, sigma, x)
+    assert np.array_equal(metrics.mode1_state_closed(c, x), rho1)
+    assert np.array_equal(metrics.mode2_state_closed(c, sigma, x), rho2)
+
+
+@PROPERTY
+@given(seeds, overlaps, grids)
+def test_oracle_curves_respect_the_pointwise_certificate(seed, m1p, xs):
+    # With y = x(1-x), every valid machine has F(x) <= 1 and, by
+    # Cauchy-Schwarz on the couplings (|u|^2 = 2), D(x) >= 2y(1 - sqrt(y))^2.
+    p = qr_machine(seed, m1p)
+    y = xs * (1.0 - xs)
+    assert np.all(metrics.distortion_curve(p, xs) >= 2.0 * y * (1.0 - np.sqrt(y)) ** 2 - 1e-12)
+    assert np.all(metrics.fidelity_curve(p, xs) <= 1.0 + 1e-12)
+
+
+@PROPERTY
+@given(overlaps, grids)
+def test_certificate_family_attains_the_pointwise_bounds(m1p, xs):
+    # (g, h, e, f) = (s, m, m, s) with m = m1p, s = sqrt(1 - m^2) meets both
+    # bounds at every x.
+    s = math.sqrt(1.0 - m1p * m1p)
+    u = np.array([s, m1p, m1p, s], dtype=complex)
+    p = optimizer.decode(np.append(u.view(float), math.acos(m1p)))
+    y = xs * (1.0 - xs)
+    bound = 2.0 * y * (1.0 - np.sqrt(y)) ** 2
+    assert_allclose(metrics.distortion_curve(p, xs), bound, rtol=0, atol=1e-12)
+    assert_allclose(metrics.fidelity_curve(p, xs), 1.0, rtol=0, atol=1e-12)
+
+
 @PROPERTY
 @given(seeds, overlaps, weights, weights)
 def test_evaluate_matches_the_oracle_quadrature(seed, m1p, wf, wd):
