@@ -4,7 +4,7 @@ The machine acts on qubit (x) qubit (x) ancilla(3) and removes the
 information from the second copy of a pure input, leaving a blank state
 behind.  Subpackage layout:
 
-* `qlinalg`   - states, tensor products, partial traces, distances
+* `qlinalg`   - the joint-state index and the batched partial traces
 * `machine`   - machine parameters, the 12x4 isometry, validation, file format
 * `metrics`   - distortion and fidelity, closed forms plus simulation oracles
 * `presets`   - named machines with frozen expected averages

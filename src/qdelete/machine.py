@@ -134,10 +134,6 @@ class Couplings:
     e: complex
     f: complex
 
-    def norm_sq_sum(self) -> float:
-        """|g|^2 + |h|^2 + |e|^2 + |f|^2; equals 2 for every valid machine."""
-        return abs(self.g) ** 2 + abs(self.h) ** 2 + abs(self.e) ** 2 + abs(self.f) ** 2
-
 
 @dataclass(frozen=True)
 class ValidationReport:

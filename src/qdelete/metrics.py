@@ -3,13 +3,14 @@
 For the two-copy input with weight x = alpha^2 on |0>, the machine output has
 reduced states in mode 1 (the kept copy) and mode 2 (the deleted copy) that
 are quadratic in the couplings g, h, e, f.  Two evaluation routes are
-provided for every quantity:
+provided for every metric:
 
 * closed forms in the couplings (this module), and
 * direct simulation: simulate the machine, take a partial trace, and
   measure, in one batched pass over the grid (`machine.outputs`, then the
   batched partial traces of `qlinalg`); it is the independent oracle for the
-  closed forms.
+  closed forms.  The closed-form reduced states that the formulas below come
+  from are kept by the tests (`tests/reduced_states.py`), not here.
 
 Distortion is the squared Hilbert-Schmidt distance between the ideal input
 state and the kept mode's reduced state.  With y = x(1-x) it is the
@@ -140,37 +141,6 @@ def input_state(alpha_sq) -> np.ndarray:
     Its entries are the two-copy amplitudes `inputs`; a grid gives a stack.
     """
     return inputs(alpha_sq).reshape(np.shape(alpha_sq) + (2, 2)).astype(complex)
-
-
-def mode1_state_closed(c: Couplings, alpha_sq: float) -> np.ndarray:
-    """Closed-form reduced state of the kept mode."""
-    x = float(check_alpha_sq(alpha_sq))
-    y = x * (1.0 - x)
-    g, h, e, f = c.g, c.h, c.e, c.f
-    rho = np.empty((2, 2), dtype=complex)
-    rho[0, 0] = x * x + y * (abs(g) ** 2 + abs(e) ** 2)
-    rho[1, 1] = (1.0 - x) ** 2 + y * (abs(f) ** 2 + abs(h) ** 2)
-    rho[0, 1] = y * (e * h.conjugate() + g * f.conjugate())
-    rho[1, 0] = y * (f * g.conjugate() + e.conjugate() * h)
-    return rho
-
-
-def mode2_state_closed(c: Couplings, sigma: BlankState, alpha_sq: float) -> np.ndarray:
-    """Closed-form reduced state of the deleted mode.
-
-    The blank-state projector, weighted by x^2 + (1-x)^2, is expanded in the
-    computational basis via |sigma> = m1p|0> + sqrt(1 - m1p^2)|1>.
-    """
-    x = float(check_alpha_sq(alpha_sq))
-    y = x * (1.0 - x)
-    g, h, e, f = c.g, c.h, c.e, c.f
-    sig = sigma.ket()
-    rho = (x * x + (1.0 - x) ** 2) * np.outer(sig, sig.conj())
-    rho[0, 0] += y * (abs(h) ** 2 + abs(e) ** 2)
-    rho[1, 1] += y * (abs(g) ** 2 + abs(f) ** 2)
-    rho[0, 1] += y * (g.conjugate() * e + h * f.conjugate())
-    rho[1, 0] += y * (e.conjugate() * g + h.conjugate() * f)
-    return rho
 
 
 def distortion_coefficients(c: Couplings) -> DistortionCoefficients:

@@ -147,8 +147,8 @@ def random_machine(rng: np.random.Generator) -> MachineParams:
     return MachineParams.from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))
 
 
-def _score(c: Couplings, sigma: BlankState, cfg: OptConfig) -> float:
-    """Objective wf * Fbar - wd * Dbar of a point of the coupling sphere.
+def score(c: Couplings, sigma: BlankState, cfg: OptConfig) -> float:
+    """Objective wf * Fbar - wd * Dbar of a point of the coupling sphere; larger is better.
 
     Fbar = 1 - k/6 with k the consistent-mode deficit, which the simulation
     oracle realizes; Dbar is the analytic-mode average distortion.
@@ -157,12 +157,6 @@ def _score(c: Couplings, sigma: BlankState, cfg: OptConfig) -> float:
     dbar = metrics.avg_distortion(metrics.distortion_coefficients(c))
     wf, wd = _WEIGHTS.get(cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion))
     return wf * fbar - wd * dbar
-
-
-def evaluate(p: MachineParams, cfg: OptConfig) -> float:
-    """Objective wf * Fbar - wd * Dbar of a valid machine; larger is better."""
-    require_valid(p)
-    return _score(couplings(p), p.sigma, cfg)
 
 
 def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResult:
@@ -196,7 +190,7 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
             except DecodeError:
                 history.append(HistoryEntry(restart, evaluation, best_value))
                 return _DEGENERATE_PENALTY
-            value = _score(Couplings(*u), BlankState(m1p), cfg)
+            value = score(Couplings(*u), BlankState(m1p), cfg)
             if value > best_value:
                 best_value = value
                 best_raw = raw  # minimize passes each point as its own copy

@@ -36,8 +36,6 @@ from .machine import (
     require_valid,
 )
 
-PRESET_NAMES = ("case1", "case2", "case3", "case4", "perfect")
-
 #: Average distortion of the "perfect" preset: quartic = 2 and coherence
 #: sum = 2 give 2/30 + 1/3 - 2*(3*pi/64).
 PERFECT_AVG_DISTORTION = 2.0 / 30.0 + 1.0 / 3.0 - 2.0 * metrics.ANALYTIC_CROSS_CONSTANT
@@ -72,9 +70,9 @@ def case1() -> PresetRecord:
     )
 
 
-def case2(sigma: BlankState | None = None) -> PresetRecord:
+def case2() -> PresetRecord:
     """|e| = |f| = 1 with g = h = 0, realized canonically by c0 = 1, d1 = 1."""
-    sigma = sigma or BlankState(DEFAULT_M1P)
+    sigma = BlankState(DEFAULT_M1P)
     params = MachineParams(c0=1.0 + 0j, d1=1.0 + 0j, sigma=sigma)
     return PresetRecord(
         name="case2",
@@ -86,9 +84,9 @@ def case2(sigma: BlankState | None = None) -> PresetRecord:
     )
 
 
-def case3(sigma: BlankState | None = None) -> PresetRecord:
+def case3() -> PresetRecord:
     """g = h = 1 with e = f = 0: the standard swap-style deletion machine."""
-    sigma = sigma or BlankState(DEFAULT_M1P)
+    sigma = BlankState(DEFAULT_M1P)
     params = MachineParams(a0=1.0 + 0j, b1=1.0 + 0j, sigma=sigma)
     return PresetRecord(
         name="case3",
@@ -105,7 +103,6 @@ def case4(
     a1: complex = 0j,
     b0: complex = 0j,
     b1: complex = 1.0 + 0j,
-    sigma: BlankState | None = None,
 ) -> PresetRecord:
     """Exchange-only family c0 = c1 = d0 = d1 = 0.
 
@@ -114,7 +111,7 @@ def case4(
     :func:`qdelete.metrics.case4_metrics`.  The default amplitudes duplicate
     case3.
     """
-    sigma = sigma or BlankState(DEFAULT_M1P)
+    sigma = BlankState(DEFAULT_M1P)
     params = MachineParams(a0=a0, b0=b0, a1=a1, b1=b1, sigma=sigma)
     require_valid(params)
     c = couplings(params)
@@ -154,6 +151,8 @@ _FACTORIES = {
     "case4": case4,
     "perfect": perfect_fidelity,
 }
+
+PRESET_NAMES = tuple(_FACTORIES)
 
 
 def by_name(name: str) -> PresetRecord:

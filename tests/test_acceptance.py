@@ -14,6 +14,7 @@ from qdelete import cli, machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, Couplings
 from qdelete.optimizer import OptConfig, random_machine
 from qdelete.presets import by_name, case4
+from reduced_states import mode1_state_closed, mode2_state_closed
 
 SAMPLE_SEED = 20260811
 N_MACHINES = 200
@@ -117,18 +118,13 @@ def test_criterion_2_oracle_equivalence():
             out = machine.outputs(p, x)
             rho1 = qlinalg.partial_trace_mode1(out)
             rho2 = qlinalg.partial_trace_mode2(out)
+            d = metrics.input_state(x) - rho1
             worst = max(
                 worst,
-                float(np.max(np.abs(metrics.mode1_state_closed(c, x) - rho1))),
-                float(np.max(np.abs(metrics.mode2_state_closed(c, p.sigma, x) - rho2))),
-                abs(
-                    metrics.distortion_closed(dc, float(x))
-                    - qlinalg.hs_distance_sq(metrics.input_state(x), rho1)
-                ),
-                abs(
-                    metrics.fidelity_closed(deficit, float(x))
-                    - qlinalg.expectation(rho2, sig)
-                ),
+                float(np.max(np.abs(mode1_state_closed(c, x) - rho1))),
+                float(np.max(np.abs(mode2_state_closed(c, p.sigma, x) - rho2))),
+                abs(metrics.distortion_closed(dc, float(x)) - np.trace(d @ d).real),
+                abs(metrics.fidelity_closed(deficit, float(x)) - np.vdot(sig, rho2 @ sig).real),
             )
     elapsed = time.perf_counter() - t0
     _report(
@@ -146,10 +142,12 @@ def test_criterion_3_unitarity_invariants():
     min_eig = 0.0
     coupling_dev = 0.0
     for p in _sample_machines():
-        coupling_dev = max(coupling_dev, abs(machine.couplings(p).norm_sq_sum() - 2.0))
+        c = machine.couplings(p)
+        norm_sq_sum = abs(c.g) ** 2 + abs(c.h) ** 2 + abs(c.e) ** 2 + abs(c.f) ** 2
+        coupling_dev = max(coupling_dev, abs(norm_sq_sum - 2.0))
         for x in GRID:
             out = machine.outputs(p, x)
-            norm_dev = max(norm_dev, abs(qlinalg.norm_sq(out) - 1.0))
+            norm_dev = max(norm_dev, abs(np.vdot(out, out).real - 1.0))
             for rho in (qlinalg.partial_trace_mode1(out), qlinalg.partial_trace_mode2(out)):
                 trace_dev = max(trace_dev, abs(float(np.trace(rho).real) - 1.0))
                 min_eig = min(min_eig, float(np.linalg.eigvalsh(rho).min()))

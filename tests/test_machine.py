@@ -11,6 +11,9 @@ from qdelete.optimizer import random_machine
 
 SQRT_HALF = math.sqrt(0.5)
 
+#: Joint basis vectors; row joint_index(q1, q2, anc) is |q1, q2, anc>.
+BASIS = np.eye(12, dtype=complex)
+
 
 def case3_params():
     return MachineParams(a0=1.0, b1=1.0)
@@ -111,14 +114,14 @@ def test_couplings_case3():
 def test_couplings_all_zero_params():
     c = machine.couplings(MachineParams())
     assert (c.g, c.h, c.e, c.f) == (0.0, 0.0, 0.0, 0.0)
-    assert c.norm_sq_sum() == 0.0
+    assert abs(c.g) ** 2 + abs(c.h) ** 2 + abs(c.e) ** 2 + abs(c.f) ** 2 == 0.0
 
 
 def test_coupling_norm_identity_on_random_valid_machines():
     rng = np.random.default_rng(101)
     for _ in range(50):
         c = machine.couplings(random_machine(rng))
-        assert abs(c.norm_sq_sum() - 2.0) <= 1e-10
+        assert abs(abs(c.g) ** 2 + abs(c.h) ** 2 + abs(c.e) ** 2 + abs(c.f) ** 2 - 2.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +131,27 @@ def test_coupling_norm_identity_on_random_valid_machines():
 def test_apply_basis_diagonal_inputs():
     # column 2i + j of the isometry is the image of |i>|j>|Q>
     p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(1.0))
-    assert_allclose(machine.isometry(p)[:, 0], qlinalg.basis_state(0, 0, 1), atol=0)
+    assert_allclose(machine.isometry(p)[:, 0], BASIS[qlinalg.joint_index(0, 0, 1)], atol=0)
 
     p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(0.0))
-    assert_allclose(machine.isometry(p)[:, 3], qlinalg.basis_state(1, 1, 2), atol=0)
+    assert_allclose(machine.isometry(p)[:, 3], BASIS[qlinalg.joint_index(1, 1, 2)], atol=0)
 
 
 def test_apply_basis_case3_off_diagonal():
     v = machine.isometry(case3_params())
-    assert_allclose(v[:, 1], qlinalg.basis_state(0, 1, 0), atol=0)
-    assert_allclose(v[:, 2], qlinalg.basis_state(1, 0, 0), atol=0)
+    assert_allclose(v[:, 1], BASIS[qlinalg.joint_index(0, 1, 0)], atol=0)
+    assert_allclose(v[:, 2], BASIS[qlinalg.joint_index(1, 0, 0)], atol=0)
 
 
 def test_isometry_columns_are_basis_images():
     p = MachineParams(a0=0.6, b0=0.8j, c1=1.0, sigma=BlankState(0.6))
     v = machine.isometry(p)
     assert v.shape == (12, 4)
+
+    def basis(q1, q2, anc):
+        return BASIS[qlinalg.joint_index(q1, q2, anc)]
+
     # the images of |00>, |01>, |10>, |11> (times |Q>) from the machine's definition
-    basis = qlinalg.basis_state
     s0, s1 = p.sigma.ket()
     images = [s0 * basis(0, 0, 1) + s1 * basis(0, 1, 1)]
     for a, b, c, d in (p.row0(), p.row1()):
@@ -201,7 +207,7 @@ def test_apply_case2_balanced_input():
     expected[qlinalg.joint_index(1, 0, 2)] = 0.5 * sig[0]
     expected[qlinalg.joint_index(1, 1, 2)] = 0.5 * sig[1]
     assert_allclose(s, expected, atol=1e-15)
-    assert abs(qlinalg.norm_sq(s) - 1.0) <= 1e-12
+    assert abs(np.vdot(s, s).real - 1.0) <= 1e-12
 
 
 def test_apply_matches_coupling_expansion():
@@ -218,8 +224,8 @@ def test_apply_matches_coupling_expansion():
         x = float(rng.uniform(0.0, 1.0))
         alpha, beta = math.sqrt(x), math.sqrt(1.0 - x)
         sig = p.sigma.ket()
-        expected = alpha * alpha * qlinalg.tensor3(ket0, sig, anc_a0)
-        expected += beta * beta * qlinalg.tensor3(ket1, sig, anc_a1)
+        expected = alpha * alpha * np.kron(ket0, np.kron(sig, anc_a0))
+        expected += beta * beta * np.kron(ket1, np.kron(sig, anc_a1))
         expected[qlinalg.joint_index(0, 1, 0)] += alpha * beta * c.g
         expected[qlinalg.joint_index(1, 0, 0)] += alpha * beta * c.h
         expected[qlinalg.joint_index(0, 0, 0)] += alpha * beta * c.e
@@ -232,7 +238,8 @@ def test_apply_preserves_norm_on_valid_machines():
     for _ in range(25):
         p = random_machine(rng)
         for x in rng.uniform(0.0, 1.0, size=4):
-            assert abs(qlinalg.norm_sq(machine.outputs(p, x)) - 1.0) <= 1e-12
+            s = machine.outputs(p, x)
+            assert abs(np.vdot(s, s).real - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_encode_decode_round_trip():
         c, d = couplings(p), couplings(q)
         assert_allclose([d.g, d.h, d.e, d.f], [c.g, c.h, c.e, c.f], rtol=0, atol=1e-12)
         assert abs(q.sigma.m1p - p.sigma.m1p) <= 1e-12
-        assert abs(optimizer.evaluate(q, cfg) - optimizer.evaluate(p, cfg)) <= 1e-12
+        assert abs(optimizer.score(d, q.sigma, cfg) - optimizer.score(c, p.sigma, cfg)) <= 1e-12
 
 
 @pytest.mark.parametrize("m1p", [-1.0, -0.6, 0.0, 0.3, math.sqrt(0.5), 0.9, 1.0])
@@ -177,30 +177,24 @@ def test_evaluate_known_machines():
     cfg_f = optimizer.OptConfig(objective="max-fidelity")
     cfg_d = optimizer.OptConfig(objective="min-distortion")
     cfg_w = optimizer.OptConfig(objective="weighted", weight_fidelity=1.0, weight_distortion=1.0)
-    case3 = by_name("case3").params
-    assert abs(optimizer.evaluate(case3, cfg_f) - 5.0 / 6.0) <= 1e-9
-    assert abs(optimizer.evaluate(case3, cfg_d) + 1.0 / 3.0) <= 1e-9
-    assert abs(optimizer.evaluate(case3, cfg_w) - 0.5) <= 1e-9
-    assert abs(optimizer.evaluate(by_name("perfect").params, cfg_f) - 1.0) <= 1e-10
+    case3, perfect = by_name("case3").params, by_name("perfect").params
+    c3 = couplings(case3)
+    assert abs(optimizer.score(c3, case3.sigma, cfg_f) - 5.0 / 6.0) <= 1e-9
+    assert abs(optimizer.score(c3, case3.sigma, cfg_d) + 1.0 / 3.0) <= 1e-9
+    assert abs(optimizer.score(c3, case3.sigma, cfg_w) - 0.5) <= 1e-9
+    assert abs(optimizer.score(couplings(perfect), perfect.sigma, cfg_f) - 1.0) <= 1e-10
 
 
-def test_evaluate_requires_valid_machine():
-    cfg = optimizer.OptConfig()
-    with pytest.raises(machine.MachineValidationError):
-        optimizer.evaluate(MachineParams(a0=1.0, a1=1.0), cfg)
-
-
-def test_evaluate_runs_no_oracle_and_validates_once(monkeypatch):
-    calls = []
-    validate = machine.validate
-    monkeypatch.setattr(machine, "validate", lambda *a, **k: calls.append(1) or validate(*a, **k))
-    for name in ("avg_fidelity_quadrature", "avg_distortion_quadrature", "_fidelity_nodes"):
-        monkeypatch.setattr(metrics, name, lambda *a, **k: pytest.fail("oracle called"))
-    p = by_name("case3").params
+def test_score_runs_no_oracle_and_no_validation(monkeypatch):
+    for module, names in (
+        (machine, ("validate", "isometry", "outputs")),
+        (metrics, ("avg_fidelity_quadrature", "avg_distortion_quadrature", "_fidelity_nodes")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("oracle or validation called"))
+    c = couplings(by_name("case3").params)
     for objective in optimizer.OBJECTIVES:
-        calls.clear()
-        optimizer.evaluate(p, optimizer.OptConfig(objective=objective))
-        assert len(calls) == 1
+        optimizer.score(c, BlankState(math.sqrt(0.5)), optimizer.OptConfig(objective=objective))
 
 
 def test_search_loop_builds_no_machine_and_validates_outside_it(monkeypatch):
@@ -230,7 +224,8 @@ def test_objective_invariant_under_joint_row_phase():
         p = optimizer.random_machine(rng)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         q = MachineParams.from_rows(phase * p.row0(), phase * p.row1(), p.sigma)
-        assert abs(optimizer.evaluate(p, cfg) - optimizer.evaluate(q, cfg)) <= 1e-12
+        fp = optimizer.score(couplings(p), p.sigma, cfg)
+        assert abs(fp - optimizer.score(couplings(q), q.sigma, cfg)) <= 1e-12
 
 
 def test_single_row_phase_changes_the_metrics():

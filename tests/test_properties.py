@@ -5,10 +5,15 @@ Machines are drawn as the QR factor of a complex Gaussian 4x2 matrix (so the
 two amplitude rows are orthonormal), with a random blank-state overlap.
 Grids always contain the endpoints x = 0 and x = 1.  The closed forms are
 also checked on arbitrary couplings, which no machine need realize.  Examples
-are derandomized so that every run checks the same cases.
+are derandomized so that every run checks the same cases.  The last test
+checks that a falsified property fails like any other test under this
+project's pytest settings.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -18,6 +23,7 @@ from numpy.testing import assert_allclose
 from qdelete import machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, Couplings, MachineParams
 from qdelete.presets import PERFECT_AVG_DISTORTION
+from reduced_states import mode1_state_closed, mode2_state_closed
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -66,7 +72,7 @@ any_couplings = st.one_of(
 def reference_images(p: MachineParams) -> list[np.ndarray]:
     """Images of |00>, |01>, |10>, |11> (times |Q>), built without `isometry`."""
     sig = p.sigma.ket()
-    images = [qlinalg.tensor3(KET0, sig, ANC[machine.ANC_A0])]
+    images = [np.kron(KET0, np.kron(sig, ANC[machine.ANC_A0]))]
     for a, b, c, d in (p.row0(), p.row1()):
         image = np.zeros(qlinalg.JOINT_DIM, dtype=complex)
         image[qlinalg.joint_index(0, 1, machine.ANC_Q)] = a
@@ -74,7 +80,7 @@ def reference_images(p: MachineParams) -> list[np.ndarray]:
         image[qlinalg.joint_index(0, 0, machine.ANC_Q)] = c
         image[qlinalg.joint_index(1, 1, machine.ANC_Q)] = d
         images.append(image)
-    images.append(qlinalg.tensor3(KET1, sig, ANC[machine.ANC_A1]))
+    images.append(np.kron(KET1, np.kron(sig, ANC[machine.ANC_A1])))
     return images
 
 
@@ -126,8 +132,9 @@ def test_closed_forms_match_the_closed_reduced_states(c, m1p, x):
     # The polynomial records reproduce the measurements of the closed-form
     # reduced states for any couplings, valid machine or not.
     sigma = BlankState(m1p)
-    distortion = qlinalg.hs_distance_sq(metrics.input_state(x), metrics.mode1_state_closed(c, x))
-    fidelity = qlinalg.expectation(metrics.mode2_state_closed(c, sigma, x), sigma.ket())
+    d = metrics.input_state(x) - mode1_state_closed(c, x)
+    distortion = np.trace(d @ d).real
+    fidelity = np.vdot(sigma.ket(), mode2_state_closed(c, sigma, x) @ sigma.ket()).real
     for closed, reference in (
         (metrics.distortion_closed(metrics.distortion_coefficients(c), x), distortion),
         (metrics.fidelity_closed(metrics.fidelity_deficit(c, sigma), x), fidelity),
@@ -149,24 +156,6 @@ def np_conj_fidelity_deficit(c: Couplings, sigma: BlankState, mode: str) -> floa
     return 2.0 - (he * msq + gf * (s * s) + m * s * cross)
 
 
-def np_conj_reduced_states(c: Couplings, sigma: BlankState, x: float):
-    """Both closed reduced states as written with `np.conj`, the exactness reference."""
-    y = x * (1.0 - x)
-    g, h, e, f = c.g, c.h, c.e, c.f
-    rho1 = np.empty((2, 2), dtype=complex)
-    rho1[0, 0] = x * x + y * (abs(g) ** 2 + abs(e) ** 2)
-    rho1[1, 1] = (1.0 - x) ** 2 + y * (abs(f) ** 2 + abs(h) ** 2)
-    rho1[0, 1] = y * (e * np.conj(h) + g * np.conj(f))
-    rho1[1, 0] = y * (f * np.conj(g) + np.conj(e) * h)
-    sig = sigma.ket()
-    rho2 = (x * x + (1.0 - x) ** 2) * np.outer(sig, sig.conj())
-    rho2[0, 0] += y * (abs(h) ** 2 + abs(e) ** 2)
-    rho2[1, 1] += y * (abs(g) ** 2 + abs(f) ** 2)
-    rho2[0, 1] += y * (np.conj(g) * e + h * np.conj(f))
-    rho2[1, 0] += y * (np.conj(e) * g + np.conj(h) * f)
-    return rho1, rho2
-
-
 #: The scalar types couplings reach the closed forms as: Python complex from
 #: the search, numpy complex128 from arrays, and real values from real rows.
 SCALAR_KINDS = {
@@ -178,17 +167,14 @@ SCALAR_KINDS = {
 
 
 @PROPERTY
-@given(seeds, scales, st.sampled_from(sorted(SCALAR_KINDS)), overlaps, unit)
-def test_conjugate_closed_forms_equal_the_np_conj_forms_exactly(seed, scale, kind, m1p, x):
+@given(seeds, scales, st.sampled_from(sorted(SCALAR_KINDS)), overlaps)
+def test_conjugate_closed_forms_equal_the_np_conj_forms_exactly(seed, scale, kind, m1p):
     rng = np.random.default_rng(seed)
     values = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
     c = Couplings(*SCALAR_KINDS[kind](values))
     sigma = BlankState(m1p)
     for mode in metrics.DEFICIT_MODES:
         assert metrics.fidelity_deficit(c, sigma, mode) == np_conj_fidelity_deficit(c, sigma, mode)
-    rho1, rho2 = np_conj_reduced_states(c, sigma, x)
-    assert np.array_equal(metrics.mode1_state_closed(c, x), rho1)
-    assert np.array_equal(metrics.mode2_state_closed(c, sigma, x), rho2)
 
 
 @PROPERTY
@@ -231,7 +217,7 @@ def test_evaluate_matches_the_oracle_quadrature(seed, m1p, wf, wd):
         ("weighted", wf * fbar - wd * dbar, wf * 1e-10 + wd * 1e-8),
     ):
         cfg = optimizer.OptConfig(objective=objective, weight_fidelity=wf, weight_distortion=wd)
-        assert abs(optimizer.evaluate(p, cfg) - expected) <= tol
+        assert abs(optimizer.score(machine.couplings(p), p.sigma, cfg) - expected) <= tol
 
 
 @PROPERTY
@@ -265,3 +251,31 @@ def test_validity_iff_reference_columns_orthonormal_within_tol(
     # rounding decides cases within a hair of the tolerance; skip those
     assume(abs(defect - tol) > 1e-3 * tol)
     assert machine.validate(p, tol).is_valid == (defect <= tol)
+
+
+FALSIFIED = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_always_falsified(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_falsified_property_is_reported_as_a_failure(tmp_path):
+    # Hypothesis's failure report must not turn into an internal error of
+    # the session under the project's warning filters.
+    (tmp_path / "test_falsified.py").write_text(FALSIFIED, encoding="utf-8")
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
