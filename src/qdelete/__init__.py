@@ -7,7 +7,7 @@ behind.  Subpackage layout:
 * `qlinalg`   - the joint-state index and the batched partial traces
 * `machine`   - machine parameters, the 12x4 isometry, validation, file format
 * `metrics`   - distortion and fidelity, closed forms plus simulation oracles
-* `presets`   - named machines with frozen expected averages
+* `presets`   - the table of named machines: the paper's four cases and "perfect"
 * `optimizer` - derivative-free search over the coupling sphere
 * `cli`       - the `qdelete` command
 """

@@ -298,21 +298,21 @@ def cmd_optimize(args) -> int:
     warm = _resolve_warm_start(args.warm_start) if args.warm_start else None
     result = optimizer.optimize(cfg, warm_start=warm)
 
+    best = result.best_machine
+    out = Path(args.out)
+    machine.save(best, out)
+    history_path = out.with_name(out.stem + "_history.csv")
+    history_path.write_text(render_history_csv(result.history), encoding="utf-8", newline="")
+
     print(f"objective: {cfg.objective}   seed: {cfg.seed}   restarts: {cfg.restarts}")
     print(f"best objective:     {_f10(result.best_objective)}")
     print(f"avg fidelity:       {_f10(result.avg_fidelity)}")
     print(f"avg distortion:     {_f10(result.avg_distortion)}")
     print(f"iterations used:    {result.iterations_used}")
-    best = result.best_machine
     for key in machine.AMPLITUDE_KEYS:
         z = complex(getattr(best, key))
         print(f"  {key} = {_f10(z.real)} {'+' if z.imag >= 0 else '-'} {_f10(abs(z.imag))}i")
     print(f"  m1p = {_f10(best.sigma.m1p)}")
-
-    out = Path(args.out)
-    machine.save(best, out)
-    history_path = out.with_name(out.stem + "_history.csv")
-    history_path.write_text(render_history_csv(result.history), encoding="utf-8", newline="")
     print(f"wrote {out} and {history_path}")
     return EXIT_OK
 

@@ -106,12 +106,6 @@ class MachineParams:
     d1: complex = 0j
     sigma: BlankState = field(default_factory=lambda: BlankState(DEFAULT_M1P))
 
-    def row0(self) -> np.ndarray:
-        return np.array([self.a0, self.b0, self.c0, self.d0], dtype=complex)
-
-    def row1(self) -> np.ndarray:
-        return np.array([self.a1, self.b1, self.c1, self.d1], dtype=complex)
-
     @classmethod
     def from_rows(cls, row0, row1, sigma: BlankState) -> "MachineParams":
         row0 = np.asarray(row0, dtype=complex)

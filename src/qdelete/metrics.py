@@ -123,18 +123,6 @@ class DistortionCoefficients:
     coherence_sum: float  # 2 Re(e conj(h) + g conj(f))
 
 
-@dataclass(frozen=True)
-class Case4Metrics:
-    """Closed-form averages for machines with e = f = 0."""
-
-    population_defect: float      # (|g|^2 - 1)^2 + (|h|^2 - 1)^2
-    deficit: float                # 2 - (|g|^2 m1p^2 + |h|^2 (1 - m1p^2))
-    deficit_consistent: float     # m1p^2 attached to |h|^2 instead
-    avg_distortion: float         # population_defect / 30 + 1/3
-    avg_fidelity: float           # 1 - deficit / 6
-    avg_fidelity_consistent: float
-
-
 def input_state(alpha_sq) -> np.ndarray:
     """Density matrix of the pure input alpha|0> + beta|1>, x = alpha^2.
 
@@ -265,29 +253,3 @@ def distortion_curve(p: MachineParams, alpha_sq_grid) -> np.ndarray:
     require_valid(p)
     return _distortion_nodes(p, np.atleast_1d(alpha_sq_grid))
 
-
-def case4_metrics(c: Couplings, sigma: BlankState) -> Case4Metrics:
-    """Closed-form averages for the exchange-only family (e = f = 0).
-
-    Rejects couplings with nonzero e or f.  The deficit is reported under
-    both weight conventions; they coincide at m1p^2 = 1/2 or |g| = |h|.
-    """
-    if abs(c.e) > 1e-12 or abs(c.f) > 1e-12:
-        raise ValueError(
-            f"case4_metrics requires e = f = 0, got e={c.e!r}, f={c.f!r}"
-        )
-    gg = abs(c.g) ** 2
-    hh = abs(c.h) ** 2
-    population_defect = (gg - 1.0) ** 2 + (hh - 1.0) ** 2
-    msq = sigma.m1p * sigma.m1p
-    ssq = 1.0 - msq
-    deficit = 2.0 - (gg * msq + hh * ssq)
-    deficit_consistent = 2.0 - (hh * msq + gg * ssq)
-    return Case4Metrics(
-        population_defect=population_defect,
-        deficit=deficit,
-        deficit_consistent=deficit_consistent,
-        avg_distortion=population_defect / 30.0 + 1.0 / 3.0,
-        avg_fidelity=1.0 - deficit / 6.0,
-        avg_fidelity_consistent=1.0 - deficit_consistent / 6.0,
-    )

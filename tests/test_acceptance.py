@@ -11,9 +11,10 @@ import time
 import numpy as np
 
 from qdelete import cli, machine, metrics, optimizer, qlinalg
-from qdelete.machine import BlankState, Couplings
+from qdelete.machine import BlankState, Couplings, MachineParams
 from qdelete.optimizer import OptConfig, random_machine
-from qdelete.presets import by_name, case4
+from qdelete.presets import by_name
+from paper_values import PAPER_AVERAGES, exchange_only_averages
 from reduced_states import mode1_state_closed, mode2_state_closed
 
 SAMPLE_SEED = 20260811
@@ -51,13 +52,7 @@ def test_criterion_1_case_table_reproduction():
 
     closed_dev = 0.0
     quad_dev = 0.0
-    expected = {
-        "case1": (2.0 / 5.0, 2.0 / 3.0),
-        "case2": (1.0 / 3.0, 5.0 / 6.0),
-        "case3": (1.0 / 3.0, 5.0 / 6.0),
-        "case4": (1.0 / 3.0, 5.0 / 6.0),
-    }
-    for name, (dbar, fbar) in expected.items():
+    for name, (dbar, fbar) in PAPER_AVERAGES.items():
         row = rows[name]
         closed_dev = max(
             closed_dev,
@@ -67,7 +62,7 @@ def test_criterion_1_case_table_reproduction():
         quad_dev = max(quad_dev, abs(row["dbar_quad"] - dbar), abs(row["fbar_quad"] - fbar))
     # legacy closed forms coincide for the four numbered cases (no coherence,
     # balanced weights), so they must hit the same numbers
-    for name, (dbar, fbar) in expected.items():
+    for name, (dbar, fbar) in PAPER_AVERAGES.items():
         closed_dev = max(
             closed_dev,
             abs(rows[name]["dbar_legacy"] - dbar),
@@ -75,26 +70,28 @@ def test_criterion_1_case_table_reproduction():
         )
 
     # general exchange-only instances: avg distortion N/30 + 1/3 and avg
-    # fidelity 1 - K/6 for the case-4 closed forms
+    # fidelity 1 - K/6 for the case-4 closed forms, under both conventions
     rng = np.random.default_rng(SAMPLE_SEED + 1)
     for _ in range(10):
         v0, v1 = _random_exchange_only_rows(rng)
-        record = case4(a0=v0[0], b0=v0[1], a1=v1[0], b1=v1[1])
-        c4 = metrics.case4_metrics(record.couplings, record.sigma)
-        n = c4.population_defect
+        p = MachineParams(a0=v0[0], b0=v0[1], a1=v1[0], b1=v1[1])
+        c = machine.couplings(p)
+        dbar, fbar_legacy, fbar_consistent = exchange_only_averages(c, p.sigma)
+        dc = metrics.distortion_coefficients(c)
+        deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
+        deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
         closed_dev = max(
             closed_dev,
-            abs(record.expected_avg_distortion - (n / 30.0 + 1.0 / 3.0)),
-            abs(record.expected_avg_fidelity - (1.0 - c4.deficit / 6.0)),
+            abs(metrics.avg_distortion(dc, "analytic") - dbar),
+            abs(metrics.avg_fidelity(deficit_legacy) - fbar_legacy),
+            abs(metrics.avg_fidelity(deficit_consistent) - fbar_consistent),
         )
-        dc = metrics.distortion_coefficients(record.couplings)
+        fbar_quad = metrics.avg_fidelity_quadrature(p)
         quad_dev = max(
             quad_dev,
-            abs(metrics.avg_distortion_quadrature(dc) - record.expected_avg_distortion),
-            abs(
-                metrics.avg_fidelity_quadrature(record.params)
-                - record.expected_avg_fidelity
-            ),
+            abs(metrics.avg_distortion_quadrature(dc) - dbar),
+            abs(fbar_quad - fbar_legacy),
+            abs(fbar_quad - fbar_consistent),
         )
     elapsed = time.perf_counter() - t0
 

@@ -7,6 +7,7 @@ import pytest
 from qdelete import cli, machine, metrics
 from qdelete.machine import MachineParams
 from qdelete.presets import by_name
+from paper_values import PAPER_AVERAGES
 
 
 def write_machine(tmp_path, params, name="machine.json"):
@@ -165,13 +166,14 @@ def test_cases_command_prints_table(capsys):
 
 def test_collect_case_rows_match_expected_records():
     rows = {row["preset"]: row for row in cli.collect_case_rows()}
-    assert abs(rows["case1"]["dbar_quad"] - 0.4) <= 1e-8
-    assert abs(rows["case1"]["fbar_quad"] - 2.0 / 3.0) <= 1e-8
+    assert abs(rows["case1"]["dbar_quad"] - PAPER_AVERAGES["case1"][0]) <= 1e-8
+    assert abs(rows["case1"]["fbar_quad"] - PAPER_AVERAGES["case1"][1]) <= 1e-8
     for name in ("case2", "case3", "case4"):
-        assert abs(rows[name]["dbar_analytic"] - 1.0 / 3.0) <= 1e-10
-        assert abs(rows[name]["fbar_consistent"] - 5.0 / 6.0) <= 1e-10
+        dbar, fbar = PAPER_AVERAGES[name]
+        assert abs(rows[name]["dbar_analytic"] - dbar) <= 1e-10
+        assert abs(rows[name]["fbar_consistent"] - fbar) <= 1e-10
         assert abs(rows[name]["fbar_legacy"] - rows[name]["fbar_consistent"]) == 0.0
-        assert abs(rows[name]["dbar_quad"] - 1.0 / 3.0) <= 1e-8
+        assert abs(rows[name]["dbar_quad"] - dbar) <= 1e-8
     assert abs(rows["perfect"]["fbar_quad"] - 1.0) <= 1e-10
     # the legacy 0.589 constant drives the closed-form average negative here,
     # a reproducible artifact the diagnose command quantifies
@@ -310,6 +312,15 @@ def test_optimize_rejects_bad_config(tmp_path, capsys):
     )
     assert code == 2
     assert "restarts" in capsys.readouterr().err
+
+
+def test_optimize_unwritable_out_prints_no_report(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.json"
+    code = cli.main(["optimize", "--restarts", "1", "--max-iters", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
 
 
 def test_optimize_requires_out(capsys):

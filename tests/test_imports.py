@@ -5,10 +5,11 @@ with ``ast``.  The import scan covers each module of ``src/qdelete/`` (except
 ``__init__.py``, whose imports are its exports) and each test module: a name
 counts as read when it occurs as a loaded name anywhere in the module;
 ``from __future__`` imports are exempt.  The definition scan covers
-``src/qdelete/`` as a whole: every public module-level function or class, and
-every public method, must be named somewhere in the package (as a loaded name
-or an attribute) or be exported in ``__init__.__all__``.  Code that only the
-tests call belongs in the tests.
+``src/qdelete/`` as a whole: every public module-level function or class must
+be named somewhere in the package (as a loaded name or an attribute), and every
+public method must be read as an attribute somewhere in the package, unless
+the name is exported in ``__init__.__all__``.  Code that only the tests call
+belongs in the tests.
 """
 
 import ast
@@ -60,35 +61,39 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """Public definitions of a package that the package never names nor exports.
 
     ``sources`` maps module names to their source; the ``__init__`` module's
-    ``__all__`` lists the exports.  A definition counts as used when its name
-    is loaded or read as an attribute anywhere in the package; names that
-    start with an underscore are exempt.
+    ``__all__`` lists the exports.  A module-level definition counts as used
+    when its name is loaded or read as an attribute anywhere in the package; a
+    method only when it is read as an attribute, since a local name that
+    equals the method's does not call it.  Names that start with an
+    underscore are exempt.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = set()
+    loaded, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
+                loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
+    exported = set()
     for node in trees["__init__"].body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
-            used.update(ast.literal_eval(node.value))
+            exported.update(ast.literal_eval(node.value))
+    module_level_used = loaded | attributes | exported
+    method_used = attributes | exported
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, functions):
-                found.append((f"{module}.{node.name}", node.name))
-            elif isinstance(node, ast.ClassDef):
-                found.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, (*functions, ast.ClassDef)):
+                found.append((f"{module}.{node.name}", node.name, module_level_used))
+            if isinstance(node, ast.ClassDef):
                 found += [
-                    (f"{module}.{node.name}.{item.name}", item.name)
+                    (f"{module}.{node.name}.{item.name}", item.name, method_used)
                     for item in node.body
                     if isinstance(item, functions)
                 ]
-    return [path for path, name in found if not name.startswith("_") and name not in used]
+    return [path for path, name, used in found if not name.startswith("_") and name not in used]
 
 
 def test_package_defines_only_what_it_uses():
@@ -104,11 +109,16 @@ def test_the_definition_scan_finds_unused_and_exempts_exports():
             "class Exported:\n"
             "    def used(self):\n        return helper()\n"
             "    def unused(self):\n        pass\n"
+            "    def shadowed(self):\n        pass\n"
             "    def _private(self):\n        pass\n"
-            "def helper():\n    return Exported().used\n"
+            "def helper(shadowed=None):\n    return Exported().used, shadowed\n"
             "def orphan():\n    pass\n"
             "def _private():\n    pass\n"
         ),
         "b": "import a\ndef caller():\n    return a.orphan_attr\n",
     }
-    assert unreferenced_definitions(sources) == ["a.Exported.unused", "a.orphan", "b.caller"]
+    # `shadowed` is read only as a parameter of the same name, which is no call
+    assert unreferenced_definitions(sources) == [
+        "a.Exported.unused", "a.Exported.shadowed", "a.orphan", "b.caller"
+    ]
+

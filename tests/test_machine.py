@@ -154,7 +154,7 @@ def test_isometry_columns_are_basis_images():
     # the images of |00>, |01>, |10>, |11> (times |Q>) from the machine's definition
     s0, s1 = p.sigma.ket()
     images = [s0 * basis(0, 0, 1) + s1 * basis(0, 1, 1)]
-    for a, b, c, d in (p.row0(), p.row1()):
+    for a, b, c, d in ((p.a0, p.b0, p.c0, p.d0), (p.a1, p.b1, p.c1, p.d1)):
         images.append(
             a * basis(0, 1, 0) + b * basis(1, 0, 0) + c * basis(0, 0, 0) + d * basis(1, 1, 0)
         )

@@ -8,6 +8,7 @@ from qdelete import machine, metrics, qlinalg
 from qdelete.machine import BlankState, Couplings, MachineParams
 from qdelete.optimizer import random_machine
 from qdelete.presets import by_name
+from paper_values import exchange_only_averages, exchange_only_coefficients
 from reduced_states import mode1_state_closed, mode2_state_closed
 
 SQRT_HALF = math.sqrt(0.5)
@@ -443,38 +444,43 @@ def test_endpoint_exactness_on_random_machines():
 
 
 # ---------------------------------------------------------------------------
-# exchange-only (case 4) closed forms
+# exchange-only (case 4) closed forms: the general ones at e = f = 0
+
+
+def _library_averages(c, sigma):
+    """Average distortion and both average fidelities by the general closed forms."""
+    dbar = metrics.avg_distortion(metrics.distortion_coefficients(c), "analytic")
+    return (
+        dbar,
+        1.0 - metrics.fidelity_deficit(c, sigma, "legacy") / 6.0,
+        1.0 - metrics.fidelity_deficit(c, sigma, "consistent") / 6.0,
+    )
 
 
 def test_case4_metrics_unit_weights():
     sigma = BlankState(SQRT_HALF)
-    c4 = metrics.case4_metrics(Couplings(g=1 + 0j, h=1 + 0j, e=0j, f=0j), sigma)
-    assert c4.population_defect == 0.0
-    assert abs(c4.avg_distortion - 1.0 / 3.0) <= 1e-12
-    assert abs(c4.avg_fidelity - 5.0 / 6.0) <= 1e-12
-    assert abs(c4.avg_fidelity_consistent - 5.0 / 6.0) <= 1e-12
+    assert exchange_only_coefficients(CASE3, sigma)[0] == 0.0
+    expected = exchange_only_averages(CASE3, sigma)
+    assert expected == pytest.approx((1.0 / 3.0, 5.0 / 6.0, 5.0 / 6.0), abs=1e-12)
+    assert_allclose(_library_averages(CASE3, sigma), expected, rtol=0, atol=1e-12)
 
 
 def test_case4_metrics_degenerate_couplings():
-    c4 = metrics.case4_metrics(Couplings(g=0j, h=0j, e=0j, f=0j), BlankState(SQRT_HALF))
-    assert c4.population_defect == 2.0
-    assert abs(c4.avg_distortion - 0.4) <= 1e-12
+    sigma = BlankState(SQRT_HALF)
+    assert exchange_only_coefficients(CASE1, sigma)[0] == 2.0
+    expected = exchange_only_averages(CASE1, sigma)
+    assert abs(expected[0] - 0.4) <= 1e-12
+    assert_allclose(_library_averages(CASE1, sigma), expected, rtol=0, atol=1e-12)
 
 
 def test_case4_metrics_asymmetric_weights():
     # |g|^2 = 1, |h|^2 = 0 at m1p = 1: the two deficit conventions split.
-    c4 = metrics.case4_metrics(Couplings(g=1 + 0j, h=0j, e=0j, f=0j), BlankState(1.0))
-    assert c4.population_defect == 1.0
-    assert abs(c4.avg_distortion - 11.0 / 30.0) <= 1e-12
-    assert c4.deficit == 1.0
-    assert abs(c4.avg_fidelity - 5.0 / 6.0) <= 1e-12
-    assert c4.deficit_consistent == 2.0
-    assert abs(c4.avg_fidelity_consistent - 2.0 / 3.0) <= 1e-12
-
-
-def test_case4_metrics_rejects_nonzero_e_or_f():
-    with pytest.raises(ValueError):
-        metrics.case4_metrics(CASE2, BlankState(0.5))
+    c = Couplings(g=1 + 0j, h=0j, e=0j, f=0j)
+    sigma = BlankState(1.0)
+    assert exchange_only_coefficients(c, sigma) == (1.0, 1.0, 2.0)
+    expected = exchange_only_averages(c, sigma)
+    assert expected == pytest.approx((11.0 / 30.0, 5.0 / 6.0, 2.0 / 3.0), abs=1e-12)
+    assert_allclose(_library_averages(c, sigma), expected, rtol=0, atol=1e-12)
 
 
 def test_case4_matches_general_closed_forms():
@@ -485,14 +491,12 @@ def test_case4_matches_general_closed_forms():
         g, h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         c = Couplings(g=g, h=h, e=0j, f=0j)
         sigma = BlankState(rng.uniform(-1.0, 1.0))
-        c4 = metrics.case4_metrics(c, sigma)
-        dc = metrics.distortion_coefficients(c)
-        assert abs(dc.quartic - c4.population_defect) <= 1e-12
-        assert abs(metrics.avg_distortion(dc, "analytic") - c4.avg_distortion) <= 1e-12
-        assert abs(metrics.fidelity_deficit(c, sigma, "legacy") - c4.deficit) <= 1e-12
-        assert (
-            abs(metrics.fidelity_deficit(c, sigma, "consistent") - c4.deficit_consistent)
-            <= 1e-12
+        n, k_legacy, k_consistent = exchange_only_coefficients(c, sigma)
+        assert abs(metrics.distortion_coefficients(c).quartic - n) <= 1e-12
+        assert abs(metrics.fidelity_deficit(c, sigma, "legacy") - k_legacy) <= 1e-12
+        assert abs(metrics.fidelity_deficit(c, sigma, "consistent") - k_consistent) <= 1e-12
+        assert_allclose(
+            _library_averages(c, sigma), exchange_only_averages(c, sigma), rtol=0, atol=1e-12
         )
 
 

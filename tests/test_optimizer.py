@@ -23,6 +23,11 @@ def case3_raw():
     return raw_of([1.0, 1.0, 0.0, 0.0], 1.0)
 
 
+def _rows(p):
+    """The two amplitude rows (a_i, b_i, c_i, d_i) as a 2x4 array."""
+    return np.array([[p.a0, p.b0, p.c0, p.d0], [p.a1, p.b1, p.c1, p.d1]], dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # decode / encode
 
@@ -111,8 +116,7 @@ def test_decode_invariant_under_positive_row_scaling():
     scaled = raw.copy()
     scaled[0:8] *= 3.5
     p, q = optimizer.decode(raw), optimizer.decode(scaled)
-    assert_allclose(q.row0(), p.row0(), atol=1e-12)
-    assert_allclose(q.row1(), p.row1(), atol=1e-12)
+    assert_allclose(_rows(q), _rows(p), atol=1e-12)
     assert q.sigma == p.sigma
 
 
@@ -223,7 +227,7 @@ def test_objective_invariant_under_joint_row_phase():
     for _ in range(10):
         p = optimizer.random_machine(rng)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        q = MachineParams.from_rows(phase * p.row0(), phase * p.row1(), p.sigma)
+        q = MachineParams.from_rows(*(phase * _rows(p)), p.sigma)
         fp = optimizer.score(couplings(p), p.sigma, cfg)
         assert abs(fp - optimizer.score(couplings(q), q.sigma, cfg)) <= 1e-12
 
@@ -234,7 +238,8 @@ def test_single_row_phase_changes_the_metrics():
     p = MachineParams.from_rows(
         [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], BlankState(math.sqrt(0.5))
     )
-    q = MachineParams.from_rows(p.row0(), 1j * p.row1(), p.sigma)
+    row0, row1 = _rows(p)
+    q = MachineParams.from_rows(row0, 1j * row1, p.sigma)
     f_p = metrics.avg_fidelity_quadrature(p)
     f_q = metrics.avg_fidelity_quadrature(q)
     assert abs(f_p - 1.0) <= 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qdelete import machine, metrics, presets
 from qdelete.machine import BlankState, MachineParams
+from paper_values import PRESET_AVERAGES, exchange_only_averages
 
 
 def test_registry_names_and_order():
@@ -17,6 +19,14 @@ def test_unknown_name_rejected():
         presets.by_name("case9")
 
 
+def test_by_name_returns_the_shared_frozen_record():
+    record = presets.by_name("case3")
+    assert presets.by_name("case3") is record
+    assert presets.all_presets()[2] is record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.name = "case9"
+
+
 def test_feasible_presets_validate_tightly():
     for record in presets.all_presets():
         if record.feasible_as_unitary:
@@ -27,33 +37,40 @@ def test_feasible_presets_validate_tightly():
 
 
 def test_expected_values_via_closed_forms():
+    assert list(PRESET_AVERAGES) == list(presets.PRESET_NAMES)
     for record in presets.all_presets():
+        expected_dbar, expected_fbar = PRESET_AVERAGES[record.name]
         dc = metrics.distortion_coefficients(record.couplings)
         dbar = metrics.avg_distortion(dc, "analytic")
-        assert abs(dbar - record.expected_avg_distortion) <= 1e-10, record.name
+        assert abs(dbar - expected_dbar) <= 1e-10, record.name
         deficit = metrics.fidelity_deficit(record.couplings, record.sigma, "consistent")
         fbar = 1.0 - deficit / 6.0
-        assert abs(fbar - record.expected_avg_fidelity) <= 1e-10, record.name
+        assert abs(fbar - expected_fbar) <= 1e-10, record.name
 
 
 def test_expected_values_via_quadrature():
     for record in presets.all_presets():
+        expected_dbar, expected_fbar = PRESET_AVERAGES[record.name]
         dc = metrics.distortion_coefficients(record.couplings)
         dbar = metrics.avg_distortion_quadrature(dc)
-        assert abs(dbar - record.expected_avg_distortion) <= 1e-8, record.name
+        assert abs(dbar - expected_dbar) <= 1e-8, record.name
         if record.params is not None:
             fbar = metrics.avg_fidelity_quadrature(record.params)
         else:
             deficit = metrics.fidelity_deficit(record.couplings, record.sigma, "legacy")
             fbar = metrics.avg_fidelity_closed_quadrature(deficit)
-        assert abs(fbar - record.expected_avg_fidelity) <= 1e-8, record.name
+        assert abs(fbar - expected_fbar) <= 1e-8, record.name
 
 
 def test_case1_expected_numbers():
+    # formula mode: the closed forms on the raw zero couplings give (2/5, 2/3)
     record = presets.by_name("case1")
-    assert record.expected_avg_distortion == pytest.approx(0.4, abs=0)
-    assert record.expected_avg_fidelity == pytest.approx(2.0 / 3.0, abs=0)
     assert not record.feasible_as_unitary
+    dc = metrics.distortion_coefficients(record.couplings)
+    assert (dc.quartic, dc.coherence_sum) == (2.0, 0.0)
+    assert metrics.avg_distortion(dc, "analytic") == pytest.approx(0.4, abs=1e-15)
+    deficit = metrics.fidelity_deficit(record.couplings, record.sigma, "legacy")
+    assert metrics.avg_fidelity(deficit) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_case1_couplings_are_unreachable():
@@ -93,27 +110,26 @@ def test_case3_couplings_and_balanced_distortion():
 def test_case4_default_duplicates_case3():
     c3 = presets.by_name("case3")
     c4 = presets.by_name("case4")
-    assert c4.params.row0().tolist() == c3.params.row0().tolist()
-    assert c4.params.row1().tolist() == c3.params.row1().tolist()
-    assert c4.expected_avg_distortion == pytest.approx(c3.expected_avg_distortion, abs=1e-15)
-    assert c4.expected_avg_fidelity == pytest.approx(c3.expected_avg_fidelity, abs=1e-15)
+    assert c4.params == c3.params
+    assert (c4.couplings, c4.sigma) == (c3.couplings, c3.sigma)
+    assert exchange_only_averages(c4.couplings, c4.sigma) == pytest.approx(
+        (1.0 / 3.0, 5.0 / 6.0, 5.0 / 6.0), abs=1e-15
+    )
 
 
 def test_case4_hadamard_rows():
     s = math.sqrt(0.5)
-    record = presets.case4(a0=s, a1=s, b0=s, b1=-s)
-    c = record.couplings
+    p = MachineParams(a0=s, a1=s, b0=s, b1=-s)
+    assert machine.validate(p, tol=1e-12).is_valid
+    c = machine.couplings(p)
     assert abs(c.g - math.sqrt(2.0)) <= 1e-12
     assert abs(c.h) <= 1e-12
     # population defect (2-1)^2 + (0-1)^2 = 2 gives 2/30 + 1/3 = 0.4
-    assert abs(record.expected_avg_distortion - 0.4) <= 1e-12
-    quad = metrics.avg_distortion_quadrature(metrics.distortion_coefficients(c))
-    assert abs(quad - record.expected_avg_distortion) <= 1e-8
-
-
-def test_case4_rejects_non_orthonormal_rows():
-    with pytest.raises(machine.MachineValidationError):
-        presets.case4(a0=1.0, a1=1.0, b0=0.0, b1=0.0)
+    dbar = exchange_only_averages(c, p.sigma)[0]
+    assert abs(dbar - 0.4) <= 1e-12
+    dc = metrics.distortion_coefficients(c)
+    assert abs(metrics.avg_distortion(dc, "analytic") - dbar) <= 1e-12
+    assert abs(metrics.avg_distortion_quadrature(dc) - dbar) <= 1e-8
 
 
 def test_perfect_preset_pointwise_unit_fidelity():
@@ -131,7 +147,7 @@ def test_perfect_preset_expected_distortion_value():
     # quartic = 2 and coherence sum = 2: 2/30 + 1/3 - 2*(3*pi/64)
     record = presets.by_name("perfect")
     expected = 2.0 / 30.0 + 1.0 / 3.0 - 3.0 * math.pi / 32.0
-    assert record.expected_avg_distortion == pytest.approx(expected, abs=1e-15)
+    assert presets.PERFECT_AVG_DISTORTION == pytest.approx(expected, abs=1e-15)
     dc = metrics.distortion_coefficients(record.couplings)
     assert dc.quartic == 2.0
     assert dc.coherence_sum == 2.0

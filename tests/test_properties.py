@@ -73,7 +73,7 @@ def reference_images(p: MachineParams) -> list[np.ndarray]:
     """Images of |00>, |01>, |10>, |11> (times |Q>), built without `isometry`."""
     sig = p.sigma.ket()
     images = [np.kron(KET0, np.kron(sig, ANC[machine.ANC_A0]))]
-    for a, b, c, d in (p.row0(), p.row1()):
+    for a, b, c, d in ((p.a0, p.b0, p.c0, p.d0), (p.a1, p.b1, p.c1, p.d1)):
         image = np.zeros(qlinalg.JOINT_DIM, dtype=complex)
         image[qlinalg.joint_index(0, 1, machine.ANC_Q)] = a
         image[qlinalg.joint_index(1, 0, machine.ANC_Q)] = b
