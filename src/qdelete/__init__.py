@@ -7,7 +7,7 @@ behind.  Subpackage layout:
 * `qlinalg`   - the joint-state index and the batched partial traces
 * `machine`   - machine parameters, the 12x4 isometry, validation, file format
 * `metrics`   - distortion and fidelity, closed forms plus simulation oracles
-* `presets`   - the table of named machines: the paper's four cases and "perfect"
+* `presets`   - named machines (`MachineParams`): the paper's four cases and "perfect"
 * `optimizer` - derivative-free search over the coupling sphere
 * `cli`       - the `qdelete` command
 """
@@ -22,7 +22,7 @@ from .machine import (
     outputs,
     validate,
 )
-from .presets import PresetRecord, by_name as preset_by_name
+from .presets import by_name as preset_by_name
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "BlankState",
     "Couplings",
     "MachineParams",
-    "PresetRecord",
     "ValidationReport",
     "couplings",
     "isometry",

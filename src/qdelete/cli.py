@@ -49,63 +49,37 @@ def cmd_validate(args) -> int:
 # sweep
 
 
-def _resolve_machine_source(args):
-    """Return (params, formula_record); exactly one of them is not None."""
-    if args.machine is not None:
-        params = machine.load(args.machine)
-        record = None
-    else:
-        record = presets.by_name(args.preset)
-        params = record.params
-    if args.m1p is not None:
-        sigma = machine.BlankState(args.m1p)
-        if params is not None:
-            params = dataclasses.replace(params, sigma=sigma)
-            record = None
-        else:
-            record = dataclasses.replace(record, sigma=sigma)
-    if params is not None:
-        return params, None
-    return None, record
+def cmd_sweep(args) -> int:
+    """Fidelity and distortion at evenly spaced alpha^2 values, as CSV.
 
-
-def sweep_table(params, record, points: int):
-    """Fidelity and distortion rows at evenly spaced alpha^2 values.
-
-    Machines are swept with the direct simulation oracle; formula-only
-    presets use the closed forms on their raw couplings (legacy-mode
-    fidelity deficit).
+    Machines are swept with the direct simulation oracle.  A preset that
+    fails validation (case1) has no machine to simulate, so its curves come
+    from the closed forms on its couplings (legacy-mode fidelity deficit).
     """
-    xs = np.linspace(0.0, 1.0, points)
-    if params is not None:
-        fidelity = metrics.fidelity_curve(params, xs)
-        distortion = metrics.distortion_curve(params, xs)
-        formula_mode = False
+    if args.points < 2:
+        raise ValueError(f"--points must be >= 2, got {args.points}")
+    if args.machine is not None:
+        p = machine.load(args.machine)
     else:
-        deficit = metrics.fidelity_deficit(record.couplings, record.sigma, "legacy")
-        dc = metrics.distortion_coefficients(record.couplings)
-        fidelity = metrics.fidelity_closed(deficit, xs)
-        distortion = metrics.distortion_closed(dc, xs)
-        formula_mode = True
-    return xs, fidelity, distortion, formula_mode
-
-
-def render_sweep_csv(xs, fidelity, distortion, formula_mode: bool) -> str:
+        p = presets.by_name(args.preset)
+    if args.m1p is not None:
+        p = dataclasses.replace(p, sigma=machine.BlankState(args.m1p))
+    formula_mode = args.preset is not None and not machine.validate(p).is_valid
+    xs = np.linspace(0.0, 1.0, args.points)
     lines = []
     if formula_mode:
+        c = machine.couplings(p)
+        deficit = metrics.fidelity_deficit(c, p.sigma, "legacy")
+        fidelity = metrics.fidelity_closed(deficit, xs)
+        distortion = metrics.distortion_closed(metrics.distortion_coefficients(c), xs)
         lines.append("# formula mode")
+    else:
+        fidelity = metrics.fidelity_curve(p, xs)
+        distortion = metrics.distortion_curve(p, xs)
     lines.append("alpha_sq,fidelity,distortion")
     for x, f, d in zip(xs, fidelity, distortion):
         lines.append(f"{_f17(x)},{_f17(f)},{_f17(d)}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_sweep(args) -> int:
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
-    params, record = _resolve_machine_source(args)
-    xs, fidelity, distortion, formula_mode = sweep_table(params, record, args.points)
-    text = render_sweep_csv(xs, fidelity, distortion, formula_mode)
+    text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -117,37 +91,33 @@ def cmd_sweep(args) -> int:
 # cases
 
 
-def _avg_fidelity(deficit: float) -> float:
-    """`metrics.avg_fidelity`, without its out-of-range flag for a zero deficit.
-
-    A deficit of exactly 0 is perfect deletion (the "perfect" preset), a
-    valid value that the library's open-interval check would flag.
-    """
-    return 1.0 if deficit == 0.0 else metrics.avg_fidelity(deficit)
-
-
 def collect_case_rows() -> list[dict]:
-    """Metric table for every registry preset, by all evaluation routes."""
+    """Metric table for every registry preset, by all evaluation routes.
+
+    A preset is feasible when its machine passes validation; the fidelity
+    quadrature of an infeasible one averages its legacy closed-form curve.
+    """
     rows = []
-    for record in presets.all_presets():
-        dc = metrics.distortion_coefficients(record.couplings)
-        deficit_legacy = metrics.fidelity_deficit(record.couplings, record.sigma, "legacy")
-        deficit_consistent = metrics.fidelity_deficit(
-            record.couplings, record.sigma, "consistent"
-        )
-        if record.params is not None:
-            fbar_quad = metrics.avg_fidelity_quadrature(record.params)
+    for name in presets.PRESET_NAMES:
+        p = presets.by_name(name)
+        c = machine.couplings(p)
+        feasible = machine.validate(p).is_valid
+        dc = metrics.distortion_coefficients(c)
+        deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
+        deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
+        if feasible:
+            fbar_quad = metrics.avg_fidelity_quadrature(p)
         else:
             fbar_quad = metrics.avg_fidelity_closed_quadrature(deficit_legacy)
         rows.append(
             {
-                "preset": record.name,
-                "feasible": record.feasible_as_unitary,
+                "preset": name,
+                "feasible": feasible,
                 "dbar_legacy": metrics.avg_distortion(dc, "legacy"),
                 "dbar_analytic": metrics.avg_distortion(dc, "analytic"),
                 "dbar_quad": metrics.avg_distortion_quadrature(dc),
-                "fbar_legacy": _avg_fidelity(deficit_legacy),
-                "fbar_consistent": _avg_fidelity(deficit_consistent),
+                "fbar_legacy": metrics.avg_fidelity(deficit_legacy),
+                "fbar_consistent": metrics.avg_fidelity(deficit_consistent),
                 "fbar_quad": fbar_quad,
             }
         )
@@ -271,10 +241,10 @@ def cmd_diagnose(args) -> int:
 
 def _resolve_warm_start(source: str) -> machine.MachineParams:
     if source in presets.PRESET_NAMES:
-        record = presets.by_name(source)
-        if record.params is None:
+        p = presets.by_name(source)
+        if not machine.validate(p).is_valid:
             raise ValueError(f"preset {source!r} has no machine realization")
-        return record.params
+        return p
     return machine.load(source)
 
 

@@ -161,12 +161,16 @@ def validate(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> Validatio
     defects ``| ||row_i||^2 - 1 |`` from G[1, 1] and G[2, 2], the orthogonality
     defect (the modulus of the row inner product) from G[1, 2], and the Gram
     defect as the maximum entrywise deviation of G from the identity.  Raises
-    ValueError unless ``tol`` is finite and positive; otherwise never raises.
+    ValueError unless ``tol`` is finite and positive; otherwise it neither raises
+    nor warns.  Amplitudes so large that G overflows report an infinite
+    defect, never NaN.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     v = isometry(p)
-    defects = np.abs(v.conj().T @ v - _EYE4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.abs(v.conj().T @ v - _EYE4)
+    defects[np.isnan(defects)] = np.inf
     # The Gram defect bounds the other three: their entries are part of it.
     gram_defect = float(defects.max())
     return ValidationReport(

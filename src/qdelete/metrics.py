@@ -202,13 +202,13 @@ def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") 
 def avg_fidelity(deficit: float) -> float:
     """Average fidelity 1 - deficit/6.
 
-    Deficits outside the open interval (0, 6) put the average outside (0, 1);
-    such values are flagged with a RuntimeWarning but still evaluated (a
-    deficit of exactly 0 means perfect average fidelity).
+    Deficits outside the closed interval [0, 6] put the average outside
+    [0, 1]; such values are flagged with a RuntimeWarning but still evaluated
+    (a deficit of exactly 0, perfect deletion, is not flagged).
     """
-    if not 0.0 < deficit < 6.0:
+    if not 0.0 <= deficit <= 6.0:
         warnings.warn(
-            f"fidelity deficit {deficit!r} outside the open interval (0, 6)",
+            f"fidelity deficit {deficit!r} outside the closed interval [0, 6]",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -225,8 +225,8 @@ def fidelity_closed(deficit: float, alpha_sq):
 def avg_fidelity_closed_quadrature(deficit: float) -> float:
     """Quadrature average of the closed-form fidelity curve.
 
-    This is the averaging route for formula-mode presets, which have no
-    machine realization for the simulation-based quadrature to act on.
+    This is the averaging route for a preset that fails validation (formula
+    mode), whose machine the simulation-based quadrature cannot act on.
     """
     return _converged("fidelity", *_levels(fidelity_closed(deficit, _QX_BOTH)))
 

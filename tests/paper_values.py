@@ -8,7 +8,7 @@ share.
 """
 
 from qdelete.machine import BlankState, Couplings
-from qdelete.presets import PERFECT_AVG_DISTORTION
+from qdelete.metrics import ANALYTIC_CROSS_CONSTANT
 
 #: (average distortion, average fidelity) of the paper's four numbered cases.
 PAPER_AVERAGES = {
@@ -17,6 +17,10 @@ PAPER_AVERAGES = {
     "case3": (1.0 / 3.0, 5.0 / 6.0),
     "case4": (1.0 / 3.0, 5.0 / 6.0),
 }
+
+#: Average distortion D* of the "perfect" preset: quartic = 2 and coherence
+#: sum = 2 give 2/30 + 1/3 - 2*(3*pi/64).
+PERFECT_AVG_DISTORTION = 2.0 / 30.0 + 1.0 / 3.0 - 2.0 * ANALYTIC_CROSS_CONSTANT
 
 #: The same pair for every registry preset: "perfect" adds (D*, 1).
 PRESET_AVERAGES = {**PAPER_AVERAGES, "perfect": (PERFECT_AVG_DISTORTION, 1.0)}

@@ -242,9 +242,9 @@ def test_criterion_6_deficit_convention_adjudication():
     # the two conventions agree exactly on the four numbered presets
     presets_exact = True
     for name in ("case1", "case2", "case3", "case4"):
-        record = by_name(name)
-        legacy = metrics.fidelity_deficit(record.couplings, record.sigma, "legacy")
-        consistent = metrics.fidelity_deficit(record.couplings, record.sigma, "consistent")
+        p = by_name(name)
+        legacy = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "legacy")
+        consistent = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
         presets_exact &= legacy == consistent
 
     # ... and whenever the two weight sums are equal floats
@@ -285,7 +285,7 @@ def test_criterion_7_optimizer_targets():
     cold = optimizer.optimize(OptConfig(objective="max-fidelity", seed=7))
     warm = optimizer.optimize(
         OptConfig(objective="max-fidelity", seed=7),
-        warm_start=by_name("perfect").params,
+        warm_start=by_name("perfect"),
     )
     dist = optimizer.optimize(OptConfig(objective="min-distortion", seed=7))
     elapsed = time.perf_counter() - t0

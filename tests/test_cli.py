@@ -6,7 +6,7 @@ import pytest
 
 from qdelete import cli, machine, metrics
 from qdelete.machine import MachineParams
-from qdelete.presets import by_name
+from qdelete.presets import PRESET_NAMES, by_name
 from paper_values import PAPER_AVERAGES
 
 
@@ -33,7 +33,7 @@ def read_csv(path):
 
 
 def test_validate_valid_machine(tmp_path, capsys):
-    path = write_machine(tmp_path, by_name("case3").params)
+    path = write_machine(tmp_path, by_name("case3"))
     assert cli.main(["validate", str(path)]) == 0
     out = capsys.readouterr().out
     assert "valid:                yes" in out
@@ -48,7 +48,7 @@ def test_validate_invalid_machine(tmp_path, capsys):
 
 
 def test_validate_names_missing_key(tmp_path, capsys):
-    data = machine.to_dict(by_name("case3").params)
+    data = machine.to_dict(by_name("case3"))
     del data["m1p"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -61,9 +61,48 @@ def test_validate_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+def write_huge_machine(tmp_path):
+    """A machine file with finite amplitudes whose Gram matrix overflows."""
+    data = machine.to_dict(by_name("case3"))
+    data["a0"] = [1e160, 1e160]
+    data["a1"] = [1e160, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_validate_huge_amplitudes_prints_the_plain_report(tmp_path, capsys):
+    assert cli.main(["validate", str(write_huge_machine(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "gram matrix defect:   inf" in captured.out
+    assert "nan" not in captured.out
+    assert "valid:                no" in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep", "--points", "5", "--machine"], id="sweep"),
+        pytest.param(["optimize", "--restarts", "1", "--max-iters", "5", "--warm-start"],
+                     id="optimize"),
+    ],
+)
+def test_huge_amplitudes_exit_1_with_one_error_line(tmp_path, capsys, argv):
+    argv = argv + [str(write_huge_machine(tmp_path))]
+    if argv[0] == "optimize":
+        argv += ["--out", str(tmp_path / "x.json")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: machine violates the isometry conditions")
+    assert captured.err.count("\n") == 1
+    assert "nan" not in captured.err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_validate_bad_tol_is_usage_error(tmp_path, capsys, tol):
-    path = write_machine(tmp_path, by_name("case3").params)
+    path = write_machine(tmp_path, by_name("case3"))
     assert cli.main(["validate", str(path), "--tol", tol]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tol" in err
@@ -101,6 +140,14 @@ def test_sweep_case1_formula_mode(tmp_path):
     assert rows[0][1] == 1.0 and rows[-1][1] == 1.0
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sweep_formula_mode_exactly_when_the_preset_fails_validation(name, capsys):
+    assert cli.main(["sweep", "--preset", name, "--points", "3"]) == 0
+    comments = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    formula_mode = not machine.validate(by_name(name)).is_valid
+    assert comments == (["# formula mode"] if formula_mode else [])
+
+
 def test_sweep_two_points(tmp_path):
     out = tmp_path / "two.csv"
     assert cli.main(["sweep", "--preset", "case3", "--points", "2", "--out", str(out)]) == 0
@@ -120,7 +167,7 @@ def test_sweep_unknown_preset_is_usage_error(capsys):
 
 
 def test_sweep_machine_file_with_m1p_override(tmp_path):
-    path = write_machine(tmp_path, by_name("case3").params)
+    path = write_machine(tmp_path, by_name("case3"))
     out = tmp_path / "sweep.csv"
     assert cli.main(
         ["sweep", "--machine", str(path), "--m1p", "1.0", "--points", "11", "--out", str(out)]
@@ -146,7 +193,7 @@ def test_sweep_round_trips_full_precision(tmp_path):
     assert cli.main(["sweep", "--preset", "case3", "--points", "7", "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     xs = np.array([r[0] for r in rows])
-    fid = metrics.fidelity_curve(by_name("case3").params, xs)
+    fid = metrics.fidelity_curve(by_name("case3"), xs)
     assert [r[1] for r in rows] == list(fid)
 
 
@@ -162,6 +209,13 @@ def test_cases_command_prints_table(capsys):
     names = [line.split()[0] for line in lines[1:]]
     assert names == ["case1", "case2", "case3", "case4", "perfect"]
     assert "no" in lines[1]  # case1 is not realizable
+
+
+def test_case_rows_feasible_is_validity():
+    rows = cli.collect_case_rows()
+    assert [row["preset"] for row in rows] == list(PRESET_NAMES)
+    for row in rows:
+        assert row["feasible"] == machine.validate(by_name(row["preset"])).is_valid
 
 
 def test_collect_case_rows_match_expected_records():
@@ -334,7 +388,7 @@ def test_optimize_requires_out(capsys):
 
 
 def hostile_file(tmp_path, kind):
-    data = machine.to_dict(by_name("case3").params)
+    data = machine.to_dict(by_name("case3"))
     if kind == "huge-int-m1p":
         data["m1p"] = 10**400
     elif kind == "huge-int-amplitude":
@@ -391,7 +445,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
         if not token.startswith("@"):
             return token
         if token == "@valid":
-            return str(write_machine(tmp_path, by_name("case3").params))
+            return str(write_machine(tmp_path, by_name("case3")))
         return hostile_file(tmp_path, token[1:])
 
     argv = [resolve(token) for token in argv]

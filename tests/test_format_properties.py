@@ -21,7 +21,7 @@ from qdelete.presets import by_name
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
 KEYS = machine.AMPLITUDE_KEYS + ("m1p",)
-VALID = machine.to_dict(by_name("case3").params)
+VALID = machine.to_dict(by_name("case3"))
 
 huge_ints = st.integers(min_value=300, max_value=1000).map(lambda n: 10**n)
 numbers = st.one_of(

@@ -5,8 +5,9 @@ with ``ast``.  The import scan covers each module of ``src/qdelete/`` (except
 ``__init__.py``, whose imports are its exports) and each test module: a name
 counts as read when it occurs as a loaded name anywhere in the module;
 ``from __future__`` imports are exempt.  The definition scan covers
-``src/qdelete/`` as a whole: every public module-level function or class must
-be named somewhere in the package (as a loaded name or an attribute), and every
+``src/qdelete/`` as a whole: every public module-level function, class or
+constant must be named somewhere in the package (as a loaded name or an
+attribute), and every
 public method must be read as an attribute somewhere in the package, unless
 the name is exported in ``__init__.__all__``.  Code that only the tests call
 belongs in the tests.
@@ -64,8 +65,9 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     ``__all__`` lists the exports.  A module-level definition counts as used
     when its name is loaded or read as an attribute anywhere in the package; a
     method only when it is read as an attribute, since a local name that
-    equals the method's does not call it.  Names that start with an
-    underscore are exempt.
+    equals the method's does not call it.  Module-level constants (names
+    bound by a top-level assignment) count like functions.  Names that start
+    with an underscore are exempt.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     loaded, attributes = set(), set()
@@ -87,6 +89,14 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (*functions, ast.ClassDef)):
                 found.append((f"{module}.{node.name}", node.name, module_level_used))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    (f"{module}.{name.id}", name.id, module_level_used)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
             if isinstance(node, ast.ClassDef):
                 found += [
                     (f"{module}.{node.name}.{item.name}", item.name, method_used)
@@ -114,11 +124,15 @@ def test_the_definition_scan_finds_unused_and_exempts_exports():
             "def helper(shadowed=None):\n    return Exported().used, shadowed\n"
             "def orphan():\n    pass\n"
             "def _private():\n    pass\n"
+            "USED, UNUSED_CONSTANT = 1, 2\n"
+            "ANNOTATED: int = 3\n"
+            "_PRIVATE_CONSTANT = USED\n"
         ),
         "b": "import a\ndef caller():\n    return a.orphan_attr\n",
     }
     # `shadowed` is read only as a parameter of the same name, which is no call
     assert unreferenced_definitions(sources) == [
-        "a.Exported.unused", "a.Exported.shadowed", "a.orphan", "b.caller"
+        "a.Exported.unused", "a.Exported.shadowed", "a.orphan", "a.UNUSED_CONSTANT",
+        "a.ANNOTATED", "b.caller",
     ]
 

@@ -76,6 +76,28 @@ def test_validate_reads_defects_from_gram_of_isometry():
         assert report.gram_defect == pytest.approx(np.max(np.abs(v.conj().T @ v - np.eye(4))))
 
 
+#: Finite amplitudes whose Gram matrix overflows: one to inf, one to inf - inf.
+HUGE_AMPLITUDES = [
+    pytest.param({"a0": 1e300, "b1": 1.0}, id="overflow"),
+    pytest.param({"a0": complex(1e160, 1e160), "a1": 1e160}, id="inf-minus-inf"),
+]
+
+
+@pytest.mark.parametrize("amplitudes", HUGE_AMPLITUDES)
+def test_validate_huge_amplitudes_report_infinite_defects(amplitudes):
+    # the suite turns any numpy RuntimeWarning into an error
+    report = machine.validate(MachineParams(**amplitudes))
+    assert not report.is_valid
+    defects = (
+        report.row0_norm_defect,
+        report.row1_norm_defect,
+        report.orthogonality_defect,
+        report.gram_defect,
+    )
+    assert all(d >= 0.0 for d in defects), defects  # false for NaN
+    assert report.gram_defect == math.inf
+
+
 def test_require_valid_raises_with_report():
     with pytest.raises(machine.MachineValidationError) as excinfo:
         machine.require_valid(MachineParams(a0=1.0, a1=1.0))

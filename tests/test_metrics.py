@@ -58,9 +58,9 @@ def test_mode2_closed_case3_balanced():
 
 
 def test_mode2_closed_perfect_preset_is_blank():
-    record = by_name("perfect")
+    p = by_name("perfect")
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rho = mode2_state_closed(record.couplings, record.sigma, x)
+        rho = mode2_state_closed(machine.couplings(p), p.sigma, x)
         assert_allclose(rho, np.array([[1, 0], [0, 0]], dtype=complex), atol=1e-15)
 
 
@@ -161,13 +161,13 @@ def test_distortion_closed_rejects_bad_grid():
 
 
 def test_distortion_direct_case3():
-    p = by_name("case3").params
+    p = by_name("case3")
     assert metrics.distortion_curve(p, 1.0)[0] == 0.0
     assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
 
 
 def test_distortion_direct_case2():
-    p = by_name("case2").params
+    p = by_name("case2")
     assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
 
 
@@ -260,18 +260,18 @@ def test_quadrature_reports_non_convergence():
 
 def test_fidelity_direct_endpoints_exact():
     for name in ("case2", "case3", "perfect"):
-        p = by_name(name).params
+        p = by_name(name)
         assert metrics.fidelity_curve(p, 0.0)[0] == 1.0
         assert metrics.fidelity_curve(p, 1.0)[0] == 1.0
 
 
 def test_fidelity_direct_case3_balanced():
-    p = by_name("case3").params
+    p = by_name("case3")
     assert abs(metrics.fidelity_curve(p, 0.5)[0] - 0.75) <= 1e-12
 
 
 def test_fidelity_direct_perfect_preset_everywhere():
-    p = by_name("perfect").params
+    p = by_name("perfect")
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert abs(metrics.fidelity_curve(p, x)[0] - 1.0) <= 1e-12
 
@@ -345,7 +345,7 @@ def test_avg_fidelity_values():
 
 def test_avg_fidelity_flags_out_of_range_deficit():
     with pytest.warns(RuntimeWarning):
-        assert metrics.avg_fidelity(0.0) == 1.0
+        assert metrics.avg_fidelity(-0.001) == pytest.approx(1.0 + 0.001 / 6.0)
     with pytest.warns(RuntimeWarning):
         assert metrics.avg_fidelity(6.5) == pytest.approx(1.0 - 6.5 / 6.0)
 
@@ -356,12 +356,15 @@ def test_avg_fidelity_silent_in_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         metrics.avg_fidelity(1.0)
+        # the closed interval's ends: perfect deletion and the worst deficit
+        assert metrics.avg_fidelity(0.0) == 1.0
+        assert metrics.avg_fidelity(6.0) == 0.0
 
 
 def test_avg_fidelity_quadrature_cases():
-    assert abs(metrics.avg_fidelity_quadrature(by_name("case3").params) - 5.0 / 6.0) <= 1e-8
-    assert abs(metrics.avg_fidelity_quadrature(by_name("case2").params) - 5.0 / 6.0) <= 1e-8
-    assert abs(metrics.avg_fidelity_quadrature(by_name("perfect").params) - 1.0) <= 1e-10
+    assert abs(metrics.avg_fidelity_quadrature(by_name("case3")) - 5.0 / 6.0) <= 1e-8
+    assert abs(metrics.avg_fidelity_quadrature(by_name("case2")) - 5.0 / 6.0) <= 1e-8
+    assert abs(metrics.avg_fidelity_quadrature(by_name("perfect")) - 1.0) <= 1e-10
 
 
 def test_avg_fidelity_quadrature_matches_consistent_deficit():
@@ -411,14 +414,14 @@ def test_batched_distortion_nodes_match_scalar_oracle():
 
 
 def test_curves_keep_scalar_grid_one_dimensional():
-    p = by_name("case3").params
+    p = by_name("case3")
     assert metrics.fidelity_curve(p, 0.5).shape == (1,)
     assert metrics.distortion_curve(p, 0.5).shape == (1,)
 
 
 @pytest.mark.parametrize("grid", [[0.0, 1.5], [math.nan], [-0.25]])
 def test_curves_reject_bad_grid(grid):
-    p = by_name("case3").params
+    p = by_name("case3")
     with pytest.raises(ValueError):
         metrics.fidelity_curve(p, grid)
     with pytest.raises(ValueError):

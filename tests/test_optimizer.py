@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer
 from qdelete.machine import BlankState, MachineParams, couplings
-from qdelete.presets import PERFECT_AVG_DISTORTION, by_name
+from qdelete.presets import by_name
+from paper_values import PERFECT_AVG_DISTORTION
 
 SMALL = dict(restarts=2, max_iters=80, seed=5)
 
@@ -123,7 +124,7 @@ def test_decode_invariant_under_positive_row_scaling():
 def test_encode_decode_round_trip():
     rng = np.random.default_rng(45)
     cfg = optimizer.OptConfig(objective="weighted")
-    machines = [by_name("case3").params] + [optimizer.random_machine(rng) for _ in range(5)]
+    machines = [by_name("case3")] + [optimizer.random_machine(rng) for _ in range(5)]
     for p in machines:
         q = optimizer.decode(optimizer.encode(p))
         c, d = couplings(p), couplings(q)
@@ -181,7 +182,7 @@ def test_evaluate_known_machines():
     cfg_f = optimizer.OptConfig(objective="max-fidelity")
     cfg_d = optimizer.OptConfig(objective="min-distortion")
     cfg_w = optimizer.OptConfig(objective="weighted", weight_fidelity=1.0, weight_distortion=1.0)
-    case3, perfect = by_name("case3").params, by_name("perfect").params
+    case3, perfect = by_name("case3"), by_name("perfect")
     c3 = couplings(case3)
     assert abs(optimizer.score(c3, case3.sigma, cfg_f) - 5.0 / 6.0) <= 1e-9
     assert abs(optimizer.score(c3, case3.sigma, cfg_d) + 1.0 / 3.0) <= 1e-9
@@ -196,7 +197,7 @@ def test_score_runs_no_oracle_and_no_validation(monkeypatch):
     ):
         for name in names:
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("oracle or validation called"))
-    c = couplings(by_name("case3").params)
+    c = couplings(by_name("case3"))
     for objective in optimizer.OBJECTIVES:
         optimizer.score(c, BlankState(math.sqrt(0.5)), optimizer.OptConfig(objective=objective))
 
@@ -213,7 +214,7 @@ def test_search_loop_builds_no_machine_and_validates_outside_it(monkeypatch):
 
     monkeypatch.setattr(machine, "validate", counted(machine.validate))
     monkeypatch.setattr(optimizer, "decode", counted(optimizer.decode))
-    result = optimizer.optimize(optimizer.OptConfig(**SMALL), warm_start=by_name("perfect").params)
+    result = optimizer.optimize(optimizer.OptConfig(**SMALL), warm_start=by_name("perfect"))
     assert len(result.history) > 100
     # the warm start and the oracle report validate; the best point decodes once
     assert calls == {"validate": 2, "decode": 1}
@@ -322,7 +323,7 @@ def test_optimize_reaches_the_certified_optimum_and_never_beats_it(objective):
 
 def test_optimize_warm_start_keeps_perfect_fidelity():
     cfg = optimizer.OptConfig(objective="max-fidelity", restarts=1, max_iters=40, seed=1)
-    result = optimizer.optimize(cfg, warm_start=by_name("perfect").params)
+    result = optimizer.optimize(cfg, warm_start=by_name("perfect"))
     assert result.avg_fidelity >= 1.0 - 1e-6
 
 

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from qdelete import machine, metrics, presets
-from qdelete.machine import BlankState, MachineParams
-from paper_values import PRESET_AVERAGES, exchange_only_averages
+from qdelete.machine import BlankState, MachineParams, couplings
+from paper_values import PERFECT_AVG_DISTORTION, PRESET_AVERAGES, exchange_only_averages
 
 
 def test_registry_names_and_order():
     assert presets.PRESET_NAMES == ("case1", "case2", "case3", "case4", "perfect")
-    assert [r.name for r in presets.all_presets()] == list(presets.PRESET_NAMES)
 
 
 def test_unknown_name_rejected():
@@ -19,58 +18,71 @@ def test_unknown_name_rejected():
         presets.by_name("case9")
 
 
-def test_by_name_returns_the_shared_frozen_record():
-    record = presets.by_name("case3")
-    assert presets.by_name("case3") is record
-    assert presets.all_presets()[2] is record
+def test_by_name_returns_the_shared_frozen_machine():
+    p = presets.by_name("case3")
+    assert type(p) is MachineParams
+    assert presets.by_name("case3") is p
     with pytest.raises(dataclasses.FrozenInstanceError):
-        record.name = "case9"
+        p.a0 = 0j
 
 
 def test_feasible_presets_validate_tightly():
-    for record in presets.all_presets():
-        if record.feasible_as_unitary:
-            assert record.params is not None
-            assert machine.validate(record.params, tol=1e-12).is_valid
-        else:
-            assert record.params is None
+    # every preset but case1 passes, even at a tolerance a hundred times tighter
+    for name in presets.PRESET_NAMES:
+        p = presets.by_name(name)
+        assert machine.validate(p).is_valid == (name != "case1"), name
+        assert machine.validate(p, tol=1e-12).is_valid == (name != "case1"), name
 
 
 def test_expected_values_via_closed_forms():
     assert list(PRESET_AVERAGES) == list(presets.PRESET_NAMES)
-    for record in presets.all_presets():
-        expected_dbar, expected_fbar = PRESET_AVERAGES[record.name]
-        dc = metrics.distortion_coefficients(record.couplings)
+    for name in presets.PRESET_NAMES:
+        p = presets.by_name(name)
+        expected_dbar, expected_fbar = PRESET_AVERAGES[name]
+        dc = metrics.distortion_coefficients(couplings(p))
         dbar = metrics.avg_distortion(dc, "analytic")
-        assert abs(dbar - expected_dbar) <= 1e-10, record.name
-        deficit = metrics.fidelity_deficit(record.couplings, record.sigma, "consistent")
+        assert abs(dbar - expected_dbar) <= 1e-10, name
+        deficit = metrics.fidelity_deficit(couplings(p), p.sigma, "consistent")
         fbar = 1.0 - deficit / 6.0
-        assert abs(fbar - expected_fbar) <= 1e-10, record.name
+        assert abs(fbar - expected_fbar) <= 1e-10, name
 
 
 def test_expected_values_via_quadrature():
-    for record in presets.all_presets():
-        expected_dbar, expected_fbar = PRESET_AVERAGES[record.name]
-        dc = metrics.distortion_coefficients(record.couplings)
+    for name in presets.PRESET_NAMES:
+        p = presets.by_name(name)
+        expected_dbar, expected_fbar = PRESET_AVERAGES[name]
+        dc = metrics.distortion_coefficients(couplings(p))
         dbar = metrics.avg_distortion_quadrature(dc)
-        assert abs(dbar - expected_dbar) <= 1e-8, record.name
-        if record.params is not None:
-            fbar = metrics.avg_fidelity_quadrature(record.params)
+        assert abs(dbar - expected_dbar) <= 1e-8, name
+        if machine.validate(p).is_valid:
+            fbar = metrics.avg_fidelity_quadrature(p)
         else:
-            deficit = metrics.fidelity_deficit(record.couplings, record.sigma, "legacy")
+            deficit = metrics.fidelity_deficit(couplings(p), p.sigma, "legacy")
             fbar = metrics.avg_fidelity_closed_quadrature(deficit)
-        assert abs(fbar - expected_fbar) <= 1e-8, record.name
+        assert abs(fbar - expected_fbar) <= 1e-8, name
 
 
 def test_case1_expected_numbers():
     # formula mode: the closed forms on the raw zero couplings give (2/5, 2/3)
-    record = presets.by_name("case1")
-    assert not record.feasible_as_unitary
-    dc = metrics.distortion_coefficients(record.couplings)
+    p = presets.by_name("case1")
+    assert not machine.validate(p).is_valid
+    dc = metrics.distortion_coefficients(couplings(p))
     assert (dc.quartic, dc.coherence_sum) == (2.0, 0.0)
     assert metrics.avg_distortion(dc, "analytic") == pytest.approx(0.4, abs=1e-15)
-    deficit = metrics.fidelity_deficit(record.couplings, record.sigma, "legacy")
+    deficit = metrics.fidelity_deficit(couplings(p), p.sigma, "legacy")
     assert metrics.avg_fidelity(deficit) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def test_case1_rows_are_negatives_with_zero_couplings():
+    p = presets.by_name("case1")
+    row0 = (p.a0, p.b0, p.c0, p.d0)
+    row1 = (p.a1, p.b1, p.c1, p.d1)
+    assert row1 == tuple(-z for z in row0)
+    assert couplings(p) == machine.Couplings(g=0j, h=0j, e=0j, f=0j)
+    assert p.sigma.m1p == machine.DEFAULT_M1P
+    report = machine.validate(p)
+    assert report.orthogonality_defect == 1.0
+    assert report.row0_norm_defect == report.row1_norm_defect == 0.0
 
 
 def test_case1_couplings_are_unreachable():
@@ -89,9 +101,9 @@ def test_case1_couplings_are_unreachable():
 
 
 def test_case2_canonical_amplitudes():
-    record = presets.by_name("case2")
-    assert record.params.c0 == 1.0 and record.params.d1 == 1.0
-    c = record.couplings
+    p = presets.by_name("case2")
+    assert p.c0 == 1.0 and p.d1 == 1.0
+    c = couplings(p)
     assert (c.g, c.h, c.e, c.f) == (0.0, 0.0, 1.0, 1.0)
     for mode in metrics.DEFICIT_MODES:
         for m1p in (0.0, 0.5, 1.0):
@@ -101,18 +113,17 @@ def test_case2_canonical_amplitudes():
 
 
 def test_case3_couplings_and_balanced_distortion():
-    record = presets.by_name("case3")
-    c = record.couplings
+    p = presets.by_name("case3")
+    c = couplings(p)
     assert (c.g, c.h, c.e, c.f) == (1.0, 1.0, 0.0, 0.0)
-    assert abs(metrics.distortion_curve(record.params, 0.5)[0] - 0.5) <= 1e-12
+    assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
 
 
 def test_case4_default_duplicates_case3():
     c3 = presets.by_name("case3")
     c4 = presets.by_name("case4")
-    assert c4.params == c3.params
-    assert (c4.couplings, c4.sigma) == (c3.couplings, c3.sigma)
-    assert exchange_only_averages(c4.couplings, c4.sigma) == pytest.approx(
+    assert c4 == c3
+    assert exchange_only_averages(couplings(c4), c4.sigma) == pytest.approx(
         (1.0 / 3.0, 5.0 / 6.0, 5.0 / 6.0), abs=1e-15
     )
 
@@ -133,21 +144,21 @@ def test_case4_hadamard_rows():
 
 
 def test_perfect_preset_pointwise_unit_fidelity():
-    record = presets.by_name("perfect")
-    assert record.sigma.m1p == 1.0
-    c = record.couplings
+    p = presets.by_name("perfect")
+    assert p.sigma.m1p == 1.0
+    c = couplings(p)
     assert (c.e, c.h, c.g, c.f) == (1.0, 1.0, 0.0, 0.0)
     for x in (0.0, 1.0):
-        assert metrics.fidelity_curve(record.params, x)[0] == 1.0
+        assert metrics.fidelity_curve(p, x)[0] == 1.0
     for x in (0.25, 0.5, 0.75):
-        assert abs(metrics.fidelity_curve(record.params, x)[0] - 1.0) <= 1e-12
+        assert abs(metrics.fidelity_curve(p, x)[0] - 1.0) <= 1e-12
 
 
 def test_perfect_preset_expected_distortion_value():
     # quartic = 2 and coherence sum = 2: 2/30 + 1/3 - 2*(3*pi/64)
-    record = presets.by_name("perfect")
+    p = presets.by_name("perfect")
     expected = 2.0 / 30.0 + 1.0 / 3.0 - 3.0 * math.pi / 32.0
-    assert presets.PERFECT_AVG_DISTORTION == pytest.approx(expected, abs=1e-15)
-    dc = metrics.distortion_coefficients(record.couplings)
+    assert PERFECT_AVG_DISTORTION == pytest.approx(expected, abs=1e-15)
+    dc = metrics.distortion_coefficients(couplings(p))
     assert dc.quartic == 2.0
     assert dc.coherence_sum == 2.0

@@ -22,7 +22,7 @@ from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, Couplings, MachineParams
-from qdelete.presets import PERFECT_AVG_DISTORTION
+from paper_values import PERFECT_AVG_DISTORTION
 from reduced_states import mode1_state_closed, mode2_state_closed
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
