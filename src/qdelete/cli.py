@@ -74,10 +74,9 @@ def cmd_sweep(args) -> int:
         distortion = metrics.distortion_closed(metrics.distortion_coefficients(c), xs)
         lines.append("# formula mode")
     else:
-        fidelity = metrics.fidelity_curve(p, xs)
-        distortion = metrics.distortion_curve(p, xs)
+        fidelity, distortion = metrics.curves(p, xs)
     lines.append("alpha_sq,fidelity,distortion")
-    for x, f, d in zip(xs, fidelity, distortion):
+    for x, f, d in zip(xs.tolist(), fidelity.tolist(), distortion.tolist()):
         lines.append(f"{_f17(x)},{_f17(f)},{_f17(d)}")
     text = "\n".join(lines) + "\n"
     if args.out is None:
@@ -94,8 +93,8 @@ def cmd_sweep(args) -> int:
 def collect_case_rows() -> list[dict]:
     """Metric table for every registry preset, by all evaluation routes.
 
-    A preset is feasible when its machine passes validation; the fidelity
-    quadrature of an infeasible one averages its legacy closed-form curve.
+    A preset is feasible when its machine passes validation; the quadrature
+    averages of an infeasible one integrate its (legacy) closed-form curves.
     """
     rows = []
     for name in presets.PRESET_NAMES:
@@ -106,16 +105,17 @@ def collect_case_rows() -> list[dict]:
         deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
         deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
         if feasible:
-            fbar_quad = metrics.avg_fidelity_quadrature(p)
+            fbar_quad, dbar_quad = metrics.averages(p)
         else:
             fbar_quad = metrics.avg_fidelity_closed_quadrature(deficit_legacy)
+            dbar_quad = metrics.avg_distortion_quadrature(dc)
         rows.append(
             {
                 "preset": name,
                 "feasible": feasible,
                 "dbar_legacy": metrics.avg_distortion(dc, "legacy"),
                 "dbar_analytic": metrics.avg_distortion(dc, "analytic"),
-                "dbar_quad": metrics.avg_distortion_quadrature(dc),
+                "dbar_quad": dbar_quad,
                 "fbar_legacy": metrics.avg_fidelity(deficit_legacy),
                 "fbar_consistent": metrics.avg_fidelity(deficit_consistent),
                 "fbar_quad": fbar_quad,
@@ -157,6 +157,7 @@ class DiagnoseReport:
     max_quad_level_disagreement: float   # coarse vs refined quadrature
     max_deficit_gap: float               # |deficit(legacy) - deficit(consistent)|
     max_fidelity_oracle_dev: float       # direct simulation vs consistent closed form
+    max_distortion_oracle_dev: float     # direct simulation vs closed form
 
 
 def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseReport:
@@ -175,6 +176,7 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
     max_levels = 0.0
     max_deficit_gap = 0.0
     max_fidelity_dev = 0.0
+    max_distortion_dev = 0.0
     for _ in range(samples):
         p = optimizer.random_machine(rng)
         if m1p is not None:
@@ -195,9 +197,11 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
         deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
         max_deficit_gap = max(max_deficit_gap, abs(deficit_legacy - deficit_consistent))
 
+        fidelity, distortion = metrics.curves(p, grid)
         closed = metrics.fidelity_closed(deficit_consistent, grid)
-        direct = metrics.fidelity_curve(p, grid)
-        max_fidelity_dev = max(max_fidelity_dev, float(np.max(np.abs(direct - closed))))
+        max_fidelity_dev = max(max_fidelity_dev, float(np.max(np.abs(fidelity - closed))))
+        closed = metrics.distortion_closed(dc, grid)
+        max_distortion_dev = max(max_distortion_dev, float(np.max(np.abs(distortion - closed))))
 
     return DiagnoseReport(
         samples=samples,
@@ -208,6 +212,7 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
         max_quad_level_disagreement=max_levels,
         max_deficit_gap=max_deficit_gap,
         max_fidelity_oracle_dev=max_fidelity_dev,
+        max_distortion_oracle_dev=max_distortion_dev,
     )
 
 
@@ -231,6 +236,10 @@ def cmd_diagnose(args) -> int:
     print(
         "  max |direct simulation - consistent closed form| = "
         f"{_f10(report.max_fidelity_oracle_dev)}  (the oracle sides with 'consistent')"
+    )
+    print(
+        "distortion: max |direct simulation - closed form| = "
+        f"{_f10(report.max_distortion_oracle_dev)}"
     )
     return EXIT_OK
 

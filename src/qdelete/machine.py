@@ -183,9 +183,9 @@ def validate(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> Validatio
     )
 
 
-def require_valid(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> ValidationReport:
-    """Validate and raise :class:`MachineValidationError` on failure."""
-    report = validate(p, tol)
+def require_valid(p: MachineParams) -> ValidationReport:
+    """Validate at the default tolerance; raise :class:`MachineValidationError` on failure."""
+    report = validate(p)
     if not report.is_valid:
         raise MachineValidationError(report)
     return report

@@ -6,11 +6,11 @@ are quadratic in the couplings g, h, e, f.  Two evaluation routes are
 provided for every metric:
 
 * closed forms in the couplings (this module), and
-* direct simulation: simulate the machine, take a partial trace, and
-  measure, in one batched pass over the grid (`machine.outputs`, then the
-  batched partial traces of `qlinalg`); it is the independent oracle for the
-  closed forms.  The closed-form reduced states that the formulas below come
-  from are kept by the tests (`tests/reduced_states.py`), not here.
+* direct simulation (`curves`, and `averages` of them): validate and
+  simulate the machine once per grid (`machine.outputs`), take both batched
+  partial traces of `qlinalg` and measure; it is the independent oracle for
+  the closed forms.  The closed-form reduced states that the formulas below
+  come from are kept by the tests (`tests/reduced_states.py`), not here.
 
 Distortion is the squared Hilbert-Schmidt distance between the ideal input
 state and the kept mode's reduced state.  With y = x(1-x) it is the
@@ -96,27 +96,12 @@ def _levels(values) -> tuple[float, float]:
     return float(np.sum(_QW * values[:QUAD_ORDER])), float(np.sum(_QW_FINE * values[QUAD_ORDER:]))
 
 
-def _fidelity_nodes(p: MachineParams, xs) -> np.ndarray:
-    """Direct-simulation fidelity at a batch of x: simulate, trace out mode 1, measure.
-
-    Contracting as ``(rho @ sig) @ conj(sig)`` keeps F(0) and F(1) exactly 1.0.
-    """
-    rho = qlinalg.partial_trace_mode2(outputs(p, xs))
-    sig = p.sigma.ket()
-    return ((rho @ sig) @ sig.conj()).real
-
-
-def _distortion_nodes(p: MachineParams, xs) -> np.ndarray:
-    """Direct-simulation distortion at a batch of x: Tr[(input - rho_1)^2]."""
-    d = input_state(xs) - qlinalg.partial_trace_mode1(outputs(p, xs))
-    return np.einsum("...ij,...ji->...", d, d).real
-
-
 @dataclass(frozen=True)
 class DistortionCoefficients:
     """The two coefficients of the distortion polynomial (see the module docstring).
 
-    Records built by hand (formula mode) may hold any pair of values.
+    Every record the package builds comes from `distortion_coefficients`; a
+    record built by hand may hold any pair of values.
     """
 
     quartic: float        # coefficient of y^2; >= 0 for coupling-derived records
@@ -231,25 +216,29 @@ def avg_fidelity_closed_quadrature(deficit: float) -> float:
     return _converged("fidelity", *_levels(fidelity_closed(deficit, _QX_BOTH)))
 
 
-def avg_fidelity_quadrature(p: MachineParams) -> float:
-    """Average fidelity by Gauss-Legendre quadrature over the direct oracle.
+def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Direct-simulation fidelity and distortion at each x of a grid, from one simulation.
 
-    For any valid machine this equals ``avg_fidelity`` of the consistent-mode
-    deficit within 1e-8.  Raises :class:`ConvergenceError` if the two
-    refinement levels disagree.
+    F is the blank-state overlap of the mode-2 reduced state; contracting as
+    ``(rho @ sig) @ conj(sig)`` keeps F(0) and F(1) exactly 1.0.  D is
+    Tr[(input - rho_1)^2] of the mode-1 reduced state.
     """
     require_valid(p)
-    return _converged("fidelity", *_levels(_fidelity_nodes(p, _QX_BOTH)))
+    xs = np.atleast_1d(alpha_sq_grid)
+    out = outputs(p, xs)
+    sig = p.sigma.ket()
+    fidelity = ((qlinalg.partial_trace_mode2(out) @ sig) @ sig.conj()).real
+    d = input_state(xs) - qlinalg.partial_trace_mode1(out)
+    return fidelity, np.einsum("...ij,...ji->...", d, d).real
 
 
-def fidelity_curve(p: MachineParams, alpha_sq_grid) -> np.ndarray:
-    """Direct-simulation fidelity at each x of a grid, in one batched pass."""
-    require_valid(p)
-    return _fidelity_nodes(p, np.atleast_1d(alpha_sq_grid))
+def averages(p: MachineParams) -> tuple[float, float]:
+    """Average fidelity and distortion by Gauss-Legendre quadrature over `curves`.
 
-
-def distortion_curve(p: MachineParams, alpha_sq_grid) -> np.ndarray:
-    """Direct-simulation distortion at each x of a grid, in one batched pass."""
-    require_valid(p)
-    return _distortion_nodes(p, np.atleast_1d(alpha_sq_grid))
-
+    For any valid machine they equal ``avg_fidelity`` of the consistent-mode
+    deficit and the analytic-mode ``avg_distortion`` within 1e-8.  Raises
+    :class:`ConvergenceError` if the two refinement levels of either disagree.
+    """
+    fidelity, distortion = curves(p, _QX_BOTH)
+    fbar = _converged("fidelity", *_levels(fidelity))
+    return fbar, _converged("distortion", *_levels(distortion))

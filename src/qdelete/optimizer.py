@@ -11,7 +11,7 @@ machine whose rows are orthonormal by construction.
 Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination, all scored by one formula on the closed-form averages
 of the metrics module.  The simulation-quadrature oracle checks the returned
-machine once per solve.
+machine's averages once per solve.
 """
 
 from __future__ import annotations
@@ -212,13 +212,12 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
 
     assert best_raw is not None  # every restart evaluates its start point
     best_machine = decode(best_raw)
+    avg_fidelity, avg_distortion = metrics.averages(best_machine)
     return OptResult(
         best_machine=best_machine,
         best_objective=best_value,
-        avg_fidelity=metrics.avg_fidelity_quadrature(best_machine),
-        avg_distortion=metrics.avg_distortion_quadrature(
-            metrics.distortion_coefficients(couplings(best_machine))
-        ),
+        avg_fidelity=avg_fidelity,
+        avg_distortion=avg_distortion,
         iterations_used=iterations_used,
         history=history,
     )

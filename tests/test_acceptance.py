@@ -86,10 +86,11 @@ def test_criterion_1_case_table_reproduction():
             abs(metrics.avg_fidelity(deficit_legacy) - fbar_legacy),
             abs(metrics.avg_fidelity(deficit_consistent) - fbar_consistent),
         )
-        fbar_quad = metrics.avg_fidelity_quadrature(p)
+        fbar_quad, dbar_quad = metrics.averages(p)
         quad_dev = max(
             quad_dev,
             abs(metrics.avg_distortion_quadrature(dc) - dbar),
+            abs(dbar_quad - dbar),
             abs(fbar_quad - fbar_legacy),
             abs(fbar_quad - fbar_consistent),
         )
@@ -236,7 +237,7 @@ def test_criterion_6_deficit_convention_adjudication():
     for p in _sample_machines():
         deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
         closed = metrics.fidelity_closed(deficit, GRID)
-        direct = metrics.fidelity_curve(p, GRID)
+        direct = metrics.curves(p, GRID)[0]
         oracle_dev = max(oracle_dev, float(np.max(np.abs(direct - closed))))
 
     # the two conventions agree exactly on the four numbered presets

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -182,6 +183,24 @@ def test_sweep_invalid_machine_file_exits_1(tmp_path, capsys):
     assert "isometry" in capsys.readouterr().err
 
 
+def test_sweep_machine_validates_and_simulates_once(tmp_path, monkeypatch):
+    path = write_machine(tmp_path, by_name("case3"))
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # `metrics` holds its own binding of `outputs`; `require_valid` looks up `validate`
+    monkeypatch.setattr(machine, "validate", counted(machine.validate))
+    monkeypatch.setattr(metrics, "outputs", counted(metrics.outputs))
+    assert cli.main(["sweep", "--machine", str(path), "--points", "11"]) == 0
+    assert calls == {"validate": 1, "outputs": 1}
+
+
 def test_sweep_to_stdout(capsys):
     assert cli.main(["sweep", "--preset", "case3", "--points", "3"]) == 0
     out = capsys.readouterr().out
@@ -193,8 +212,9 @@ def test_sweep_round_trips_full_precision(tmp_path):
     assert cli.main(["sweep", "--preset", "case3", "--points", "7", "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     xs = np.array([r[0] for r in rows])
-    fid = metrics.fidelity_curve(by_name("case3"), xs)
-    assert [r[1] for r in rows] == list(fid)
+    fidelity, distortion = metrics.curves(by_name("case3"), xs)
+    assert [r[1] for r in rows] == list(fidelity)
+    assert [r[2] for r in rows] == list(distortion)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +271,7 @@ def test_run_diagnose_report_bounds():
     assert report.max_analytic_distortion_dev <= 1e-6
     assert report.max_quad_level_disagreement <= 1e-8
     assert report.max_fidelity_oracle_dev <= 1e-10
+    assert report.max_distortion_oracle_dev <= 1e-10
     assert report.max_legacy_dev_mismatch <= 1e-9
 
 
@@ -334,7 +355,7 @@ def test_optimize_warm_start_preset(tmp_path):
     )
     assert code == 0
     best = machine.load(out)
-    assert metrics.avg_fidelity_quadrature(best) >= 1.0 - 1e-6
+    assert metrics.averages(best)[0] >= 1.0 - 1e-6
 
 
 def test_optimize_warm_start_formula_preset_rejected(tmp_path, capsys):

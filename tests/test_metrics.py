@@ -162,18 +162,18 @@ def test_distortion_closed_rejects_bad_grid():
 
 def test_distortion_direct_case3():
     p = by_name("case3")
-    assert metrics.distortion_curve(p, 1.0)[0] == 0.0
-    assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
+    assert metrics.curves(p, 1.0)[1][0] == 0.0
+    assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
 
 
 def test_distortion_direct_case2():
     p = by_name("case2")
-    assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
+    assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
 
 
 def test_distortion_direct_requires_valid_machine():
     with pytest.raises(machine.MachineValidationError):
-        metrics.distortion_curve(MachineParams(a0=1.0, a1=1.0), 0.5)
+        metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
 
 
 def test_distortion_closed_matches_direct_on_random_machines():
@@ -184,7 +184,7 @@ def test_distortion_closed_matches_direct_on_random_machines():
         dc = metrics.distortion_coefficients(machine.couplings(p))
         for x in grid:
             closed = metrics.distortion_closed(dc, float(x))
-            direct = metrics.distortion_curve(p, x)[0]
+            direct = metrics.curves(p, x)[1][0]
             assert abs(closed - direct) <= 1e-10
 
 
@@ -261,24 +261,24 @@ def test_quadrature_reports_non_convergence():
 def test_fidelity_direct_endpoints_exact():
     for name in ("case2", "case3", "perfect"):
         p = by_name(name)
-        assert metrics.fidelity_curve(p, 0.0)[0] == 1.0
-        assert metrics.fidelity_curve(p, 1.0)[0] == 1.0
+        assert metrics.curves(p, 0.0)[0][0] == 1.0
+        assert metrics.curves(p, 1.0)[0][0] == 1.0
 
 
 def test_fidelity_direct_case3_balanced():
     p = by_name("case3")
-    assert abs(metrics.fidelity_curve(p, 0.5)[0] - 0.75) <= 1e-12
+    assert abs(metrics.curves(p, 0.5)[0][0] - 0.75) <= 1e-12
 
 
 def test_fidelity_direct_perfect_preset_everywhere():
     p = by_name("perfect")
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert abs(metrics.fidelity_curve(p, x)[0] - 1.0) <= 1e-12
+        assert abs(metrics.curves(p, x)[0][0] - 1.0) <= 1e-12
 
 
 def test_fidelity_direct_requires_valid_machine():
     with pytest.raises(machine.MachineValidationError):
-        metrics.fidelity_curve(MachineParams(a0=1.0, a1=1.0), 0.5)
+        metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
 
 
 def test_fidelity_deficit_cases():
@@ -334,7 +334,7 @@ def test_consistent_deficit_matches_oracle():
         p = random_machine(rng)
         deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
         closed = metrics.fidelity_closed(deficit, grid)
-        direct = metrics.fidelity_curve(p, grid)
+        direct = metrics.curves(p, grid)[0]
         assert np.max(np.abs(direct - closed)) <= 1e-10
 
 
@@ -361,23 +361,27 @@ def test_avg_fidelity_silent_in_range():
         assert metrics.avg_fidelity(6.0) == 0.0
 
 
-def test_avg_fidelity_quadrature_cases():
-    assert abs(metrics.avg_fidelity_quadrature(by_name("case3")) - 5.0 / 6.0) <= 1e-8
-    assert abs(metrics.avg_fidelity_quadrature(by_name("case2")) - 5.0 / 6.0) <= 1e-8
-    assert abs(metrics.avg_fidelity_quadrature(by_name("perfect")) - 1.0) <= 1e-10
+def test_averages_of_the_cases():
+    assert abs(metrics.averages(by_name("case3"))[0] - 5.0 / 6.0) <= 1e-8
+    assert abs(metrics.averages(by_name("case2"))[0] - 5.0 / 6.0) <= 1e-8
+    assert abs(metrics.averages(by_name("perfect"))[0] - 1.0) <= 1e-10
+    for name in ("case2", "case3"):
+        assert abs(metrics.averages(by_name(name))[1] - 1.0 / 3.0) <= 1e-8
 
 
-def test_avg_fidelity_quadrature_matches_consistent_deficit():
+def test_averages_match_the_consistent_deficit_and_analytic_distortion():
     rng = np.random.default_rng(8)
     for _ in range(15):
         p = random_machine(rng)
-        deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
-        assert abs(metrics.avg_fidelity_quadrature(p) - (1.0 - deficit / 6.0)) <= 1e-8
+        c = machine.couplings(p)
+        fbar, dbar = metrics.averages(p)
+        assert abs(fbar - (1.0 - metrics.fidelity_deficit(c, p.sigma, "consistent") / 6.0)) <= 1e-8
+        assert abs(dbar - metrics.avg_distortion(metrics.distortion_coefficients(c))) <= 1e-8
 
 
-def test_avg_fidelity_quadrature_requires_valid_machine():
+def test_averages_require_valid_machine():
     with pytest.raises(machine.MachineValidationError):
-        metrics.avg_fidelity_quadrature(MachineParams(a0=1.0, a1=1.0))
+        metrics.averages(MachineParams(a0=1.0, a1=1.0))
 
 
 def test_fidelity_closed_and_formula_quadrature():
@@ -386,25 +390,25 @@ def test_fidelity_closed_and_formula_quadrature():
     assert abs(metrics.avg_fidelity_closed_quadrature(2.0) - 2.0 / 3.0) <= 1e-10
 
 
-def test_batched_fidelity_nodes_match_scalar_oracle():
+def test_batched_fidelity_matches_per_point_simulation():
     # reference: one single-point `outputs`, partial trace and expectation per grid point
     rng = np.random.default_rng(9)
     xs = np.linspace(0.01, 0.99, 37)
     for _ in range(5):
         p = random_machine(rng)
-        batched = metrics._fidelity_nodes(p, xs)
+        batched = metrics.curves(p, xs)[0]
         sig = p.sigma.ket()
         rhos = [qlinalg.partial_trace_mode2(machine.outputs(p, x)) for x in xs]
         scalar = [np.vdot(sig, rho @ sig).real for rho in rhos]
         assert_allclose(batched, scalar, atol=1e-13)
 
 
-def test_batched_distortion_nodes_match_scalar_oracle():
+def test_batched_distortion_matches_per_point_simulation():
     rng = np.random.default_rng(21)
     xs = np.linspace(0.0, 1.0, 37)
     for _ in range(5):
         p = random_machine(rng)
-        batched = metrics.distortion_curve(p, xs)
+        batched = metrics.curves(p, xs)[1]
         ds = [
             metrics.input_state(x) - qlinalg.partial_trace_mode1(machine.outputs(p, x))
             for x in xs
@@ -415,17 +419,15 @@ def test_batched_distortion_nodes_match_scalar_oracle():
 
 def test_curves_keep_scalar_grid_one_dimensional():
     p = by_name("case3")
-    assert metrics.fidelity_curve(p, 0.5).shape == (1,)
-    assert metrics.distortion_curve(p, 0.5).shape == (1,)
+    fidelity, distortion = metrics.curves(p, 0.5)
+    assert fidelity.shape == distortion.shape == (1,)
 
 
 @pytest.mark.parametrize("grid", [[0.0, 1.5], [math.nan], [-0.25]])
 def test_curves_reject_bad_grid(grid):
     p = by_name("case3")
     with pytest.raises(ValueError):
-        metrics.fidelity_curve(p, grid)
-    with pytest.raises(ValueError):
-        metrics.distortion_curve(p, grid)
+        metrics.curves(p, grid)
 
 
 def test_input_state_stacks_over_a_grid():
@@ -440,10 +442,10 @@ def test_endpoint_exactness_on_random_machines():
     rng = np.random.default_rng(10)
     for _ in range(15):
         p = random_machine(rng)
-        assert abs(metrics.fidelity_curve(p, 0.0)[0] - 1.0) <= 1e-12
-        assert abs(metrics.fidelity_curve(p, 1.0)[0] - 1.0) <= 1e-12
-        assert abs(metrics.distortion_curve(p, 0.0)[0]) <= 1e-12
-        assert abs(metrics.distortion_curve(p, 1.0)[0]) <= 1e-12
+        for x in (0.0, 1.0):
+            fidelity, distortion = metrics.curves(p, x)
+            assert abs(fidelity[0] - 1.0) <= 1e-12
+            assert abs(distortion[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,9 @@ def test_decoded_certificate_couplings_reach_both_optima(m1p):
     p = optimizer.decode(raw_of([s, m1p, m1p, s], m1p))
     assert machine.validate(p, tol=1e-12).is_valid
     dc = metrics.distortion_coefficients(couplings(p))
-    assert abs(metrics.avg_fidelity_quadrature(p) - 1.0) <= 1e-10
+    fbar, dbar = metrics.averages(p)
+    assert abs(fbar - 1.0) <= 1e-10
+    assert abs(dbar - PERFECT_AVG_DISTORTION) <= 1e-10
     assert abs(metrics.avg_distortion_quadrature(dc) - PERFECT_AVG_DISTORTION) <= 1e-10
 
 
@@ -193,7 +195,7 @@ def test_evaluate_known_machines():
 def test_score_runs_no_oracle_and_no_validation(monkeypatch):
     for module, names in (
         (machine, ("validate", "isometry", "outputs")),
-        (metrics, ("avg_fidelity_quadrature", "avg_distortion_quadrature", "_fidelity_nodes")),
+        (metrics, ("curves", "averages", "avg_distortion_quadrature")),
     ):
         for name in names:
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("oracle or validation called"))
@@ -241,8 +243,8 @@ def test_single_row_phase_changes_the_metrics():
     )
     row0, row1 = _rows(p)
     q = MachineParams.from_rows(row0, 1j * row1, p.sigma)
-    f_p = metrics.avg_fidelity_quadrature(p)
-    f_q = metrics.avg_fidelity_quadrature(q)
+    f_p = metrics.averages(p)[0]
+    f_q = metrics.averages(q)[0]
     assert abs(f_p - 1.0) <= 1e-9
     assert abs(f_q - 5.0 / 6.0) <= 1e-9
 
@@ -273,7 +275,8 @@ def test_optimize_result_machine_is_valid_and_reproducible():
     cfg = optimizer.OptConfig(objective="max-fidelity", **SMALL)
     result = optimizer.optimize(cfg)
     assert machine.validate(result.best_machine, tol=1e-10).is_valid
-    assert abs(metrics.avg_fidelity_quadrature(result.best_machine) - result.avg_fidelity) <= 1e-8
+    # both averages come from the oracle, and its distortion agrees with the closed form's
+    assert metrics.averages(result.best_machine) == (result.avg_fidelity, result.avg_distortion)
     dc = metrics.distortion_coefficients(couplings(result.best_machine))
     assert abs(metrics.avg_distortion_quadrature(dc) - result.avg_distortion) <= 1e-8
 

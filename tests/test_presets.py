@@ -55,7 +55,8 @@ def test_expected_values_via_quadrature():
         dbar = metrics.avg_distortion_quadrature(dc)
         assert abs(dbar - expected_dbar) <= 1e-8, name
         if machine.validate(p).is_valid:
-            fbar = metrics.avg_fidelity_quadrature(p)
+            fbar, dbar = metrics.averages(p)
+            assert abs(dbar - expected_dbar) <= 1e-8, name
         else:
             deficit = metrics.fidelity_deficit(couplings(p), p.sigma, "legacy")
             fbar = metrics.avg_fidelity_closed_quadrature(deficit)
@@ -116,7 +117,7 @@ def test_case3_couplings_and_balanced_distortion():
     p = presets.by_name("case3")
     c = couplings(p)
     assert (c.g, c.h, c.e, c.f) == (1.0, 1.0, 0.0, 0.0)
-    assert abs(metrics.distortion_curve(p, 0.5)[0] - 0.5) <= 1e-12
+    assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
 
 
 def test_case4_default_duplicates_case3():
@@ -149,9 +150,9 @@ def test_perfect_preset_pointwise_unit_fidelity():
     c = couplings(p)
     assert (c.e, c.h, c.g, c.f) == (1.0, 1.0, 0.0, 0.0)
     for x in (0.0, 1.0):
-        assert metrics.fidelity_curve(p, x)[0] == 1.0
+        assert metrics.curves(p, x)[0][0] == 1.0
     for x in (0.25, 0.5, 0.75):
-        assert abs(metrics.fidelity_curve(p, x)[0] - 1.0) <= 1e-12
+        assert abs(metrics.curves(p, x)[0][0] - 1.0) <= 1e-12
 
 
 def test_perfect_preset_expected_distortion_value():

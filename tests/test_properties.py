@@ -110,8 +110,7 @@ def test_batched_reduced_states_are_hermitian_with_unit_trace(seed, m1p, xs):
 @given(seeds, overlaps, grids)
 def test_fidelity_in_unit_interval_and_distortion_nonnegative(seed, m1p, xs):
     p = qr_machine(seed, m1p)
-    fidelity = metrics.fidelity_curve(p, xs)
-    distortion = metrics.distortion_curve(p, xs)
+    fidelity, distortion = metrics.curves(p, xs)
     # bounds hold up to rounding of the last bits
     assert np.all(fidelity >= -1e-15) and np.all(fidelity <= 1.0 + 1e-12)
     assert np.all(distortion >= -1e-15)
@@ -123,7 +122,7 @@ def test_fidelity_curve_matches_consistent_closed_form(seed, m1p, xs):
     p = qr_machine(seed, m1p)
     deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
     closed = metrics.fidelity_closed(deficit, xs)
-    assert_allclose(metrics.fidelity_curve(p, xs), closed, rtol=0, atol=1e-10)
+    assert_allclose(metrics.curves(p, xs)[0], closed, rtol=0, atol=1e-10)
 
 
 @PROPERTY
@@ -184,8 +183,9 @@ def test_oracle_curves_respect_the_pointwise_certificate(seed, m1p, xs):
     # Cauchy-Schwarz on the couplings (|u|^2 = 2), D(x) >= 2y(1 - sqrt(y))^2.
     p = qr_machine(seed, m1p)
     y = xs * (1.0 - xs)
-    assert np.all(metrics.distortion_curve(p, xs) >= 2.0 * y * (1.0 - np.sqrt(y)) ** 2 - 1e-12)
-    assert np.all(metrics.fidelity_curve(p, xs) <= 1.0 + 1e-12)
+    fidelity, distortion = metrics.curves(p, xs)
+    assert np.all(distortion >= 2.0 * y * (1.0 - np.sqrt(y)) ** 2 - 1e-12)
+    assert np.all(fidelity <= 1.0 + 1e-12)
 
 
 @PROPERTY
@@ -198,8 +198,9 @@ def test_certificate_family_attains_the_pointwise_bounds(m1p, xs):
     p = optimizer.decode(np.append(u.view(float), math.acos(m1p)))
     y = xs * (1.0 - xs)
     bound = 2.0 * y * (1.0 - np.sqrt(y)) ** 2
-    assert_allclose(metrics.distortion_curve(p, xs), bound, rtol=0, atol=1e-12)
-    assert_allclose(metrics.fidelity_curve(p, xs), 1.0, rtol=0, atol=1e-12)
+    fidelity, distortion = metrics.curves(p, xs)
+    assert_allclose(distortion, bound, rtol=0, atol=1e-12)
+    assert_allclose(fidelity, 1.0, rtol=0, atol=1e-12)
 
 
 @PROPERTY
@@ -209,8 +210,7 @@ def test_evaluate_matches_the_oracle_quadrature(seed, m1p, wf, wd):
     # about 1e-11; the fidelity integrand is a polynomial it integrates exactly.
     assume(wf > 0 or wd > 0)
     p = qr_machine(seed, m1p)
-    fbar = metrics.avg_fidelity_quadrature(p)
-    dbar = metrics.avg_distortion_quadrature(metrics.distortion_coefficients(machine.couplings(p)))
+    fbar, dbar = metrics.averages(p)
     for objective, expected, tol in (
         ("max-fidelity", fbar, 1e-10),
         ("min-distortion", -dbar, 1e-8),
