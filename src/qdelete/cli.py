@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,9 @@ from . import machine, metrics, optimizer, presets
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+
+#: `optimize` has one option per field, each named by `dest`, and takes the field's default.
+_OPT_FIELDS = dataclasses.fields(optimizer.OptConfig)
 
 
 def _f10(x: float) -> str:
@@ -52,29 +54,28 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     """Fidelity and distortion at evenly spaced alpha^2 values, as CSV.
 
-    Machines are swept with the direct simulation oracle.  A preset that
-    fails validation (case1) has no machine to simulate, so its curves come
-    from the closed forms on its couplings (legacy-mode fidelity deficit).
+    Machines are swept with the direct simulation oracle, which validates
+    them.  A preset that fails that validation (case1) has no machine to
+    simulate, so its curves come from the closed forms on its couplings
+    (legacy-mode fidelity deficit); a machine file that fails it exits 1.
     """
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    if args.machine is not None:
-        p = machine.load(args.machine)
-    else:
-        p = presets.by_name(args.preset)
+    p = machine.load(args.machine) if args.machine is not None else presets.by_name(args.preset)
     if args.m1p is not None:
         p = dataclasses.replace(p, sigma=machine.BlankState(args.m1p))
-    formula_mode = args.preset is not None and not machine.validate(p).is_valid
     xs = np.linspace(0.0, 1.0, args.points)
     lines = []
-    if formula_mode:
+    try:
+        fidelity, distortion = metrics.curves(p, xs)
+    except machine.MachineValidationError:
+        if args.preset is None:
+            raise
         c = machine.couplings(p)
         deficit = metrics.fidelity_deficit(c, p.sigma, "legacy")
         fidelity = metrics.fidelity_closed(deficit, xs)
         distortion = metrics.distortion_closed(metrics.distortion_coefficients(c), xs)
         lines.append("# formula mode")
-    else:
-        fidelity, distortion = metrics.curves(p, xs)
     lines.append("alpha_sq,fidelity,distortion")
     for x, f, d in zip(xs.tolist(), fidelity.tolist(), distortion.tolist()):
         lines.append(f"{_f17(x)},{_f17(f)},{_f17(d)}")
@@ -93,20 +94,22 @@ def cmd_sweep(args) -> int:
 def collect_case_rows() -> list[dict]:
     """Metric table for every registry preset, by all evaluation routes.
 
-    A preset is feasible when its machine passes validation; the quadrature
-    averages of an infeasible one integrate its (legacy) closed-form curves.
+    A preset is feasible when its machine passes the validation inside
+    `metrics.averages`; the quadrature averages of an infeasible one
+    integrate its (legacy) closed-form curves.
     """
     rows = []
     for name in presets.PRESET_NAMES:
         p = presets.by_name(name)
         c = machine.couplings(p)
-        feasible = machine.validate(p).is_valid
         dc = metrics.distortion_coefficients(c)
         deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
         deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
-        if feasible:
+        feasible = True
+        try:
             fbar_quad, dbar_quad = metrics.averages(p)
-        else:
+        except machine.MachineValidationError:
+            feasible = False
             fbar_quad = metrics.avg_fidelity_closed_quadrature(deficit_legacy)
             dbar_quad = metrics.avg_distortion_quadrature(dc)
         rows.append(
@@ -124,20 +127,20 @@ def collect_case_rows() -> list[dict]:
     return rows
 
 
+#: Titles of the `cases` columns; each title in lower case is its key in a case row.
+_CASE_COLUMNS = ("preset", "feasible", "Dbar_legacy", "Dbar_analytic", "Dbar_quad",
+                 "Fbar_legacy", "Fbar_consistent", "Fbar_quad")
+
+
+def _case_line(preset, feasible, *averages) -> str:
+    return " ".join([f"{preset:<8}", f"{feasible:<8}", *(f"{a:>16}" for a in averages)])
+
+
 def cmd_cases(args) -> int:
-    rows = collect_case_rows()
-    header = (
-        f"{'preset':<8} {'feasible':<8} {'Dbar_legacy':>16} {'Dbar_analytic':>16} "
-        f"{'Dbar_quad':>16} {'Fbar_legacy':>16} {'Fbar_consistent':>16} {'Fbar_quad':>16}"
-    )
-    print(header)
-    for row in rows:
-        print(
-            f"{row['preset']:<8} {'yes' if row['feasible'] else 'no':<8} "
-            f"{_f10(row['dbar_legacy']):>16} {_f10(row['dbar_analytic']):>16} "
-            f"{_f10(row['dbar_quad']):>16} {_f10(row['fbar_legacy']):>16} "
-            f"{_f10(row['fbar_consistent']):>16} {_f10(row['fbar_quad']):>16}"
-        )
+    print(_case_line(*_CASE_COLUMNS))
+    for row in collect_case_rows():
+        preset, feasible, *averages = (row[title.lower()] for title in _CASE_COLUMNS)
+        print(_case_line(preset, "yes" if feasible else "no", *map(_f10, averages)))
     return EXIT_OK
 
 
@@ -145,7 +148,7 @@ def cmd_cases(args) -> int:
 # diagnose
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DiagnoseReport:
     """Maximum deviations over a sample of random valid machines."""
 
@@ -170,57 +173,31 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
     grid = np.linspace(0.0, 1.0, 21)
     legacy_const_gap = abs(metrics.LEGACY_CROSS_CONSTANT - metrics.ANALYTIC_CROSS_CONSTANT)
 
-    max_legacy = 0.0
-    max_analytic = 0.0
-    max_mismatch = 0.0
-    max_levels = 0.0
-    max_deficit_gap = 0.0
-    max_fidelity_dev = 0.0
-    max_distortion_dev = 0.0
+    deviations = []  # per sample, in the order of the report's fields
     for _ in range(samples):
         p = optimizer.random_machine(rng)
         if m1p is not None:
             p = dataclasses.replace(p, sigma=machine.BlankState(m1p))
         c = machine.couplings(p)
         dc = metrics.distortion_coefficients(c)
-
         coarse, fine = metrics.distortion_quadrature_levels(dc)
-        max_levels = max(max_levels, abs(fine - coarse))
         dev_legacy = abs(metrics.avg_distortion(dc, "legacy") - fine)
-        dev_analytic = abs(metrics.avg_distortion(dc, "analytic") - fine)
-        max_legacy = max(max_legacy, dev_legacy)
-        max_analytic = max(max_analytic, dev_analytic)
-        predicted = legacy_const_gap * abs(dc.coherence_sum)
-        max_mismatch = max(max_mismatch, abs(dev_legacy - predicted))
-
         deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
         deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
-        max_deficit_gap = max(max_deficit_gap, abs(deficit_legacy - deficit_consistent))
-
         fidelity, distortion = metrics.curves(p, grid)
-        closed = metrics.fidelity_closed(deficit_consistent, grid)
-        max_fidelity_dev = max(max_fidelity_dev, float(np.max(np.abs(fidelity - closed))))
-        closed = metrics.distortion_closed(dc, grid)
-        max_distortion_dev = max(max_distortion_dev, float(np.max(np.abs(distortion - closed))))
-
-    return DiagnoseReport(
-        samples=samples,
-        seed=seed,
-        max_legacy_distortion_dev=max_legacy,
-        max_analytic_distortion_dev=max_analytic,
-        max_legacy_dev_mismatch=max_mismatch,
-        max_quad_level_disagreement=max_levels,
-        max_deficit_gap=max_deficit_gap,
-        max_fidelity_oracle_dev=max_fidelity_dev,
-        max_distortion_oracle_dev=max_distortion_dev,
-    )
+        deviations.append((
+            dev_legacy,
+            abs(metrics.avg_distortion(dc, "analytic") - fine),
+            abs(dev_legacy - legacy_const_gap * abs(dc.coherence_sum)),
+            abs(fine - coarse),
+            abs(deficit_legacy - deficit_consistent),
+            float(np.max(np.abs(fidelity - metrics.fidelity_closed(deficit_consistent, grid)))),
+            float(np.max(np.abs(distortion - metrics.distortion_closed(dc, grid)))),
+        ))
+    return DiagnoseReport(samples, seed, *(max(column) for column in zip(*deviations)))
 
 
 def cmd_diagnose(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.m1p is not None and not -1.0 <= args.m1p <= 1.0:
-        raise ValueError(f"--m1p must be a finite real in [-1, 1], got {args.m1p}")
     report = run_diagnose(args.samples, args.seed, args.m1p)
     print(f"samples: {report.samples}   seed: {report.seed}")
     print("average distortion, closed form vs quadrature:")
@@ -265,15 +242,7 @@ def render_history_csv(history) -> str:
 
 
 def cmd_optimize(args) -> int:
-    cfg = optimizer.OptConfig(
-        objective=args.objective,
-        weight_fidelity=args.wf,
-        weight_distortion=args.wd,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    cfg = optimizer.OptConfig(**{f.name: getattr(args, f.name) for f in _OPT_FIELDS})
     warm = _resolve_warm_start(args.warm_start) if args.warm_start else None
     result = optimizer.optimize(cfg, warm_start=warm)
 
@@ -331,20 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("optimize", help="search the constraint manifold for the best machine")
-    p.add_argument(
-        "--objective",
-        choices=optimizer.OBJECTIVES,
-        default=optimizer.OBJECTIVE_MAX_FIDELITY,
-    )
-    p.add_argument("--wf", type=float, default=1.0, help="fidelity weight (weighted objective)")
-    p.add_argument("--wd", type=float, default=1.0, help="distortion weight (weighted objective)")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=800)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--objective", choices=optimizer.OBJECTIVES)
+    p.add_argument("--wf", dest="weight_fidelity", metavar="WF", type=float,
+                   help="fidelity weight (weighted objective)")
+    p.add_argument("--wd", dest="weight_distortion", metavar="WD", type=float,
+                   help="distortion weight (weighted objective)")
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--warm-start", help="preset name or machine JSON file to start restart 0 from")
     p.add_argument("--out", required=True, help="best machine JSON path; history CSV lands beside it")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_optimize, **{f.name: f.default for f in _OPT_FIELDS})
 
     return parser
 

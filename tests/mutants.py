@@ -1,0 +1,150 @@
+"""Mutation check of the test suite: do the tests fail when the package is wrong?
+
+Each mutant changes one site of ``src/qdelete/``: it swaps an arithmetic
+operator (``+``/``-``, ``*``/``/``, ``**``/``*``, ``@``/``*``), flips a
+comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``) or adds 1 to a numeric
+constant.  A seeded sample of the mutants is drawn; for each, the package, the
+tests, ``README.md`` and ``pyproject.toml`` are copied into a temporary
+directory, the mutated module is written there, and the suite runs on that
+copy with ``pytest -x``.  The checkout itself is never modified.  A mutant
+that the suite does not fail is a survivor: either an equivalent mutant or a
+behaviour no test pins.
+
+Run by hand from the repository root (the Tier-1 suite does not collect it)::
+
+    python tests/mutants.py --seed 1 --sample 45 --workers 2
+
+Survivors are printed as ``file:line`` with the change made.  The exit code
+is 0 when every sampled mutant was killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qdelete"
+COPIED = ("src/qdelete", "tests", "README.md", "pyproject.toml")
+
+#: Seconds one suite run may take before its mutant counts as killed (by hanging).
+TIMEOUT_S = 600
+
+BINARY_SWAPS = {
+    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
+    ast.Pow: ast.Mult, ast.MatMult: ast.Mult,
+}
+COMPARE_FLIPS = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+}
+SYMBOLS = {
+    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**", ast.MatMult: "@",
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+}
+
+
+def _sites(tree: ast.AST):
+    """Yield (node, operator index or None, description) for every mutable site, in walk order."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in BINARY_SWAPS:
+            old = type(node.op)
+            yield node, None, f"{SYMBOLS[old]} -> {SYMBOLS[BINARY_SWAPS[old]]}"
+        elif isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                if type(op) in COMPARE_FLIPS:
+                    yield node, i, f"{SYMBOLS[type(op)]} -> {SYMBOLS[COMPARE_FLIPS[type(op)]]}"
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, (int, float, complex))
+            and not isinstance(node.value, bool)
+        ):
+            yield node, None, f"{node.value!r} -> {node.value + 1!r}"
+
+
+def list_mutants() -> list[tuple[str, int, int, str]]:
+    """Every mutant of the package as (module file name, site number, line, description)."""
+    mutants = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for k, (node, _, description) in enumerate(_sites(tree)):
+            mutants.append((path.name, k, node.lineno, description))
+    return mutants
+
+
+def mutated_source(source: str, site: int) -> str:
+    """The module's source with its site-th mutation applied."""
+    tree = ast.parse(source)
+    for k, (node, index, _) in enumerate(_sites(tree)):
+        if k != site:
+            continue
+        if isinstance(node, ast.Compare):
+            node.ops[index] = COMPARE_FLIPS[type(node.ops[index])]()
+        elif isinstance(node, ast.Constant):
+            node.value = node.value + 1
+        else:
+            node.op = BINARY_SWAPS[type(node.op)]()
+        return ast.unparse(tree) + "\n"
+    raise IndexError(f"no site {site}")
+
+
+def run_suite(mutant: tuple[str, int, int, str] | None) -> bool:
+    """Run the suite on a temporary copy of the checkout; True when it passes."""
+    with tempfile.TemporaryDirectory(prefix="qdelete-mutant-") as tmp:
+        copy = Path(tmp)
+        for rel in COPIED:
+            src = ROOT / rel
+            if src.is_dir():
+                shutil.copytree(src, copy / rel, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, copy / rel)
+        if mutant is not None:
+            target = copy / "src" / "qdelete" / mutant[0]
+            target.write_text(mutated_source(target.read_text(encoding="utf-8"), mutant[1]),
+                              encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        try:
+            result = subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                                    timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False
+        return result.returncode == 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--seed", type=int, default=0, help="seed of the sample")
+    parser.add_argument("--sample", type=int, default=45, help="mutants to run")
+    parser.add_argument("--workers", type=int, default=2,
+                        help="suite runs in parallel (at most the CPU count)")
+    args = parser.parse_args(argv)
+    if args.sample < 1 or args.workers < 1:
+        parser.error("--sample and --workers must be >= 1")
+    workers = min(args.workers, os.cpu_count() or 1)
+
+    if not run_suite(None):
+        print("the suite fails on the unmutated copy; no mutant can be judged", file=sys.stderr)
+        return 2
+    population = list_mutants()
+    sample = sorted(random.Random(args.seed).sample(population, min(args.sample, len(population))))
+    print(f"{len(sample)} of {len(population)} mutants, seed {args.seed}, {workers} workers")
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        passed = list(pool.map(run_suite, sample))
+    survivors = [m for m, alive in zip(sample, passed) if alive]
+    for module, _, line, description in survivors:
+        print(f"survived  src/qdelete/{module}:{line}  {description}")
+    print(f"killed {len(sample) - len(survivors)} of {len(sample)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

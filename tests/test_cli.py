@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qdelete import cli, machine, metrics
+from qdelete import cli, machine, metrics, optimizer
 from qdelete.machine import MachineParams
 from qdelete.presets import PRESET_NAMES, by_name
 from paper_values import PAPER_AVERAGES
@@ -183,8 +184,8 @@ def test_sweep_invalid_machine_file_exits_1(tmp_path, capsys):
     assert "isometry" in capsys.readouterr().err
 
 
-def test_sweep_machine_validates_and_simulates_once(tmp_path, monkeypatch):
-    path = write_machine(tmp_path, by_name("case3"))
+def count_calls(monkeypatch, *targets) -> Counter:
+    """Wrap each (module, function name) target to count its calls by name."""
     calls = Counter()
 
     def counted(fn):
@@ -194,11 +195,37 @@ def test_sweep_machine_validates_and_simulates_once(tmp_path, monkeypatch):
 
         return wrapper
 
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return calls
+
+
+def test_sweep_machine_validates_and_simulates_once(tmp_path, monkeypatch):
+    path = write_machine(tmp_path, by_name("case3"))
     # `metrics` holds its own binding of `outputs`; `require_valid` looks up `validate`
-    monkeypatch.setattr(machine, "validate", counted(machine.validate))
-    monkeypatch.setattr(metrics, "outputs", counted(metrics.outputs))
+    calls = count_calls(monkeypatch, (machine, "validate"), (metrics, "outputs"))
     assert cli.main(["sweep", "--machine", str(path), "--points", "11"]) == 0
     assert calls == {"validate": 1, "outputs": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, validations",
+    [(["sweep", "--preset", "case3", "--points", "3"], 1),
+     (["sweep", "--preset", "case1", "--points", "3"], 1),
+     (["cases"], len(PRESET_NAMES))],
+    ids=["sweep-feasible-preset", "sweep-formula-preset", "cases"],
+)
+def test_each_preset_is_validated_once(monkeypatch, capsys, argv, validations):
+    calls = count_calls(monkeypatch, (machine, "validate"))
+    assert cli.main(argv) == 0
+    assert calls == {"validate": validations}
+
+
+def test_sweep_defaults_to_101_points(capsys):
+    assert cli.main(["sweep", "--preset", "case3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "alpha_sq,fidelity,distortion"
+    assert len(lines) == 1 + 101
 
 
 def test_sweep_to_stdout(capsys):
@@ -281,16 +308,36 @@ def test_run_diagnose_with_m1p_override():
     assert report.max_deficit_gap <= 1e-10
 
 
+def test_diagnose_defaults_to_100_samples_from_seed_0(capsys):
+    assert cli.main(["diagnose"]) == 0
+    assert capsys.readouterr().out.startswith("samples: 100   seed: 0\n")
+
+
+def test_diagnose_compares_the_curves_on_21_points(monkeypatch):
+    grids = []
+    curves = metrics.curves
+
+    def recording(p, grid):
+        grids.append(grid)
+        return curves(p, grid)
+
+    monkeypatch.setattr(metrics, "curves", recording)
+    cli.run_diagnose(samples=2, seed=0)
+    assert len(grids) == 2
+    for grid in grids:
+        assert grid.tolist() == np.linspace(0.0, 1.0, 21).tolist()
+
+
 def test_diagnose_rejects_bad_samples(capsys):
     assert cli.main(["diagnose", "--samples", "0"]) == 2
-    assert "--samples" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: samples must be >= 1")
 
 
 @pytest.mark.parametrize("m1p", ["2", "-1.5", "nan", "inf"])
 def test_diagnose_rejects_bad_m1p(capsys, m1p):
     assert cli.main(["diagnose", "--samples", "1", "--m1p", m1p]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--m1p" in err
+    assert err.startswith("error: m1p must be a finite real in [-1, 1]")
 
 
 def test_cases_command_emits_no_warning(recwarn):
@@ -323,6 +370,38 @@ def test_optimize_writes_machine_and_history(tmp_path, capsys):
     objectives = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b >= a for a, b in zip(objectives, objectives[1:]))
     assert "avg fidelity" in capsys.readouterr().out
+
+
+def test_optimize_defaults_are_the_config_defaults(tmp_path, monkeypatch, capsys):
+    configs = []
+    search = optimizer.optimize
+
+    def recording(cfg, warm_start=None):
+        configs.append((cfg, warm_start))
+        return search(dataclasses.replace(cfg, restarts=1, max_iters=5), warm_start)
+
+    monkeypatch.setattr(optimizer, "optimize", recording)
+    assert cli.main(["optimize", "--out", str(tmp_path / "x.json")]) == 0
+    assert configs == [(optimizer.OptConfig(), None)]
+
+
+def test_optimize_prints_the_written_amplitudes(tmp_path, capsys):
+    out = tmp_path / "best.json"
+    argv = ["optimize", "--restarts", "1", "--max-iters", "40", "--seed", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        key, eq, value = line.strip().partition(" = ")
+        if key in machine.AMPLITUDE_KEYS and eq:
+            real, sign, imag = value.removesuffix("i").split()
+            printed[key] = (float(real), float(sign + imag))
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert set(printed) == set(machine.AMPLITUDE_KEYS)
+    for key, pair in printed.items():
+        assert pair == tuple(float(f"{v:.10g}") for v in written[key]), key
+    # both branches of the sign are exercised, so the check cannot hold vacuously
+    imags = [written[key][1] for key in machine.AMPLITUDE_KEYS]
+    assert min(imags) < 0 < max(imags)
 
 
 def test_optimize_reruns_bit_identical(tmp_path):

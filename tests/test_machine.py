@@ -366,6 +366,14 @@ def test_load_rejects_invalid_json(tmp_path):
         machine.load(path)
 
 
+def test_saved_file_layout(tmp_path):
+    path = tmp_path / "machine.json"
+    machine.save(case2_params(), path)
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith('{\n  "a0": [\n    0.0,\n    0.0\n  ],\n  "b0": [\n')
+    assert text.endswith(f'  "m1p": {SQRT_HALF!r}\n}}\n')
+
+
 def test_saved_file_is_plain_json(tmp_path):
     path = tmp_path / "machine.json"
     machine.save(case2_params(), path)

@@ -350,6 +350,12 @@ def test_avg_fidelity_flags_out_of_range_deficit():
         assert metrics.avg_fidelity(6.5) == pytest.approx(1.0 - 6.5 / 6.0)
 
 
+def test_avg_fidelity_warning_names_the_caller():
+    with pytest.warns(RuntimeWarning) as record:
+        metrics.avg_fidelity(6.5)
+    assert record[0].filename == __file__
+
+
 def test_avg_fidelity_silent_in_range():
     import warnings
 

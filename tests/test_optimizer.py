@@ -180,7 +180,22 @@ def test_config_rejects_non_finite_weights_and_bad_tol(settings):
         optimizer.OptConfig(**settings)
 
 
-def test_evaluate_known_machines():
+def test_config_defaults_are_the_documented_ones():
+    # README: max-fidelity, unit weights, 16 restarts x 800 iterations from seed 0
+    assert optimizer.OptConfig() == optimizer.OptConfig(
+        objective="max-fidelity", weight_fidelity=1.0, weight_distortion=1.0,
+        restarts=16, max_iters=800, seed=0, tol=1e-10,
+    )
+
+
+def test_config_accepts_its_boundary_values():
+    cfg = optimizer.OptConfig(
+        objective="weighted", weight_fidelity=0.0, restarts=1, max_iters=1, seed=0, tol=0.0
+    )
+    assert optimizer.optimize(cfg).iterations_used == 1
+
+
+def test_score_known_machines():
     cfg_f = optimizer.OptConfig(objective="max-fidelity")
     cfg_d = optimizer.OptConfig(objective="min-distortion")
     cfg_w = optimizer.OptConfig(objective="weighted", weight_fidelity=1.0, weight_distortion=1.0)
@@ -269,6 +284,13 @@ def test_optimize_history_is_monotone_best_so_far():
     values = [entry.objective for entry in result.history]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] == result.best_objective
+
+
+def test_optimize_history_numbers_the_evaluations_of_each_restart_from_1():
+    result = optimizer.optimize(optimizer.OptConfig(objective="max-fidelity", **SMALL))
+    for restart in range(SMALL["restarts"]):
+        numbers = [entry.evaluation for entry in result.history if entry.restart == restart]
+        assert numbers == list(range(1, len(numbers) + 1))
 
 
 def test_optimize_result_machine_is_valid_and_reproducible():

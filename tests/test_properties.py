@@ -205,7 +205,7 @@ def test_certificate_family_attains_the_pointwise_bounds(m1p, xs):
 
 @PROPERTY
 @given(seeds, overlaps, weights, weights)
-def test_evaluate_matches_the_oracle_quadrature(seed, m1p, wf, wd):
+def test_score_matches_the_oracle_quadrature(seed, m1p, wf, wd):
     # The 128-node rule misses the (x(1-x))^1.5 term of the distortion by
     # about 1e-11; the fidelity integrand is a polynomial it integrates exactly.
     assume(wf > 0 or wd > 0)

@@ -26,7 +26,7 @@ def test_joint_index_convention():
     assert qlinalg.joint_index(1, 1, 2) == 11
 
 
-def test_tensor3_basis_cases():
+def test_joint_index_is_the_kron_basis_position():
     # the flat index of |q1, q2, anc> is the position of the one in the
     # triple Kronecker product of the basis vectors
     for q1, q2, anc in np.ndindex(2, 2, 3):
@@ -35,7 +35,7 @@ def test_tensor3_basis_cases():
         assert np.count_nonzero(s) == 1
 
 
-def test_tensor3_superposition():
+def test_joint_index_of_a_kron_superposition():
     q1 = np.array([0.6, 0.8], dtype=complex)
     s = np.kron(q1, np.kron(KET0, ANC_Q))
     assert s[qlinalg.joint_index(0, 0, 0)] == 0.6
@@ -115,7 +115,7 @@ def test_partial_traces_batched_match_per_state():
             assert_allclose(stacked[idx], trace(batch[idx]), atol=1e-15)
 
 
-def test_expectation_real_in_unit_interval():
+def test_reduced_state_expectation_real_in_unit_interval():
     rng = np.random.default_rng(19)
     for _ in range(20):
         s = random_state(rng)
