@@ -12,6 +12,11 @@ Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination, all scored by one formula on the closed-form averages
 of the metrics module.  The simulation-quadrature oracle checks the returned
 machine's averages once per solve.
+
+scipy is imported on the first search, not with the module, so that the
+commands that run no search start without it.  ``minimize`` stays a
+module-level name that forwards to ``scipy.optimize.minimize``, so a caller
+can replace that one binding to wrap every Nelder-Mead run.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import metrics
 from .machine import BlankState, Couplings, MachineParams, couplings, require_valid
@@ -96,6 +100,13 @@ class OptResult:
     avg_distortion: float
     iterations_used: int
     history: list[HistoryEntry] = field(repr=False)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _sphere_point(raw: np.ndarray) -> tuple[list[complex], float]:

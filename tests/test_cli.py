@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,3 +572,46 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
 def test_negative_seed_is_rejected_by_name(capsys, argv):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+
+# ---------------------------------------------------------------------------
+# cold start: only a search imports scipy
+
+#: Runs each argv of the JSON list in argv[1] through cli.main in this fresh
+#: interpreter and prints, per command, its exit code and whether scipy and
+#: scipy.optimize are loaded after it.
+COLD_START = """
+import contextlib, io, json, sys
+from qdelete import cli
+report = [[None, "scipy" in sys.modules, "scipy.optimize" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    report.append([code, "scipy" in sys.modules, "scipy.optimize" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_optimize_imports_scipy(tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{", encoding="utf-8")
+    commands = [
+        (["validate", str(write_machine(tmp_path, by_name("case3")))], 0),
+        (["validate", str(write_machine(tmp_path, MachineParams(a0=1.0, a1=1.0), "bad.json"))], 1),
+        (["validate", str(malformed)], 2),
+        (["sweep", "--preset", "case3"], 0),
+        (["cases"], 0),
+        (["diagnose", "--samples", "5"], 0),
+    ]
+    search = OPT + ["--out", str(tmp_path / "best.json")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps([argv for argv, _ in commands] + [search])],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    imported, *after_commands, after_search = json.loads(run.stdout)
+    assert imported == [None, False, False]
+    assert after_commands == [[code, False, False] for _, code in commands]
+    assert after_search == [0, True, True]

@@ -150,7 +150,7 @@ def test_coupling_norm_identity_on_random_valid_machines():
 # application: the isometry and the batched outputs
 
 
-def test_apply_basis_diagonal_inputs():
+def test_isometry_diagonal_inputs():
     # column 2i + j of the isometry is the image of |i>|j>|Q>
     p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(1.0))
     assert_allclose(machine.isometry(p)[:, 0], BASIS[qlinalg.joint_index(0, 0, 1)], atol=0)
@@ -159,7 +159,7 @@ def test_apply_basis_diagonal_inputs():
     assert_allclose(machine.isometry(p)[:, 3], BASIS[qlinalg.joint_index(1, 1, 2)], atol=0)
 
 
-def test_apply_basis_case3_off_diagonal():
+def test_isometry_case3_off_diagonal():
     v = machine.isometry(case3_params())
     assert_allclose(v[:, 1], BASIS[qlinalg.joint_index(0, 1, 0)], atol=0)
     assert_allclose(v[:, 2], BASIS[qlinalg.joint_index(1, 0, 0)], atol=0)
@@ -190,7 +190,7 @@ def test_isometry_columns_are_basis_images():
     assert np.count_nonzero(v) == 7
 
 
-def test_outputs_match_apply_per_point():
+def test_outputs_grid_matches_one_call_per_point():
     # a grid gives the same states as one call per point
     rng = np.random.default_rng(106)
     xs = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=9)))
@@ -210,14 +210,14 @@ def test_outputs_reject_out_of_range_grid(grid):
         machine.outputs(case3_params(), grid)
 
 
-def test_apply_endpoints_are_products():
+def test_outputs_endpoints_are_products():
     p = case3_params()
     v = machine.isometry(p)
     assert_allclose(machine.outputs(p, 1.0), v[:, 0], atol=0)
     assert_allclose(machine.outputs(p, 0.0), v[:, 3], atol=0)
 
 
-def test_apply_case2_balanced_input():
+def test_outputs_case2_balanced_input():
     p = case2_params()
     s = machine.outputs(p, 0.5)
     sig = p.sigma.ket()
@@ -232,7 +232,7 @@ def test_apply_case2_balanced_input():
     assert abs(np.vdot(s, s).real - 1.0) <= 1e-12
 
 
-def test_apply_matches_coupling_expansion():
+def test_outputs_match_coupling_expansion():
     # the two-copy output collapses onto the coupling sums: alpha^2 |0,sig,A0>
     # + alpha*beta (g|01> + h|10> + e|00> + f|11>)|Q> + beta^2 |1,sig,A1>
     rng = np.random.default_rng(104)
@@ -255,7 +255,7 @@ def test_apply_matches_coupling_expansion():
         assert_allclose(machine.outputs(p, x), expected, atol=1e-12)
 
 
-def test_apply_preserves_norm_on_valid_machines():
+def test_outputs_preserve_norm_on_valid_machines():
     rng = np.random.default_rng(102)
     for _ in range(25):
         p = random_machine(rng)

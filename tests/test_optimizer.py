@@ -278,6 +278,22 @@ def test_optimize_is_deterministic():
     assert first.iterations_used == second.iterations_used
 
 
+def test_every_restart_runs_nelder_mead_through_the_module_level_minimize(monkeypatch):
+    # a wrapper of this one binding sees every search, as the benchmark's tracer needs
+    cfg = optimizer.OptConfig(restarts=3, max_iters=20)
+    expected = optimizer.optimize(cfg)
+    methods = []
+    minimize = optimizer.minimize
+
+    def counting(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "minimize", counting)
+    assert optimizer.optimize(cfg) == expected
+    assert methods == ["Nelder-Mead"] * 3
+
+
 def test_optimize_history_is_monotone_best_so_far():
     cfg = optimizer.OptConfig(objective="max-fidelity", **SMALL)
     result = optimizer.optimize(cfg)
