@@ -6,7 +6,7 @@ behind.  Subpackage layout:
 
 * `qlinalg`   - the joint-state index and the batched partial traces
 * `machine`   - machine parameters, the 12x4 isometry, validation, file format
-* `metrics`   - distortion and fidelity, closed forms plus simulation oracles
+* `metrics`   - distortion and fidelity by the simulation oracle or the closed forms, one quadrature
 * `presets`   - named machines (`MachineParams`): the paper's four cases and "perfect"
 * `optimizer` - derivative-free search over the coupling sphere
 * `cli`       - the `qdelete` command

@@ -57,7 +57,7 @@ def cmd_sweep(args) -> int:
     Machines are swept with the direct simulation oracle, which validates
     them.  A preset that fails that validation (case1) has no machine to
     simulate, so its curves come from the closed forms on its couplings
-    (legacy-mode fidelity deficit); a machine file that fails it exits 1.
+    (formula mode); a machine file that fails it exits 1.
     """
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
@@ -71,10 +71,7 @@ def cmd_sweep(args) -> int:
     except machine.MachineValidationError:
         if args.preset is None:
             raise
-        c = machine.couplings(p)
-        deficit = metrics.fidelity_deficit(c, p.sigma, "legacy")
-        fidelity = metrics.fidelity_closed(deficit, xs)
-        distortion = metrics.distortion_closed(metrics.distortion_coefficients(c), xs)
+        fidelity, distortion = metrics.closed_curves(p, xs)
         lines.append("# formula mode")
     lines.append("alpha_sq,fidelity,distortion")
     for x, f, d in zip(xs.tolist(), fidelity.tolist(), distortion.tolist()):
@@ -96,7 +93,7 @@ def collect_case_rows() -> list[dict]:
 
     A preset is feasible when its machine passes the validation inside
     `metrics.averages`; the quadrature averages of an infeasible one
-    integrate its (legacy) closed-form curves.
+    integrate its closed-form curves.
     """
     rows = []
     for name in presets.PRESET_NAMES:
@@ -110,8 +107,7 @@ def collect_case_rows() -> list[dict]:
             fbar_quad, dbar_quad = metrics.averages(p)
         except machine.MachineValidationError:
             feasible = False
-            fbar_quad = metrics.avg_fidelity_closed_quadrature(deficit_legacy)
-            dbar_quad = metrics.avg_distortion_quadrature(dc)
+            fbar_quad, dbar_quad = metrics.averages(p, metrics.closed_curves)
         rows.append(
             {
                 "preset": name,
@@ -180,19 +176,20 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
             p = dataclasses.replace(p, sigma=machine.BlankState(m1p))
         c = machine.couplings(p)
         dc = metrics.distortion_coefficients(c)
-        coarse, fine = metrics.distortion_quadrature_levels(dc)
+        _, (coarse, fine) = metrics.levels(p, metrics.closed_curves)
         dev_legacy = abs(metrics.avg_distortion(dc, "legacy") - fine)
         deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
         deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
         fidelity, distortion = metrics.curves(p, grid)
+        closed_fidelity, closed_distortion = metrics.closed_curves(p, grid)
         deviations.append((
             dev_legacy,
             abs(metrics.avg_distortion(dc, "analytic") - fine),
             abs(dev_legacy - legacy_const_gap * abs(dc.coherence_sum)),
             abs(fine - coarse),
             abs(deficit_legacy - deficit_consistent),
-            float(np.max(np.abs(fidelity - metrics.fidelity_closed(deficit_consistent, grid)))),
-            float(np.max(np.abs(distortion - metrics.distortion_closed(dc, grid)))),
+            float(np.max(np.abs(fidelity - closed_fidelity))),
+            float(np.max(np.abs(distortion - closed_distortion))),
         ))
     return DiagnoseReport(samples, seed, *(max(column) for column in zip(*deviations)))
 
@@ -225,15 +222,6 @@ def cmd_diagnose(args) -> int:
 # optimize
 
 
-def _resolve_warm_start(source: str) -> machine.MachineParams:
-    if source in presets.PRESET_NAMES:
-        p = presets.by_name(source)
-        if not machine.validate(p).is_valid:
-            raise ValueError(f"preset {source!r} has no machine realization")
-        return p
-    return machine.load(source)
-
-
 def render_history_csv(history) -> str:
     lines = ["restart,iteration,objective"]
     for entry in history:
@@ -243,8 +231,17 @@ def render_history_csv(history) -> str:
 
 def cmd_optimize(args) -> int:
     cfg = optimizer.OptConfig(**{f.name: getattr(args, f.name) for f in _OPT_FIELDS})
-    warm = _resolve_warm_start(args.warm_start) if args.warm_start else None
-    result = optimizer.optimize(cfg, warm_start=warm)
+    warm = None
+    if args.warm_start in presets.PRESET_NAMES:
+        warm = presets.by_name(args.warm_start)
+    elif args.warm_start:
+        warm = machine.load(args.warm_start)
+    try:
+        result = optimizer.optimize(cfg, warm_start=warm)
+    except machine.MachineValidationError:  # raised by the one validation of the warm start
+        if args.warm_start not in presets.PRESET_NAMES:
+            raise
+        raise ValueError(f"preset {args.warm_start!r} has no machine realization") from None
 
     best = result.best_machine
     out = Path(args.out)

@@ -2,15 +2,20 @@
 
 For the two-copy input with weight x = alpha^2 on |0>, the machine output has
 reduced states in mode 1 (the kept copy) and mode 2 (the deleted copy) that
-are quadratic in the couplings g, h, e, f.  Two evaluation routes are
-provided for every metric:
+are quadratic in the couplings g, h, e, f.  Both metrics come by two routes
+of one shape, ``route(p, grid) -> (F, D)``:
 
-* closed forms in the couplings (this module), and
-* direct simulation (`curves`, and `averages` of them): validate and
-  simulate the machine once per grid (`machine.outputs`), take both batched
-  partial traces of `qlinalg` and measure; it is the independent oracle for
-  the closed forms.  The closed-form reduced states that the formulas below
-  come from are kept by the tests (`tests/reduced_states.py`), not here.
+* `curves`, the simulation oracle: validate and simulate the machine once
+  per grid (`machine.outputs`), take both batched partial traces of `qlinalg`
+  and measure; and
+* `closed_curves`, the closed forms below in the machine's couplings.  It
+  does not validate, so a machine that fails validation (case1) still has
+  curves: that is formula mode.
+
+One quadrature serves both routes: `levels(p, route)` sums each curve at two
+Gauss-Legendre orders and `averages(p, route)` is their converged result.
+The closed-form reduced states that the formulas below come from are kept by
+the tests (`tests/reduced_states.py`), not here.
 
 Distortion is the squared Hilbert-Schmidt distance between the ideal input
 state and the kept mode's reduced state.  With y = x(1-x) it is the
@@ -26,17 +31,17 @@ whose two coefficients (`DistortionCoefficients`) are
 and the fidelity of deletion is the blank-state overlap of the deleted mode,
 F(x) = 1 - deficit * x(1-x).  Averages are uniform integrals over x in [0, 1].
 
-Two historical ambiguities are kept behind mode flags:
+Two historical ambiguities are kept behind mode flags of the closed-form
+averages; `closed_curves` uses the mode the oracle realizes:
 
 * ``avg_distortion`` mode "legacy" uses the constant 0.589 for the coherence
   cross term; mode "analytic" uses the exact Beta-integral value 3*pi/64.
-  The quadrature routine adjudicates: only "analytic" matches the defining
-  integral.
+  The quadrature adjudicates: only "analytic" matches the defining integral.
 * ``fidelity_deficit`` mode "legacy" attaches the squared blank-state overlap
   m1p^2 to the (|g|^2 + |f|^2) weight; mode "consistent" derives the deficit
   from the mode-2 reduced state, attaching m1p^2 to (|h|^2 + |e|^2).  Direct
   simulation agrees with "consistent".  The two coincide whenever the weights
-  are equal or m1p^2 = 1/2.
+  are equal or m1p^2 = 1/2, and both are exactly 2 for zero couplings.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 
 from . import qlinalg
 from .machine import BlankState, Couplings, MachineParams, require_valid
-from .machine import check_alpha_sq, inputs, outputs
+from .machine import check_alpha_sq, couplings, inputs, outputs
 
 #: Cross-term constant historically used for the average distortion.
 LEGACY_CROSS_CONSTANT = 0.589
@@ -91,11 +96,6 @@ _QX_FINE, _QW_FINE = _unit_interval_gauss(QUAD_ORDER_REFINED)
 _QX_BOTH = np.concatenate((_QX, _QX_FINE))
 
 
-def _levels(values) -> tuple[float, float]:
-    """Coarse and refined quadrature sums of an integrand sampled at `_QX_BOTH`."""
-    return float(np.sum(_QW * values[:QUAD_ORDER])), float(np.sum(_QW_FINE * values[QUAD_ORDER:]))
-
-
 @dataclass(frozen=True)
 class DistortionCoefficients:
     """The two coefficients of the distortion polynomial (see the module docstring).
@@ -127,14 +127,6 @@ def distortion_coefficients(c: Couplings) -> DistortionCoefficients:
     )
 
 
-def distortion_closed(dc: DistortionCoefficients, alpha_sq):
-    """Closed-form distortion at x = alpha_sq; accepts scalars or arrays."""
-    x = check_alpha_sq(alpha_sq)
-    y = x * (1.0 - x)
-    out = dc.quartic * y * y - 2.0 * dc.coherence_sum * y ** 1.5 + 2.0 * y
-    return out if out.ndim else float(out)
-
-
 def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
     """Closed-form average distortion quartic/30 + 1/3 - const * coherence sum.
 
@@ -145,21 +137,6 @@ def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
         raise ValueError(f"mode must be one of {DISTORTION_MODES}, got {mode!r}")
     const = LEGACY_CROSS_CONSTANT if mode == "legacy" else ANALYTIC_CROSS_CONSTANT
     return dc.quartic / 30.0 + 1.0 / 3.0 - const * dc.coherence_sum
-
-
-def distortion_quadrature_levels(dc: DistortionCoefficients) -> tuple[float, float]:
-    """Both refinement levels of the distortion averaging quadrature."""
-    return _levels(distortion_closed(dc, _QX_BOTH))
-
-
-def avg_distortion_quadrature(dc: DistortionCoefficients) -> float:
-    """Average distortion by Gauss-Legendre quadrature of the closed form.
-
-    Integrates over x in [0, 1] at two refinement levels; raises
-    :class:`ConvergenceError` if they disagree by more than 1e-8.
-    """
-    coarse, fine = distortion_quadrature_levels(dc)
-    return _converged("distortion", coarse, fine)
 
 
 def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") -> float:
@@ -200,22 +177,6 @@ def avg_fidelity(deficit: float) -> float:
     return 1.0 - deficit / 6.0
 
 
-def fidelity_closed(deficit: float, alpha_sq):
-    """Closed-form fidelity curve F(x) = 1 - deficit * x(1-x); scalar or array."""
-    x = check_alpha_sq(alpha_sq)
-    out = 1.0 - deficit * x * (1.0 - x)
-    return out if out.ndim else float(out)
-
-
-def avg_fidelity_closed_quadrature(deficit: float) -> float:
-    """Quadrature average of the closed-form fidelity curve.
-
-    This is the averaging route for a preset that fails validation (formula
-    mode), whose machine the simulation-based quadrature cannot act on.
-    """
-    return _converged("fidelity", *_levels(fidelity_closed(deficit, _QX_BOTH)))
-
-
 def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
     """Direct-simulation fidelity and distortion at each x of a grid, from one simulation.
 
@@ -232,13 +193,39 @@ def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
     return fidelity, np.einsum("...ij,...ji->...", d, d).real
 
 
-def averages(p: MachineParams) -> tuple[float, float]:
-    """Average fidelity and distortion by Gauss-Legendre quadrature over `curves`.
+def closed_curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form fidelity and distortion at each x of a grid: the twin of `curves`.
 
-    For any valid machine they equal ``avg_fidelity`` of the consistent-mode
-    deficit and the analytic-mode ``avg_distortion`` within 1e-8.  Raises
-    :class:`ConvergenceError` if the two refinement levels of either disagree.
+    F uses the consistent-mode deficit, the one the oracle realizes, and D
+    the distortion polynomial of p's couplings.  It does not validate.
     """
-    fidelity, distortion = curves(p, _QX_BOTH)
-    fbar = _converged("fidelity", *_levels(fidelity))
-    return fbar, _converged("distortion", *_levels(distortion))
+    c = couplings(p)
+    deficit, dc = fidelity_deficit(c, p.sigma), distortion_coefficients(c)
+    x = check_alpha_sq(np.atleast_1d(alpha_sq_grid))
+    y = x * (1.0 - x)
+    fidelity = 1.0 - deficit * x * (1.0 - x)
+    return fidelity, dc.quartic * y * y - 2.0 * dc.coherence_sum * y ** 1.5 + 2.0 * y
+
+
+def levels(p: MachineParams, route=curves) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Coarse and refined Gauss-Legendre sums over x in [0, 1] of F and of D by `route`.
+
+    `route` is `curves` or `closed_curves`; the result is
+    ``((F coarse, F refined), (D coarse, D refined))``.
+    """
+    return tuple(
+        (float(np.sum(_QW * v[:QUAD_ORDER])), float(np.sum(_QW_FINE * v[QUAD_ORDER:])))
+        for v in route(p, _QX_BOTH)
+    )
+
+
+def averages(p: MachineParams, route=curves) -> tuple[float, float]:
+    """Average fidelity and distortion: the refined `levels` of `route`.
+
+    For a valid machine both routes give ``avg_fidelity`` of the
+    consistent-mode deficit and the analytic-mode ``avg_distortion`` within
+    1e-8.  Raises :class:`ConvergenceError` if the two levels of either
+    disagree by more than QUAD_AGREEMENT_TOL.
+    """
+    fidelity, distortion = levels(p, route)
+    return _converged("fidelity", *fidelity), _converged("distortion", *distortion)

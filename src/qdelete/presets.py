@@ -25,7 +25,8 @@ a0 = b1 = 1, the same machine as case3, so N = 0 and K = 1.
 case1 is infeasible: all-zero couplings force the second amplitude row to be
 the negative of the first, which contradicts row orthogonality.  Its machine
 has rows (1, 0, 0, 0) and (-1, 0, 0, 0), so `validate` rejects it, and its
-metrics are evaluated in formula mode (closed forms on its zero couplings).
+metrics are evaluated in formula mode: `metrics.closed_curves` on its zero
+couplings, where both fidelity-deficit conventions give exactly 2.
 
 Every preset defaults to m1p = 1/sqrt(2), where the two fidelity-deficit
 conventions coincide, except "perfect", which needs m1p = 1.

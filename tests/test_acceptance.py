@@ -89,7 +89,7 @@ def test_criterion_1_case_table_reproduction():
         fbar_quad, dbar_quad = metrics.averages(p)
         quad_dev = max(
             quad_dev,
-            abs(metrics.avg_distortion_quadrature(dc) - dbar),
+            abs(metrics.averages(p, metrics.closed_curves)[1] - dbar),
             abs(dbar_quad - dbar),
             abs(fbar_quad - fbar_legacy),
             abs(fbar_quad - fbar_consistent),
@@ -109,20 +109,19 @@ def test_criterion_2_oracle_equivalence():
     worst = 0.0
     for p in _sample_machines():
         c = machine.couplings(p)
-        dc = metrics.distortion_coefficients(c)
-        deficit = metrics.fidelity_deficit(c, p.sigma, "consistent")
         sig = p.sigma.ket()
         for x in GRID:
             out = machine.outputs(p, x)
             rho1 = qlinalg.partial_trace_mode1(out)
             rho2 = qlinalg.partial_trace_mode2(out)
             d = metrics.input_state(x) - rho1
+            (fidelity,), (distortion,) = metrics.closed_curves(p, float(x))
             worst = max(
                 worst,
                 float(np.max(np.abs(mode1_state_closed(c, x) - rho1))),
                 float(np.max(np.abs(mode2_state_closed(c, p.sigma, x) - rho2))),
-                abs(metrics.distortion_closed(dc, float(x)) - np.trace(d @ d).real),
-                abs(metrics.fidelity_closed(deficit, float(x)) - np.vdot(sig, rho2 @ sig).real),
+                abs(distortion - np.trace(d @ d).real),
+                abs(fidelity - np.vdot(sig, rho2 @ sig).real),
             )
     elapsed = time.perf_counter() - t0
     _report(
@@ -235,8 +234,7 @@ def test_criterion_6_deficit_convention_adjudication():
     # direct simulation must realize the consistent-mode deficit everywhere
     oracle_dev = 0.0
     for p in _sample_machines():
-        deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
-        closed = metrics.fidelity_closed(deficit, GRID)
+        closed = metrics.closed_curves(p, GRID)[0]
         direct = metrics.curves(p, GRID)[0]
         oracle_dev = max(oracle_dev, float(np.max(np.abs(direct - closed))))
 

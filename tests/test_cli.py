@@ -146,6 +146,17 @@ def test_sweep_case1_formula_mode(tmp_path):
     assert rows[0][1] == 1.0 and rows[-1][1] == 1.0
 
 
+@pytest.mark.parametrize("m1p", ["-1", "-0.4", "0", "0.3", "1"])
+def test_sweep_case1_fidelity_is_the_zero_coupling_curve_at_any_m1p(m1p, capsys):
+    # both deficit conventions are exactly 2 on zero couplings, so the curve is fixed
+    assert cli.main(["sweep", "--preset", "case1", "--m1p", m1p, "--points", "41"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# formula mode", "alpha_sq,fidelity,distortion"]
+    for line in lines[2:]:
+        x, f, _ = map(float, line.split(","))
+        assert f == 1.0 - 2.0 * x * (1.0 - x)
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_sweep_formula_mode_exactly_when_the_preset_fails_validation(name, capsys):
     assert cli.main(["sweep", "--preset", name, "--points", "3"]) == 0
@@ -216,10 +227,14 @@ def test_sweep_machine_validates_and_simulates_once(tmp_path, monkeypatch):
     "argv, validations",
     [(["sweep", "--preset", "case3", "--points", "3"], 1),
      (["sweep", "--preset", "case1", "--points", "3"], 1),
-     (["cases"], len(PRESET_NAMES))],
-    ids=["sweep-feasible-preset", "sweep-formula-preset", "cases"],
+     (["cases"], len(PRESET_NAMES)),
+     # the warm start, then the oracle check of the returned machine
+     (["optimize", "--restarts", "1", "--max-iters", "5", "--warm-start", "case3",
+       "--out", "best.json"], 2)],
+    ids=["sweep-feasible-preset", "sweep-formula-preset", "cases", "optimize-warm-start-preset"],
 )
-def test_each_preset_is_validated_once(monkeypatch, capsys, argv, validations):
+def test_each_preset_is_validated_once(monkeypatch, tmp_path, capsys, argv, validations):
+    monkeypatch.chdir(tmp_path)
     calls = count_calls(monkeypatch, (machine, "validate"))
     assert cli.main(argv) == 0
     assert calls == {"validate": validations}

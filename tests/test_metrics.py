@@ -18,6 +18,11 @@ CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)
 CASE3 = Couplings(g=1 + 0j, h=1 + 0j, e=0j, f=0j)
 
 
+def with_couplings(c: Couplings, sigma: BlankState = BlankState(SQRT_HALF)) -> MachineParams:
+    """A machine (valid or not) whose couplings are exactly ``c``: row 0 holds them, row 1 is 0."""
+    return MachineParams(a0=c.g, b0=c.h, c0=c.e, d0=c.f, sigma=sigma)
+
+
 # ---------------------------------------------------------------------------
 # closed-form reduced states vs the partial-trace oracle
 
@@ -125,35 +130,30 @@ def test_distortion_coefficients_invariants_on_random_couplings():
         assert dc.coherence_sum ** 2 <= 2.0 * dc.quartic + 1e-12
 
 
-def test_distortion_closed_endpoints_vanish():
-    for dc in map(metrics.distortion_coefficients, (CASE1, CASE2, CASE3)):
-        assert metrics.distortion_closed(dc, 0.0) == 0.0
-        assert metrics.distortion_closed(dc, 1.0) == 0.0
+def test_closed_distortion_endpoints_vanish():
+    for c in (CASE1, CASE2, CASE3):
+        assert metrics.closed_curves(with_couplings(c), [0.0, 1.0])[1].tolist() == [0.0, 0.0]
 
 
-def test_distortion_closed_case3_balanced():
-    dc = metrics.distortion_coefficients(CASE3)
-    assert abs(metrics.distortion_closed(dc, 0.5) - 0.5) <= 1e-12
+def test_closed_distortion_case3_balanced():
+    assert abs(metrics.closed_curves(with_couplings(CASE3), 0.5)[1][0] - 0.5) <= 1e-12
 
 
-def test_distortion_closed_case1_balanced():
-    dc = metrics.distortion_coefficients(CASE1)
+def test_closed_distortion_case1_balanced():
     # quartic term 2/16 plus 2 * 1/4
-    assert abs(metrics.distortion_closed(dc, 0.5) - 0.625) <= 1e-12
+    assert abs(metrics.closed_curves(with_couplings(CASE1), 0.5)[1][0] - 0.625) <= 1e-12
 
 
-def test_distortion_closed_vectorized_matches_scalar():
-    dc = metrics.distortion_coefficients(CASE3)
+def test_closed_curves_vectorized_match_scalar():
+    p = with_couplings(CASE3)
     xs = np.linspace(0.0, 1.0, 17)
-    vec = metrics.distortion_closed(dc, xs)
-    scalar = np.array([metrics.distortion_closed(dc, float(x)) for x in xs])
-    assert_allclose(vec, scalar, atol=0)
+    scalar = np.array([np.concatenate(metrics.closed_curves(p, float(x))) for x in xs])
+    assert_allclose(np.stack(metrics.closed_curves(p, xs), axis=1), scalar, atol=0)
 
 
-def test_distortion_closed_rejects_bad_grid():
-    dc = metrics.distortion_coefficients(CASE3)
+def test_closed_curves_reject_bad_grid():
     with pytest.raises(ValueError):
-        metrics.distortion_closed(dc, np.array([0.0, 1.2]))
+        metrics.closed_curves(with_couplings(CASE3), np.array([0.0, 1.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +176,13 @@ def test_distortion_direct_requires_valid_machine():
         metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
 
 
-def test_distortion_closed_matches_direct_on_random_machines():
+def test_closed_distortion_matches_the_oracle_on_random_machines():
     rng = np.random.default_rng(3)
     grid = np.linspace(0.0, 1.0, 21)
     for _ in range(25):
         p = random_machine(rng)
-        dc = metrics.distortion_coefficients(machine.couplings(p))
         for x in grid:
-            closed = metrics.distortion_closed(dc, float(x))
+            closed = metrics.closed_curves(p, float(x))[1][0]
             direct = metrics.curves(p, x)[1][0]
             assert abs(closed - direct) <= 1e-10
 
@@ -206,11 +205,12 @@ def test_avg_distortion_case2_case3():
 
 
 def test_avg_distortion_modes_differ_with_coherence():
-    dc = metrics.DistortionCoefficients(quartic=0.0, coherence_sum=1.0)
+    # the perfect preset's couplings (0, 1, 1, 0): quartic 2, coherence sum 2
+    dc = metrics.distortion_coefficients(machine.couplings(by_name("perfect")))
     legacy = metrics.avg_distortion(dc, "legacy")
     analytic = metrics.avg_distortion(dc, "analytic")
-    assert abs(legacy - (1.0 / 3.0 - 0.589)) <= 1e-12
-    assert abs(analytic - (1.0 / 3.0 - 3.0 * math.pi / 64.0)) <= 1e-12
+    assert abs(legacy - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 0.589)) <= 1e-12
+    assert abs(analytic - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 3.0 * math.pi / 64.0)) <= 1e-12
 
 
 def test_avg_distortion_rejects_unknown_mode():
@@ -218,40 +218,46 @@ def test_avg_distortion_rejects_unknown_mode():
         metrics.avg_distortion(metrics.distortion_coefficients(CASE3), "exact")
 
 
-def test_avg_distortion_quadrature_known_values():
-    assert abs(
-        metrics.avg_distortion_quadrature(metrics.distortion_coefficients(CASE1)) - 0.4
-    ) <= 1e-8
-    assert abs(
-        metrics.avg_distortion_quadrature(metrics.distortion_coefficients(CASE3)) - 1.0 / 3.0
-    ) <= 1e-8
+def test_closed_route_averages_known_values():
+    fbar, dbar = metrics.averages(with_couplings(CASE1), metrics.closed_curves)
+    assert abs(fbar - 2.0 / 3.0) <= 1e-8 and abs(dbar - 0.4) <= 1e-8
+    fbar, dbar = metrics.averages(with_couplings(CASE3), metrics.closed_curves)
+    assert abs(fbar - 5.0 / 6.0) <= 1e-8 and abs(dbar - 1.0 / 3.0) <= 1e-8
 
 
-def test_avg_distortion_quadrature_adjudicates_cross_constant():
+def test_closed_route_quadrature_adjudicates_cross_constant():
     # The quadrature is the oracle for the cross-term constant: it must agree
     # with the analytic mode (3*pi/64) and refute the legacy 0.589.
-    dc = metrics.DistortionCoefficients(quartic=0.0, coherence_sum=1.0)
-    quad = metrics.avg_distortion_quadrature(dc)
+    p = by_name("perfect")  # coherence sum 2
+    dc = metrics.distortion_coefficients(machine.couplings(p))
+    quad = metrics.averages(p, metrics.closed_curves)[1]
     assert abs(quad - metrics.avg_distortion(dc, "analytic")) <= 1e-6
     assert abs(quad - metrics.avg_distortion(dc, "legacy")) > 0.4
 
 
-def test_avg_distortion_quadrature_matches_adaptive_integration():
+def test_closed_route_averages_match_adaptive_integration():
     from scipy.integrate import quad
 
     rng = np.random.default_rng(4)
     for _ in range(5):
         c = Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-        dc = metrics.distortion_coefficients(c)
-        reference, err = quad(lambda x: metrics.distortion_closed(dc, x), 0.0, 1.0)
-        assert err < 1e-7
-        assert abs(metrics.avg_distortion_quadrature(dc) - reference) <= 1e-7
+        p = with_couplings(c, BlankState(rng.uniform(-1.0, 1.0)))
+        averages = metrics.averages(p, metrics.closed_curves)
+        for curve, average in enumerate(averages):
+            reference, err = quad(lambda x: metrics.closed_curves(p, x)[curve][0], 0.0, 1.0)
+            assert err < 1e-7
+            assert abs(average - reference) <= 1e-7
 
 
 def test_quadrature_reports_non_convergence():
-    dc = metrics.DistortionCoefficients(quartic=0.0, coherence_sum=2e9)
-    with pytest.raises(metrics.ConvergenceError):
-        metrics.avg_distortion_quadrature(dc)
+    def route(p, xs):  # the oracle's shape, with a cross term too large for the rule
+        return np.ones_like(xs), 2e9 * (xs * (1.0 - xs)) ** 1.5
+
+    (f_coarse, f_fine), (d_coarse, d_fine) = metrics.levels(by_name("case3"), route)
+    assert abs(f_fine - f_coarse) <= metrics.QUAD_AGREEMENT_TOL
+    assert abs(d_fine - d_coarse) > metrics.QUAD_AGREEMENT_TOL
+    with pytest.raises(metrics.ConvergenceError, match="distortion"):
+        metrics.averages(by_name("case3"), route)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +338,7 @@ def test_consistent_deficit_matches_oracle():
     grid = np.linspace(0.0, 1.0, 21)
     for _ in range(25):
         p = random_machine(rng)
-        deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
-        closed = metrics.fidelity_closed(deficit, grid)
+        closed = metrics.closed_curves(p, grid)[0]
         direct = metrics.curves(p, grid)[0]
         assert np.max(np.abs(direct - closed)) <= 1e-10
 
@@ -390,10 +395,10 @@ def test_averages_require_valid_machine():
         metrics.averages(MachineParams(a0=1.0, a1=1.0))
 
 
-def test_fidelity_closed_and_formula_quadrature():
-    assert metrics.fidelity_closed(2.0, 0.5) == 0.5
-    assert metrics.fidelity_closed(2.0, 0.0) == 1.0
-    assert abs(metrics.avg_fidelity_closed_quadrature(2.0) - 2.0 / 3.0) <= 1e-10
+def test_closed_curves_and_averages_of_case1_in_formula_mode():
+    p = by_name("case1")  # fails validation; its closed forms need none
+    assert metrics.closed_curves(p, [0.5, 0.0])[0].tolist() == [0.5, 1.0]
+    assert abs(metrics.averages(p, metrics.closed_curves)[0] - 2.0 / 3.0) <= 1e-10
 
 
 def test_batched_fidelity_matches_per_point_simulation():

@@ -51,16 +51,13 @@ def test_expected_values_via_quadrature():
     for name in presets.PRESET_NAMES:
         p = presets.by_name(name)
         expected_dbar, expected_fbar = PRESET_AVERAGES[name]
-        dc = metrics.distortion_coefficients(couplings(p))
-        dbar = metrics.avg_distortion_quadrature(dc)
-        assert abs(dbar - expected_dbar) <= 1e-8, name
+        routes = [metrics.closed_curves]
         if machine.validate(p).is_valid:
-            fbar, dbar = metrics.averages(p)
-            assert abs(dbar - expected_dbar) <= 1e-8, name
-        else:
-            deficit = metrics.fidelity_deficit(couplings(p), p.sigma, "legacy")
-            fbar = metrics.avg_fidelity_closed_quadrature(deficit)
-        assert abs(fbar - expected_fbar) <= 1e-8, name
+            routes.append(metrics.curves)
+        for route in routes:
+            fbar, dbar = metrics.averages(p, route)
+            assert abs(dbar - expected_dbar) <= 1e-8, (name, route.__name__)
+            assert abs(fbar - expected_fbar) <= 1e-8, (name, route.__name__)
 
 
 def test_case1_expected_numbers():
@@ -141,7 +138,7 @@ def test_case4_hadamard_rows():
     assert abs(dbar - 0.4) <= 1e-12
     dc = metrics.distortion_coefficients(c)
     assert abs(metrics.avg_distortion(dc, "analytic") - dbar) <= 1e-12
-    assert abs(metrics.avg_distortion_quadrature(dc) - dbar) <= 1e-8
+    assert abs(metrics.averages(p, metrics.closed_curves)[1] - dbar) <= 1e-8
 
 
 def test_perfect_preset_pointwise_unit_fidelity():

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -118,27 +118,36 @@ def test_fidelity_in_unit_interval_and_distortion_nonnegative(seed, m1p, xs):
 
 @PROPERTY
 @given(seeds, overlaps, grids)
-def test_fidelity_curve_matches_consistent_closed_form(seed, m1p, xs):
+def test_oracle_fidelity_matches_closed_curves(seed, m1p, xs):
     p = qr_machine(seed, m1p)
-    deficit = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
-    closed = metrics.fidelity_closed(deficit, xs)
-    assert_allclose(metrics.curves(p, xs)[0], closed, rtol=0, atol=1e-10)
+    assert_allclose(metrics.curves(p, xs)[0], metrics.closed_curves(p, xs)[0], rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(overlaps)
+@example(-1.0)
+@example(0.0)
+@example(1.0)
+def test_zero_couplings_have_deficit_two_in_both_conventions(m1p):
+    # formula mode's premise: on case1's couplings the conventions agree exactly
+    zero = Couplings(g=0j, h=0j, e=0j, f=0j)
+    for mode in metrics.DEFICIT_MODES:
+        assert metrics.fidelity_deficit(zero, BlankState(m1p), mode) == 2.0
 
 
 @PROPERTY
 @given(any_couplings, overlaps, unit)
 def test_closed_forms_match_the_closed_reduced_states(c, m1p, x):
-    # The polynomial records reproduce the measurements of the closed-form
+    # The closed curves reproduce the measurements of the closed-form
     # reduced states for any couplings, valid machine or not.
     sigma = BlankState(m1p)
     d = metrics.input_state(x) - mode1_state_closed(c, x)
     distortion = np.trace(d @ d).real
     fidelity = np.vdot(sigma.ket(), mode2_state_closed(c, sigma, x) @ sigma.ket()).real
-    for closed, reference in (
-        (metrics.distortion_closed(metrics.distortion_coefficients(c), x), distortion),
-        (metrics.fidelity_closed(metrics.fidelity_deficit(c, sigma), x), fidelity),
-    ):
-        assert abs(closed - reference) <= 1e-12 * max(1.0, abs(reference))
+    # row 0 holds the couplings and row 1 is zero, so the machine's couplings are exactly c
+    p = MachineParams(a0=c.g, b0=c.h, c0=c.e, d0=c.f, sigma=sigma)
+    for closed, reference in zip(metrics.closed_curves(p, x), (fidelity, distortion)):
+        assert abs(closed[0] - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def np_conj_fidelity_deficit(c: Couplings, sigma: BlankState, mode: str) -> float:

@@ -38,4 +38,4 @@ def test_library_example_runs_and_its_comments_hold():
         else:
             assert_allclose(np.asarray(actual, dtype=float), expected, rtol=0, atol=1e-8, err_msg=code)
         checked += 1
-    assert checked == 5
+    assert checked == 6
