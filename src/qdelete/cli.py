@@ -1,8 +1,8 @@
 """Command-line interface: validate, sweep, cases, diagnose, optimize.
 
 Exit codes: 0 success (or valid machine), 1 invalid machine, 2 usage or
-parse error.  Tables render 10 significant digits; CSV and JSON outputs keep
-full precision (17 significant digits) so they round-trip exactly.
+parse error.  Tables render 10 significant digits; CSV values have 17 and JSON
+numbers are shortest-repr, so both parse back to the same floats.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ def cmd_sweep(args) -> int:
         fidelity, distortion = metrics.closed_curves(p, xs)
         lines.append("# formula mode")
     lines.append("alpha_sq,fidelity,distortion")
-    for x, f, d in zip(xs.tolist(), fidelity.tolist(), distortion.tolist()):
-        lines.append(f"{_f17(x)},{_f17(f)},{_f17(d)}")
-    text = "\n".join(lines) + "\n"
+    rows = np.column_stack((xs, fidelity, distortion)).ravel().tolist()
+    text = "\n".join(lines) + "\n" + ("%.17g,%.17g,%.17g\n" * len(xs)) % tuple(rows)
     if args.out is None:
         sys.stdout.write(text)
     else:

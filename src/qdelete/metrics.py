@@ -180,9 +180,10 @@ def avg_fidelity(deficit: float) -> float:
 def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
     """Direct-simulation fidelity and distortion at each x of a grid, from one simulation.
 
-    F is the blank-state overlap of the mode-2 reduced state; contracting as
-    ``(rho @ sig) @ conj(sig)`` keeps F(0) and F(1) exactly 1.0.  D is
-    Tr[(input - rho_1)^2] of the mode-1 reduced state.
+    F is the blank-state overlap ``(rho @ sig) @ conj(sig)`` of the mode-2
+    reduced state, which at x = 0 and 1 is the blank state itself: F(0) and F(1)
+    depend on m1p alone, within a few ulps of 1 (exactly 1.0 for the presets).
+    D is Tr[(input - rho_1)^2] of the mode-1 reduced state.
     """
     require_valid(p)
     xs = np.atleast_1d(alpha_sq_grid)

@@ -263,6 +263,34 @@ def test_sweep_round_trips_full_precision(tmp_path):
     assert [r[2] for r in rows] == list(distortion)
 
 
+@pytest.mark.parametrize(
+    "source, points, to_file",
+    [("machine", 1001, True), ("case1", 7, True), ("case3", 21, False)],
+    ids=["machine-file", "formula-preset", "stdout"],
+)
+def test_sweep_prints_every_value_at_17_significant_digits(
+    tmp_path, capsys, source, points, to_file
+):
+    if source == "machine":
+        p = optimizer.random_machine(np.random.default_rng(5))
+        argv, head = ["--machine", str(write_machine(tmp_path, p))], ""
+    else:
+        p = by_name(source)
+        argv = ["--preset", source]
+        head = "# formula mode\n" if source == "case1" else ""
+    route = metrics.closed_curves if head else metrics.curves
+    xs = np.linspace(0.0, 1.0, points)
+    expected = head + "alpha_sq,fidelity,distortion\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n"
+        for row in zip(xs.tolist(), *(curve.tolist() for curve in route(p, xs)))
+    )
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", *argv, "--points", str(points)] + (["--out", str(out)] if to_file else [])
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert (out.read_bytes() if to_file else printed.encode()) == expected.encode()
+
+
 # ---------------------------------------------------------------------------
 # cases
 

@@ -9,8 +9,9 @@ counts as read when it occurs as a loaded name anywhere in the module;
 constant must be named somewhere in the package (as a loaded name or an
 attribute), and every
 public method must be read as an attribute somewhere in the package, unless
-the name is exported in ``__init__.__all__``.  Code that only the tests call
-belongs in the tests.
+the name is exported in ``__init__.__all__``.  A private module-level name
+must be named in its own module.  Code that only the tests call belongs in
+the tests.
 """
 
 import ast
@@ -59,24 +60,28 @@ def test_the_scan_finds_unused_and_exempts_future_imports():
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Public definitions of a package that the package never names nor exports.
+    """Definitions of a package that the package never uses.
 
     ``sources`` maps module names to their source; the ``__init__`` module's
     ``__all__`` lists the exports.  A module-level definition counts as used
     when its name is loaded or read as an attribute anywhere in the package; a
     method only when it is read as an attribute, since a local name that
     equals the method's does not call it.  Module-level constants (names
-    bound by a top-level assignment) count like functions.  Names that start
-    with an underscore are exempt.
+    bound by a top-level assignment) count like functions.  A private
+    module-level name (one underscore, not a dunder) counts as used only when
+    its own module names it.  Private methods and dunders are exempt.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
+    named_in = {module: set() for module in trees}  # what each module loads or reads
     loaded, attributes = set(), set()
-    for tree in trees.values():
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
+                named_in[module].add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                named_in[module].add(node.attr)
     exported = set()
     for node in trees["__init__"].body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
@@ -86,24 +91,27 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for module, tree in trees.items():
+        own_names = named_in[module]
         for node in tree.body:
             if isinstance(node, (*functions, ast.ClassDef)):
-                found.append((f"{module}.{node.name}", node.name, module_level_used))
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                found += [
-                    (f"{module}.{name.id}", name.id, module_level_used)
-                    for target in targets
-                    for name in ast.walk(target)
-                    if isinstance(name, ast.Name)
-                ]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            found += [
+                (f"{module}.{name}", name, own_names if name.startswith("_") else module_level_used)
+                for name in names
+                if not (name.startswith("__") and name.endswith("__"))
+            ]
             if isinstance(node, ast.ClassDef):
                 found += [
                     (f"{module}.{node.name}.{item.name}", item.name, method_used)
                     for item in node.body
-                    if isinstance(item, functions)
+                    if isinstance(item, functions) and not item.name.startswith("_")
                 ]
-    return [path for path, name, used in found if not name.startswith("_") and name not in used]
+    return [path for path, name, used in found if name not in used]
 
 
 def test_package_defines_only_what_it_uses():
@@ -121,12 +129,12 @@ def test_the_definition_scan_finds_unused_and_exempts_exports():
             "    def unused(self):\n        pass\n"
             "    def shadowed(self):\n        pass\n"
             "    def _private(self):\n        pass\n"
-            "def helper(shadowed=None):\n    return Exported().used, shadowed\n"
+            "def helper(shadowed=None):\n    return Exported().used, shadowed, _PRIVATE_CONSTANT\n"
             "def orphan():\n    pass\n"
             "def _private():\n    pass\n"
             "USED, UNUSED_CONSTANT = 1, 2\n"
             "ANNOTATED: int = 3\n"
-            "_PRIVATE_CONSTANT = USED\n"
+            "_PRIVATE_CONSTANT = USED, _private\n"
         ),
         "b": "import a\ndef caller():\n    return a.orphan_attr\n",
     }
@@ -136,3 +144,25 @@ def test_the_definition_scan_finds_unused_and_exempts_exports():
         "a.ANNOTATED", "b.caller",
     ]
 
+
+def test_the_definition_scan_requires_private_names_in_their_own_module():
+    sources = {
+        "__init__": "from .b import caller\n__all__ = ['caller']\n",
+        "a": (
+            "__version__ = '1'\n"
+            "class Public:\n    def _hook(self):\n        pass\n"
+            "def _used():\n    return _CONSTANT\n"
+            "_CONSTANT = 1\n"
+            "def _orphan():\n    pass\n"
+            "_UNUSED = 2\n"
+            "def _used_elsewhere():\n    pass\n"
+            "def public():\n    return _used(), Public\n"
+        ),
+        "b": (
+            "import a\nfrom a import _used_elsewhere\n"
+            "def caller():\n    return _used_elsewhere(), a.public\n"
+        ),
+    }
+    # dunders and private methods are exempt; a private name read only by
+    # another module counts as unused in its own
+    assert unreferenced_definitions(sources) == ["a._orphan", "a._UNUSED", "a._used_elsewhere"]

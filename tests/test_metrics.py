@@ -264,25 +264,25 @@ def test_quadrature_reports_non_convergence():
 # fidelity
 
 
-def test_fidelity_direct_endpoints_exact():
+def test_curves_fidelity_endpoints_exact_on_the_presets():
     for name in ("case2", "case3", "perfect"):
         p = by_name(name)
         assert metrics.curves(p, 0.0)[0][0] == 1.0
         assert metrics.curves(p, 1.0)[0][0] == 1.0
 
 
-def test_fidelity_direct_case3_balanced():
+def test_curves_fidelity_case3_balanced():
     p = by_name("case3")
     assert abs(metrics.curves(p, 0.5)[0][0] - 0.75) <= 1e-12
 
 
-def test_fidelity_direct_perfect_preset_everywhere():
+def test_curves_fidelity_perfect_preset_everywhere():
     p = by_name("perfect")
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert abs(metrics.curves(p, x)[0][0] - 1.0) <= 1e-12
 
 
-def test_fidelity_direct_requires_valid_machine():
+def test_curves_require_a_valid_machine():
     with pytest.raises(machine.MachineValidationError):
         metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
 

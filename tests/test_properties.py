@@ -124,6 +124,16 @@ def test_oracle_fidelity_matches_closed_curves(seed, m1p, xs):
 
 
 @PROPERTY
+@given(seeds)
+def test_oracle_fidelity_endpoints_are_one_within_four_eps(seed):
+    # At x = 0 and x = 1 the deleted mode holds the blank state exactly, so
+    # F(0) and F(1) miss 1 only by the rounding of the blank state's norm.
+    p = optimizer.random_machine(np.random.default_rng(seed))
+    fidelity, _ = metrics.curves(p, np.array([0.0, 1.0]))
+    assert np.all(np.abs(fidelity - 1.0) <= 4 * np.finfo(float).eps)
+
+
+@PROPERTY
 @given(overlaps)
 @example(-1.0)
 @example(0.0)
