@@ -31,6 +31,11 @@ whose two coefficients (`DistortionCoefficients`) are
 and the fidelity of deletion is the blank-state overlap of the deleted mode,
 F(x) = 1 - deficit * x(1-x).  Averages are uniform integrals over x in [0, 1].
 
+Each closed form is written once, as a kernel on plain scalars
+(`scalar_deficit`, `scalar_coefficients`, `scalar_avg_distortion`), which the
+search calls at every evaluation; `fidelity_deficit`, `distortion_coefficients`
+and `avg_distortion` take the records and the mode flags and call the kernels.
+
 Two historical ambiguities are kept behind mode flags of the closed-form
 averages; `closed_curves` uses the mode the oracle realizes:
 
@@ -116,15 +121,36 @@ def input_state(alpha_sq) -> np.ndarray:
     return inputs(alpha_sq).reshape(np.shape(alpha_sq) + (2, 2)).astype(complex)
 
 
-def distortion_coefficients(c: Couplings) -> DistortionCoefficients:
-    """Distortion polynomial coefficients derived from the couplings."""
-    g, h, e, f = c.g, c.h, c.e, c.f
+def scalar_coefficients(g, h, e, f) -> tuple[float, float]:
+    """Distortion polynomial coefficients (quartic, coherence sum) of plain scalar couplings."""
     coherence = e * h.conjugate() + g * f.conjugate()
     defect = (abs(e) ** 2 + abs(g) ** 2 - 1.0) ** 2 + (abs(h) ** 2 + abs(f) ** 2 - 1.0) ** 2
-    return DistortionCoefficients(
-        quartic=float(defect + 2.0 * (coherence * coherence.conjugate()).real),
-        coherence_sum=float(2.0 * coherence.real),
+    return (
+        float(defect + 2.0 * (coherence * coherence.conjugate()).real),
+        float(2.0 * coherence.real),
     )
+
+
+def scalar_avg_distortion(
+    quartic: float, coherence_sum: float, cross_constant: float = ANALYTIC_CROSS_CONSTANT
+) -> float:
+    """Average distortion quartic/30 + 1/3 - cross_constant * coherence sum."""
+    return quartic / 30.0 + 1.0 / 3.0 - cross_constant * coherence_sum
+
+
+def scalar_deficit(g, h, e, f, m1p: float) -> float:
+    """Consistent-mode deficit k, F(x) = 1 - k * x(1-x), of plain scalar couplings and m1p."""
+    gf = abs(g) ** 2 + abs(f) ** 2
+    he = abs(h) ** 2 + abs(e) ** 2
+    msq = m1p * m1p
+    s = math.sqrt(1.0 - msq)
+    cross = 2.0 * float((g.conjugate() * e + h * f.conjugate()).real)
+    return 2.0 - (he * msq + gf * (s * s) + m1p * s * cross)
+
+
+def distortion_coefficients(c: Couplings) -> DistortionCoefficients:
+    """Distortion polynomial coefficients derived from the couplings."""
+    return DistortionCoefficients(*scalar_coefficients(c.g, c.h, c.e, c.f))
 
 
 def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
@@ -136,29 +162,23 @@ def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
     if mode not in DISTORTION_MODES:
         raise ValueError(f"mode must be one of {DISTORTION_MODES}, got {mode!r}")
     const = LEGACY_CROSS_CONSTANT if mode == "legacy" else ANALYTIC_CROSS_CONSTANT
-    return dc.quartic / 30.0 + 1.0 / 3.0 - const * dc.coherence_sum
+    return scalar_avg_distortion(dc.quartic, dc.coherence_sum, const)
 
 
 def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") -> float:
     """Deficit k such that F(x) = 1 - k * x(1-x).
 
     See the module docstring for the "legacy" versus "consistent" weight
-    placement; direct simulation realizes the "consistent" value.
+    placement; direct simulation realizes the "consistent" value.  The legacy
+    deficit is the consistent one of (h, g, f, e): the exchange swaps the
+    weights |g|^2 + |f|^2 and |h|^2 + |e|^2 and conjugates both summands of the
+    cross term, whose real part it leaves bit for bit the same.
     """
     if mode not in DEFICIT_MODES:
         raise ValueError(f"mode must be one of {DEFICIT_MODES}, got {mode!r}")
-    g, h, e, f = c.g, c.h, c.e, c.f
-    gf = abs(g) ** 2 + abs(f) ** 2
-    he = abs(h) ** 2 + abs(e) ** 2
-    m = sigma.m1p
-    msq = m * m
-    s = math.sqrt(1.0 - msq)
-    cross = 2.0 * float((g.conjugate() * e + h * f.conjugate()).real)
     if mode == "legacy":
-        bracket = gf * msq + he * (s * s) + m * s * cross
-    else:
-        bracket = he * msq + gf * (s * s) + m * s * cross
-    return 2.0 - bracket
+        return scalar_deficit(c.h, c.g, c.f, c.e, sigma.m1p)
+    return scalar_deficit(c.g, c.h, c.e, c.f, sigma.m1p)
 
 
 def avg_fidelity(deficit: float) -> float:

@@ -9,9 +9,11 @@ seeded random starts, and the best point over all restarts is decoded into a
 machine whose rows are orthonormal by construction.
 
 Objectives are maximized: average fidelity, negated average distortion, or a
-weighted combination, all scored by one formula on the closed-form averages
-of the metrics module.  The simulation-quadrature oracle checks the returned
-machine's averages once per solve.
+weighted combination.  `scorer` builds the one scoring function of a solve
+from the plain-scalar closed-form kernels of the metrics module; it resolves
+the weights once and skips a term of weight zero, and each evaluation builds
+no record.  The simulation-quadrature oracle checks the returned machine's
+averages once per solve.
 
 scipy is imported on the first search, not with the module, so that the
 commands that run no search start without it.  ``minimize`` stays a
@@ -22,12 +24,13 @@ can replace that one binding to wrap every Nelder-Mead run.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .machine import BlankState, Couplings, MachineParams, couplings, require_valid
+from .machine import BlankState, MachineParams, couplings, require_valid
 
 RAW_DIM = 9
 
@@ -37,7 +40,7 @@ OBJECTIVE_WEIGHTED = "weighted"
 OBJECTIVES = (OBJECTIVE_MAX_FIDELITY, OBJECTIVE_MIN_DISTORTION, OBJECTIVE_WEIGHTED)
 
 #: (wf, wd) of the unweighted objectives; the weighted one takes the config's.
-#: 1.0 * Fbar - 0.0 * Dbar is bit-equal to Fbar.
+#: Max-fidelity then scores 1.0 * Fbar, which is bit-equal to Fbar.
 _WEIGHTS = {OBJECTIVE_MAX_FIDELITY: (1.0, 0.0), OBJECTIVE_MIN_DISTORTION: (0.0, 1.0)}
 
 #: Minimization value returned for raw points that fail to decode; large
@@ -123,7 +126,9 @@ def _sphere_point(raw: np.ndarray) -> tuple[list[complex], float]:
     if norm < _DEGENERACY_TOL:
         raise DecodeError("coupling vector is numerically zero")
     k = math.sqrt(2.0) / norm
-    return [complex(r[i], r[i + 1]) * k for i in range(0, 8, 2)], math.cos(r[8])
+    u = [complex(r[0], r[1]) * k, complex(r[2], r[3]) * k, complex(r[4], r[5]) * k,
+         complex(r[6], r[7]) * k]
+    return u, math.cos(r[8])
 
 
 def decode(raw) -> MachineParams:
@@ -158,16 +163,34 @@ def random_machine(rng: np.random.Generator) -> MachineParams:
     return MachineParams.from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))
 
 
-def score(c: Couplings, sigma: BlankState, cfg: OptConfig) -> float:
-    """Objective wf * Fbar - wd * Dbar of a point of the coupling sphere; larger is better.
+def scorer(cfg: OptConfig) -> Callable[[list[complex], float], float]:
+    """The objective wf * Fbar - wd * Dbar of a point of the coupling sphere; larger is better.
 
+    The returned function takes the couplings u = (g, h, e, f) and m1p as
+    plain scalars, as `_sphere_point` gives them, and builds no record.
     Fbar = 1 - k/6 with k the consistent-mode deficit, which the simulation
-    oracle realizes; Dbar is the analytic-mode average distortion.
+    oracle realizes; Dbar is the analytic-mode average distortion.  The
+    weights are resolved here, once, and a term of weight zero is not
+    computed.  The value is still bit for bit the full formula's, because on
+    the sphere Fbar >= 1/3 and Dbar > 0 make w * Xbar equal to w, a signed
+    zero, when w is zero: wf * Fbar - (+-0) is wf * Fbar, and
+    (+-0) * Fbar - wd * Dbar is wf - wd * Dbar.
     """
-    fbar = 1.0 - metrics.fidelity_deficit(c, sigma) / 6.0
-    dbar = metrics.avg_distortion(metrics.distortion_coefficients(c))
     wf, wd = _WEIGHTS.get(cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion))
-    return wf * fbar - wd * dbar
+    deficit, coefficients = metrics.scalar_deficit, metrics.scalar_coefficients
+    avg_distortion = metrics.scalar_avg_distortion
+
+    def fbar(u, m1p):
+        return 1.0 - deficit(*u, m1p) / 6.0
+
+    def dbar(u):
+        return avg_distortion(*coefficients(*u))
+
+    if wd == 0:
+        return lambda u, m1p: wf * fbar(u, m1p)
+    if wf == 0:
+        return lambda u, m1p: wf - wd * dbar(u)
+    return lambda u, m1p: wf * fbar(u, m1p) - wd * dbar(u)
 
 
 def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResult:
@@ -182,6 +205,7 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
     best_value = -math.inf
     best_raw: np.ndarray | None = None
     iterations_used = 0
+    value_of = scorer(cfg)
 
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + restart)
@@ -201,7 +225,7 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
             except DecodeError:
                 history.append(HistoryEntry(restart, evaluation, best_value))
                 return _DEGENERATE_PENALTY
-            value = score(Couplings(*u), BlankState(m1p), cfg)
+            value = value_of(u, m1p)
             if value > best_value:
                 best_value = value
                 best_raw = raw  # minimize passes each point as its own copy

@@ -13,6 +13,10 @@ behaviour no test pins.
 Run by hand from the repository root (the Tier-1 suite does not collect it)::
 
     python tests/mutants.py --seed 1 --sample 45 --workers 2
+    python tests/mutants.py --module optimizer.py --sample 1000
+
+``--module`` draws only from the mutants of one module; a sample at least
+as large as that module's count runs every one of them.
 
 Survivors are printed as ``file:line`` with the change made.  The exit code
 is 0 when every sampled mutant was killed, 1 otherwise.
@@ -126,15 +130,21 @@ def main(argv=None) -> int:
     parser.add_argument("--sample", type=int, default=45, help="mutants to run")
     parser.add_argument("--workers", type=int, default=2,
                         help="suite runs in parallel (at most the CPU count)")
+    parser.add_argument("--module", metavar="FILE",
+                        help="mutate only this file of src/qdelete/, e.g. optimizer.py")
     args = parser.parse_args(argv)
     if args.sample < 1 or args.workers < 1:
         parser.error("--sample and --workers must be >= 1")
     workers = min(args.workers, os.cpu_count() or 1)
+    population = list_mutants()
+    if args.module is not None:
+        population = [m for m in population if m[0] == args.module]
+        if not population:
+            parser.error(f"--module {args.module!r} names no mutable file of src/qdelete/")
 
     if not run_suite(None):
         print("the suite fails on the unmutated copy; no mutant can be judged", file=sys.stderr)
         return 2
-    population = list_mutants()
     sample = sorted(random.Random(args.seed).sample(population, min(args.sample, len(population))))
     print(f"{len(sample)} of {len(population)} mutants, seed {args.seed}, {workers} workers")
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -451,6 +451,22 @@ def test_optimize_prints_the_written_amplitudes(tmp_path, capsys):
     assert min(imags) < 0 < max(imags)
 
 
+def test_optimize_prints_a_zero_imaginary_part_with_a_plus_sign(tmp_path, capsys):
+    # One iteration from the real case3 preset returns a real machine: every
+    # imaginary part is +0.0, and each reads "+ 0i", not "- 0i".
+    out = tmp_path / "best.json"
+    argv = ["optimize", "--warm-start", "case3", "--restarts", "1", "--max-iters", "1",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    imags = [written[key][1] for key in machine.AMPLITUDE_KEYS]
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in imags)
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()
+             if line.strip().partition(" = ")[0] in machine.AMPLITUDE_KEYS]
+    assert len(lines) == len(machine.AMPLITUDE_KEYS)
+    assert all(line.endswith(" + 0i") for line in lines), lines
+
+
 def test_optimize_reruns_bit_identical(tmp_path):
     args = [
         "optimize",

@@ -327,10 +327,11 @@ def test_from_dict_rejects_malformed_amplitude():
 
 def test_from_dict_rejects_out_of_range_m1p():
     data = machine.to_dict(case3_params())
-    data["m1p"] = 1.25
-    with pytest.raises(machine.MachineFormatError) as excinfo:
-        machine.from_dict(data)
-    assert "m1p" in str(excinfo.value)
+    for m1p in (1.25, -1.25):
+        data["m1p"] = m1p
+        with pytest.raises(machine.MachineFormatError) as excinfo:
+            machine.from_dict(data)
+        assert "m1p" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("key", ["a0", "d1", "m1p"])

@@ -160,18 +160,18 @@ def test_closed_curves_reject_bad_grid():
 # direct distortion oracle
 
 
-def test_distortion_direct_case3():
+def test_curves_distortion_case3():
     p = by_name("case3")
     assert metrics.curves(p, 1.0)[1][0] == 0.0
     assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
 
 
-def test_distortion_direct_case2():
+def test_curves_distortion_case2():
     p = by_name("case2")
     assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
 
 
-def test_distortion_direct_requires_valid_machine():
+def test_curves_distortion_requires_a_valid_machine():
     with pytest.raises(machine.MachineValidationError):
         metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
 
@@ -258,6 +258,13 @@ def test_quadrature_reports_non_convergence():
     assert abs(d_fine - d_coarse) > metrics.QUAD_AGREEMENT_TOL
     with pytest.raises(metrics.ConvergenceError, match="distortion"):
         metrics.averages(by_name("case3"), route)
+
+
+def test_levels_that_differ_by_exactly_the_tolerance_converge():
+    tol = metrics.QUAD_AGREEMENT_TOL
+    assert metrics._converged("fidelity", 0.0, tol) == tol
+    with pytest.raises(metrics.ConvergenceError, match="fidelity"):
+        metrics._converged("fidelity", 0.0, math.nextafter(tol, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +480,7 @@ def _library_averages(c, sigma):
     )
 
 
-def test_case4_metrics_unit_weights():
+def test_exchange_only_reference_unit_weights():
     sigma = BlankState(SQRT_HALF)
     assert exchange_only_coefficients(CASE3, sigma)[0] == 0.0
     expected = exchange_only_averages(CASE3, sigma)
@@ -481,7 +488,7 @@ def test_case4_metrics_unit_weights():
     assert_allclose(_library_averages(CASE3, sigma), expected, rtol=0, atol=1e-12)
 
 
-def test_case4_metrics_degenerate_couplings():
+def test_exchange_only_reference_degenerate_couplings():
     sigma = BlankState(SQRT_HALF)
     assert exchange_only_coefficients(CASE1, sigma)[0] == 2.0
     expected = exchange_only_averages(CASE1, sigma)
@@ -489,7 +496,7 @@ def test_case4_metrics_degenerate_couplings():
     assert_allclose(_library_averages(CASE1, sigma), expected, rtol=0, atol=1e-12)
 
 
-def test_case4_metrics_asymmetric_weights():
+def test_exchange_only_reference_asymmetric_weights():
     # |g|^2 = 1, |h|^2 = 0 at m1p = 1: the two deficit conventions split.
     c = Couplings(g=1 + 0j, h=0j, e=0j, f=0j)
     sigma = BlankState(1.0)

@@ -29,6 +29,21 @@ def _rows(p):
     return np.array([[p.a0, p.b0, p.c0, p.d0], [p.a1, p.b1, p.c1, p.d1]], dtype=complex)
 
 
+def scored(cfg, c, sigma):
+    """The search objective of couplings c and blank state sigma."""
+    return optimizer.scorer(cfg)([c.g, c.h, c.e, c.f], sigma.m1p)
+
+
+def counting(fn, calls, name):
+    """``fn``, counting its calls in ``calls[name]``."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 # ---------------------------------------------------------------------------
 # decode / encode
 
@@ -45,6 +60,16 @@ def test_decode_orthonormal_input_is_untouched():
 def test_decode_rejects_zero_row():
     raw = case3_raw()
     raw[0:8] = 0.0
+    with pytest.raises(optimizer.DecodeError):
+        optimizer.decode(raw)
+
+
+def test_decode_rejects_a_coupling_vector_only_below_1e_12():
+    raw = case3_raw()
+    raw[0:8] = 0.0
+    raw[0] = 1e-12
+    assert machine.validate(optimizer.decode(raw), tol=1e-12).is_valid
+    raw[0] = math.nextafter(1e-12, 0.0)
     with pytest.raises(optimizer.DecodeError):
         optimizer.decode(raw)
 
@@ -130,7 +155,7 @@ def test_encode_decode_round_trip():
         c, d = couplings(p), couplings(q)
         assert_allclose([d.g, d.h, d.e, d.f], [c.g, c.h, c.e, c.f], rtol=0, atol=1e-12)
         assert abs(q.sigma.m1p - p.sigma.m1p) <= 1e-12
-        assert abs(optimizer.score(d, q.sigma, cfg) - optimizer.score(c, p.sigma, cfg)) <= 1e-12
+        assert abs(scored(cfg, d, q.sigma) - scored(cfg, c, p.sigma)) <= 1e-12
 
 
 @pytest.mark.parametrize("m1p", [-1.0, -0.6, 0.0, 0.3, math.sqrt(0.5), 0.9, 1.0])
@@ -194,19 +219,19 @@ def test_config_accepts_its_boundary_values():
     assert optimizer.optimize(cfg).iterations_used == 1
 
 
-def test_score_known_machines():
+def test_scorer_known_machines():
     cfg_f = optimizer.OptConfig(objective="max-fidelity")
     cfg_d = optimizer.OptConfig(objective="min-distortion")
     cfg_w = optimizer.OptConfig(objective="weighted", weight_fidelity=1.0, weight_distortion=1.0)
     case3, perfect = by_name("case3"), by_name("perfect")
     c3 = couplings(case3)
-    assert abs(optimizer.score(c3, case3.sigma, cfg_f) - 5.0 / 6.0) <= 1e-9
-    assert abs(optimizer.score(c3, case3.sigma, cfg_d) + 1.0 / 3.0) <= 1e-9
-    assert abs(optimizer.score(c3, case3.sigma, cfg_w) - 0.5) <= 1e-9
-    assert abs(optimizer.score(couplings(perfect), perfect.sigma, cfg_f) - 1.0) <= 1e-10
+    assert abs(scored(cfg_f, c3, case3.sigma) - 5.0 / 6.0) <= 1e-9
+    assert abs(scored(cfg_d, c3, case3.sigma) + 1.0 / 3.0) <= 1e-9
+    assert abs(scored(cfg_w, c3, case3.sigma) - 0.5) <= 1e-9
+    assert abs(scored(cfg_f, couplings(perfect), perfect.sigma) - 1.0) <= 1e-10
 
 
-def test_score_runs_no_oracle_and_no_validation(monkeypatch):
+def test_scorer_runs_no_oracle_and_no_validation(monkeypatch):
     for module, names in (
         (machine, ("validate", "isometry", "outputs")),
         (metrics, ("curves", "closed_curves", "levels", "averages")),
@@ -215,28 +240,57 @@ def test_score_runs_no_oracle_and_no_validation(monkeypatch):
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("oracle or validation called"))
     c = couplings(by_name("case3"))
     for objective in optimizer.OBJECTIVES:
-        optimizer.score(c, BlankState(math.sqrt(0.5)), optimizer.OptConfig(objective=objective))
+        scored(optimizer.OptConfig(objective=objective), c, BlankState(math.sqrt(0.5)))
 
 
 def test_search_loop_builds_no_machine_and_validates_outside_it(monkeypatch):
     calls = Counter()
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(machine, "validate", counted(machine.validate))
-    monkeypatch.setattr(optimizer, "decode", counted(optimizer.decode))
+    monkeypatch.setattr(machine, "validate", counting(machine.validate, calls, "validate"))
+    monkeypatch.setattr(optimizer, "decode", counting(optimizer.decode, calls, "decode"))
     result = optimizer.optimize(optimizer.OptConfig(**SMALL), warm_start=by_name("perfect"))
     assert len(result.history) > 100
     # the warm start and the oracle report validate; the best point decodes once
     assert calls == {"validate": 2, "decode": 1}
 
 
-def test_objective_invariant_under_joint_row_phase():
+def test_search_loop_builds_no_records_per_evaluation(monkeypatch):
+    built = Counter()
+    for cls in (machine.Couplings, BlankState, metrics.DistortionCoefficients):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__, built, cls.__name__))
+    counts, evaluations = [], []
+    for max_iters in (20, 200):
+        built.clear()
+        result = optimizer.optimize(optimizer.OptConfig(restarts=1, max_iters=max_iters, seed=5))
+        counts.append(dict(built))
+        evaluations.append(len(result.history))
+    assert evaluations[1] > evaluations[0] + 100
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "settings, deficits, distortions",
+    [
+        (dict(objective="max-fidelity"), 1, 0),
+        (dict(objective="min-distortion"), 0, 1),
+        (dict(objective="weighted"), 1, 1),
+        (dict(objective="weighted", weight_fidelity=0.0), 0, 1),
+        (dict(objective="weighted", weight_distortion=0.0), 1, 0),
+    ],
+)
+def test_the_search_computes_only_the_terms_it_weighs(monkeypatch, settings, deficits, distortions):
+    calls = Counter()
+    for name in ("scalar_deficit", "scalar_coefficients", "scalar_avg_distortion"):
+        monkeypatch.setattr(metrics, name, counting(getattr(metrics, name), calls, name))
+    result = optimizer.optimize(optimizer.OptConfig(restarts=1, max_iters=40, seed=5, **settings))
+    n = len(result.history)
+    assert calls == Counter(
+        scalar_deficit=deficits * n,
+        scalar_coefficients=distortions * n,
+        scalar_avg_distortion=distortions * n,
+    )
+
+
+def test_scorer_invariant_under_joint_row_phase():
     # The metrics depend only on the couplings and the blank state, and both
     # are preserved by a joint phase on the two amplitude rows.
     rng = np.random.default_rng(46)
@@ -245,8 +299,8 @@ def test_objective_invariant_under_joint_row_phase():
         p = optimizer.random_machine(rng)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         q = MachineParams.from_rows(*(phase * _rows(p)), p.sigma)
-        fp = optimizer.score(couplings(p), p.sigma, cfg)
-        assert abs(fp - optimizer.score(couplings(q), q.sigma, cfg)) <= 1e-12
+        fp = scored(cfg, couplings(p), p.sigma)
+        assert abs(fp - scored(cfg, couplings(q), q.sigma)) <= 1e-12
 
 
 def test_single_row_phase_changes_the_metrics():
@@ -291,6 +345,29 @@ def test_every_restart_runs_nelder_mead_through_the_module_level_minimize(monkey
     monkeypatch.setattr(optimizer, "minimize", counting)
     assert optimizer.optimize(cfg) == expected
     assert methods == ["Nelder-Mead"] * 3
+
+
+def test_the_best_machine_is_the_first_point_that_reaches_the_best_objective(monkeypatch):
+    # From the perfect preset several points tie at the best value; the
+    # returned machine is the one at which the history first reaches it.
+    scored_points = []
+    minimize = optimizer.minimize
+
+    def recording(fun, x0, **kwargs):
+        def objective(raw):
+            value = fun(raw)
+            scored_points.append((raw.copy(), -value))
+            return value
+
+        return minimize(objective, x0, **kwargs)
+
+    monkeypatch.setattr(optimizer, "minimize", recording)
+    cfg = optimizer.OptConfig(restarts=1, max_iters=80, seed=5)
+    result = optimizer.optimize(cfg, warm_start=by_name("perfect"))
+    ties = [raw for raw, value in scored_points if value == result.best_objective]
+    assert len(ties) > 1
+    assert optimizer.decode(ties[0]) == result.best_machine
+    assert optimizer.decode(ties[-1]) != result.best_machine
 
 
 def test_optimize_history_is_monotone_best_so_far():

@@ -11,6 +11,7 @@ project's pytest settings.
 """
 
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -161,7 +162,8 @@ def test_closed_forms_match_the_closed_reduced_states(c, m1p, x):
 
 
 def np_conj_fidelity_deficit(c: Couplings, sigma: BlankState, mode: str) -> float:
-    """`metrics.fidelity_deficit` as written with `np.conj`, the exactness reference."""
+    """The fidelity deficit as written before its scalar kernel, one bracket per
+    mode, with `np.conj`: the exactness reference."""
     g, h, e, f = c.g, c.h, c.e, c.f
     gf = abs(g) ** 2 + abs(f) ** 2
     he = abs(h) ** 2 + abs(e) ** 2
@@ -195,6 +197,53 @@ def test_conjugate_closed_forms_equal_the_np_conj_forms_exactly(seed, scale, kin
         assert metrics.fidelity_deficit(c, sigma, mode) == np_conj_fidelity_deficit(c, sigma, mode)
 
 
+def reference_avg_distortion(c: Couplings) -> float:
+    """The analytic-mode average distortion as written before its scalar kernels."""
+    g, h, e, f = c.g, c.h, c.e, c.f
+    coherence = e * h.conjugate() + g * f.conjugate()
+    defect = (abs(e) ** 2 + abs(g) ** 2 - 1.0) ** 2 + (abs(h) ** 2 + abs(f) ** 2 - 1.0) ** 2
+    quartic = float(defect + 2.0 * (coherence * coherence.conjugate()).real)
+    coherence_sum = float(2.0 * coherence.real)
+    return quartic / 30.0 + 1.0 / 3.0 - metrics.ANALYTIC_CROSS_CONSTANT * coherence_sum
+
+
+#: Every objective, and weighted ones that zero a term with +0.0 or -0.0 or
+#: let a subnormal weight underflow its product to zero.
+EXACT_CONFIGS = [optimizer.OptConfig(objective=objective) for objective in optimizer.OBJECTIVES] + [
+    optimizer.OptConfig(objective="weighted", weight_fidelity=wf, weight_distortion=wd)
+    for wf, wd in ((0.0, 1.0), (-0.0, 2.0), (1.0, 0.0), (0.5, -0.0), (0.0, 5e-324), (5e-324, 0.0),
+                   (0.3, 1.7))
+]
+
+
+def ieee(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(seeds, st.floats(min_value=-8.0, max_value=8.0))
+def test_scorer_is_bit_for_bit_the_formula_on_the_records(seed, exponent):
+    # The search's kernels and its skipped zero-weight term change no bit of
+    # wf * (1 - k/6) - wd * Dbar computed by the formulas on the records.
+    raw = optimizer.sample_raw(np.random.default_rng(seed)) * 10.0 ** exponent
+    u, m1p = optimizer._sphere_point(raw)
+    c, sigma = Couplings(*u), BlankState(m1p)
+    fbar = 1.0 - np_conj_fidelity_deficit(c, sigma, "consistent") / 6.0
+    dbar = reference_avg_distortion(c)
+    # the premises of the skip: w * Xbar is w itself when w is a zero
+    assert 1.0 / 3.0 <= fbar <= 1.0 and dbar > 0.0
+    for cfg in EXACT_CONFIGS:
+        wf, wd = {"max-fidelity": (1.0, 0.0), "min-distortion": (0.0, 1.0)}.get(
+            cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion)
+        )
+        assert ieee(optimizer.scorer(cfg)(u, m1p)) == ieee(wf * fbar - wd * dbar), cfg
+    for mode in metrics.DEFICIT_MODES:
+        assert ieee(metrics.fidelity_deficit(c, sigma, mode)) == ieee(
+            np_conj_fidelity_deficit(c, sigma, mode)
+        )
+    assert ieee(metrics.avg_distortion(metrics.distortion_coefficients(c))) == ieee(dbar)
+
+
 @PROPERTY
 @given(seeds, overlaps, grids)
 def test_oracle_curves_respect_the_pointwise_certificate(seed, m1p, xs):
@@ -224,11 +273,12 @@ def test_certificate_family_attains_the_pointwise_bounds(m1p, xs):
 
 @PROPERTY
 @given(seeds, overlaps, weights, weights)
-def test_score_matches_the_oracle_quadrature(seed, m1p, wf, wd):
+def test_scorer_matches_the_oracle_quadrature(seed, m1p, wf, wd):
     # The 128-node rule misses the (x(1-x))^1.5 term of the distortion by
     # about 1e-11; the fidelity integrand is a polynomial it integrates exactly.
     assume(wf > 0 or wd > 0)
     p = qr_machine(seed, m1p)
+    c = machine.couplings(p)
     fbar, dbar = metrics.averages(p)
     for objective, expected, tol in (
         ("max-fidelity", fbar, 1e-10),
@@ -236,7 +286,7 @@ def test_score_matches_the_oracle_quadrature(seed, m1p, wf, wd):
         ("weighted", wf * fbar - wd * dbar, wf * 1e-10 + wd * 1e-8),
     ):
         cfg = optimizer.OptConfig(objective=objective, weight_fidelity=wf, weight_distortion=wd)
-        assert abs(optimizer.score(machine.couplings(p), p.sigma, cfg) - expected) <= tol
+        assert abs(optimizer.scorer(cfg)([c.g, c.h, c.e, c.f], p.sigma.m1p) - expected) <= tol
 
 
 @PROPERTY
