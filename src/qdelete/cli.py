@@ -97,10 +97,8 @@ def collect_case_rows() -> list[dict]:
     rows = []
     for name in presets.PRESET_NAMES:
         p = presets.by_name(name)
-        c = machine.couplings(p)
-        dc = metrics.distortion_coefficients(c)
-        deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
-        deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
+        c, m1p = machine.couplings(p), p.sigma.m1p
+        dc = metrics.distortion_coefficients(*c)
         feasible = True
         try:
             fbar_quad, dbar_quad = metrics.averages(p)
@@ -111,11 +109,11 @@ def collect_case_rows() -> list[dict]:
             {
                 "preset": name,
                 "feasible": feasible,
-                "dbar_legacy": metrics.avg_distortion(dc, "legacy"),
-                "dbar_analytic": metrics.avg_distortion(dc, "analytic"),
+                "dbar_legacy": metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT),
+                "dbar_analytic": metrics.avg_distortion(*dc),
                 "dbar_quad": dbar_quad,
-                "fbar_legacy": metrics.avg_fidelity(deficit_legacy),
-                "fbar_consistent": metrics.avg_fidelity(deficit_consistent),
+                "fbar_legacy": metrics.avg_fidelity(metrics.legacy_fidelity_deficit(*c, m1p)),
+                "fbar_consistent": metrics.avg_fidelity(metrics.fidelity_deficit(*c, m1p)),
                 "fbar_quad": fbar_quad,
             }
         )
@@ -174,19 +172,18 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
         if m1p is not None:
             p = dataclasses.replace(p, sigma=machine.BlankState(m1p))
         c = machine.couplings(p)
-        dc = metrics.distortion_coefficients(c)
+        dc = metrics.distortion_coefficients(*c)
         _, (coarse, fine) = metrics.levels(p, metrics.closed_curves)
-        dev_legacy = abs(metrics.avg_distortion(dc, "legacy") - fine)
-        deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
-        deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
+        dev_legacy = abs(metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) - fine)
         fidelity, distortion = metrics.curves(p, grid)
         closed_fidelity, closed_distortion = metrics.closed_curves(p, grid)
         deviations.append((
             dev_legacy,
-            abs(metrics.avg_distortion(dc, "analytic") - fine),
-            abs(dev_legacy - legacy_const_gap * abs(dc.coherence_sum)),
+            abs(metrics.avg_distortion(*dc) - fine),
+            abs(dev_legacy - legacy_const_gap * abs(dc[1])),
             abs(fine - coarse),
-            abs(deficit_legacy - deficit_consistent),
+            abs(metrics.legacy_fidelity_deficit(*c, p.sigma.m1p)
+                - metrics.fidelity_deficit(*c, p.sigma.m1p)),
             float(np.max(np.abs(fidelity - closed_fidelity))),
             float(np.max(np.abs(distortion - closed_distortion))),
         ))

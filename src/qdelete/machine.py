@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,7 @@ class MachineParams:
         )
 
 
-@dataclass(frozen=True)
-class Couplings:
+class Couplings(NamedTuple):
     """Row sums of the machine amplitudes; every output metric depends only on these."""
 
     g: complex

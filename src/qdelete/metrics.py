@@ -23,7 +23,7 @@ polynomial
 
     D(x) = quartic * y^2 - 2 * coherence_sum * y^(3/2) + 2 y,
 
-whose two coefficients (`DistortionCoefficients`) are
+whose coefficients (quartic, coherence_sum) are `distortion_coefficients`:
 
     quartic       = (|e|^2 + |g|^2 - 1)^2 + (|h|^2 + |f|^2 - 1)^2 + 2 |coherence|^2,
     coherence_sum = 2 Re(coherence),  with coherence = e conj(h) + g conj(f);
@@ -31,34 +31,31 @@ whose two coefficients (`DistortionCoefficients`) are
 and the fidelity of deletion is the blank-state overlap of the deleted mode,
 F(x) = 1 - deficit * x(1-x).  Averages are uniform integrals over x in [0, 1].
 
-Each closed form is written once, as a kernel on plain scalars
-(`scalar_deficit`, `scalar_coefficients`, `scalar_avg_distortion`), which the
-search calls at every evaluation; `fidelity_deficit`, `distortion_coefficients`
-and `avg_distortion` take the records and the mode flags and call the kernels.
+Each closed form is written once, as a function of plain scalars (the
+couplings g, h, e, f and m1p), which the search calls at every evaluation.
+Two historical conventions of the closed-form averages are kept:
 
-Two historical ambiguities are kept behind mode flags of the closed-form
-averages; `closed_curves` uses the mode the oracle realizes:
-
-* ``avg_distortion`` mode "legacy" uses the constant 0.589 for the coherence
-  cross term; mode "analytic" uses the exact Beta-integral value 3*pi/64.
-  The quadrature adjudicates: only "analytic" matches the defining integral.
-* ``fidelity_deficit`` mode "legacy" attaches the squared blank-state overlap
-  m1p^2 to the (|g|^2 + |f|^2) weight; mode "consistent" derives the deficit
-  from the mode-2 reduced state, attaching m1p^2 to (|h|^2 + |e|^2).  Direct
-  simulation agrees with "consistent".  The two coincide whenever the weights
-  are equal or m1p^2 = 1/2, and both are exactly 2 for zero couplings.
+* the cross constant of `avg_distortion`: the default, 3*pi/64, is the exact
+  Beta-integral value; `LEGACY_CROSS_CONSTANT`, 0.589, is the one
+  historically quoted.  The quadrature adjudicates: only 3*pi/64 matches the
+  defining integral.
+* the weight that carries m1p^2: `fidelity_deficit` derives it from the
+  mode-2 reduced state and attaches it to (|h|^2 + |e|^2);
+  `legacy_fidelity_deficit` attaches it to (|g|^2 + |f|^2).  Direct
+  simulation agrees with `fidelity_deficit`, which `closed_curves` uses.
+  The two coincide whenever the weights are equal or m1p^2 = 1/2, and both
+  are exactly 2 for zero couplings.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qlinalg
-from .machine import BlankState, Couplings, MachineParams, require_valid
+from .machine import MachineParams, require_valid
 from .machine import check_alpha_sq, couplings, inputs, outputs
 
 #: Cross-term constant historically used for the average distortion.
@@ -66,9 +63,6 @@ LEGACY_CROSS_CONSTANT = 0.589
 
 #: Exact cross-term constant: 2 * integral_0^1 (x(1-x))^(3/2) dx = 3*pi/64.
 ANALYTIC_CROSS_CONSTANT = 3.0 * math.pi / 64.0
-
-DISTORTION_MODES = ("legacy", "analytic")
-DEFICIT_MODES = ("legacy", "consistent")
 
 #: Gauss-Legendre orders for the averaging quadrature; the two levels must
 #: agree within QUAD_AGREEMENT_TOL or the integral is reported as
@@ -101,18 +95,6 @@ _QX_FINE, _QW_FINE = _unit_interval_gauss(QUAD_ORDER_REFINED)
 _QX_BOTH = np.concatenate((_QX, _QX_FINE))
 
 
-@dataclass(frozen=True)
-class DistortionCoefficients:
-    """The two coefficients of the distortion polynomial (see the module docstring).
-
-    Every record the package builds comes from `distortion_coefficients`; a
-    record built by hand may hold any pair of values.
-    """
-
-    quartic: float        # coefficient of y^2; >= 0 for coupling-derived records
-    coherence_sum: float  # 2 Re(e conj(h) + g conj(f))
-
-
 def input_state(alpha_sq) -> np.ndarray:
     """Density matrix of the pure input alpha|0> + beta|1>, x = alpha^2.
 
@@ -121,8 +103,8 @@ def input_state(alpha_sq) -> np.ndarray:
     return inputs(alpha_sq).reshape(np.shape(alpha_sq) + (2, 2)).astype(complex)
 
 
-def scalar_coefficients(g, h, e, f) -> tuple[float, float]:
-    """Distortion polynomial coefficients (quartic, coherence sum) of plain scalar couplings."""
+def distortion_coefficients(g, h, e, f) -> tuple[float, float]:
+    """Distortion polynomial coefficients (quartic, coherence_sum) of the couplings."""
     coherence = e * h.conjugate() + g * f.conjugate()
     defect = (abs(e) ** 2 + abs(g) ** 2 - 1.0) ** 2 + (abs(h) ** 2 + abs(f) ** 2 - 1.0) ** 2
     return (
@@ -131,15 +113,15 @@ def scalar_coefficients(g, h, e, f) -> tuple[float, float]:
     )
 
 
-def scalar_avg_distortion(
+def avg_distortion(
     quartic: float, coherence_sum: float, cross_constant: float = ANALYTIC_CROSS_CONSTANT
 ) -> float:
-    """Average distortion quartic/30 + 1/3 - cross_constant * coherence sum."""
+    """Closed-form average distortion quartic/30 + 1/3 - cross_constant * coherence_sum."""
     return quartic / 30.0 + 1.0 / 3.0 - cross_constant * coherence_sum
 
 
-def scalar_deficit(g, h, e, f, m1p: float) -> float:
-    """Consistent-mode deficit k, F(x) = 1 - k * x(1-x), of plain scalar couplings and m1p."""
+def fidelity_deficit(g, h, e, f, m1p: float) -> float:
+    """Deficit k, F(x) = 1 - k * x(1-x), that direct simulation realizes."""
     gf = abs(g) ** 2 + abs(f) ** 2
     he = abs(h) ** 2 + abs(e) ** 2
     msq = m1p * m1p
@@ -148,37 +130,14 @@ def scalar_deficit(g, h, e, f, m1p: float) -> float:
     return 2.0 - (he * msq + gf * (s * s) + m1p * s * cross)
 
 
-def distortion_coefficients(c: Couplings) -> DistortionCoefficients:
-    """Distortion polynomial coefficients derived from the couplings."""
-    return DistortionCoefficients(*scalar_coefficients(c.g, c.h, c.e, c.f))
+def legacy_fidelity_deficit(g, h, e, f, m1p: float) -> float:
+    """The legacy deficit, with m1p^2 on |g|^2 + |f|^2: `fidelity_deficit` of (h, g, f, e).
 
-
-def avg_distortion(dc: DistortionCoefficients, mode: str = "analytic") -> float:
-    """Closed-form average distortion quartic/30 + 1/3 - const * coherence sum.
-
-    mode "legacy" uses the constant 0.589; mode "analytic" uses 3*pi/64,
-    the exact value of the defining integral's cross term.
+    The exchange swaps the weights |g|^2 + |f|^2 and |h|^2 + |e|^2 and
+    conjugates both summands of the cross term, whose real part it leaves bit
+    for bit the same.
     """
-    if mode not in DISTORTION_MODES:
-        raise ValueError(f"mode must be one of {DISTORTION_MODES}, got {mode!r}")
-    const = LEGACY_CROSS_CONSTANT if mode == "legacy" else ANALYTIC_CROSS_CONSTANT
-    return scalar_avg_distortion(dc.quartic, dc.coherence_sum, const)
-
-
-def fidelity_deficit(c: Couplings, sigma: BlankState, mode: str = "consistent") -> float:
-    """Deficit k such that F(x) = 1 - k * x(1-x).
-
-    See the module docstring for the "legacy" versus "consistent" weight
-    placement; direct simulation realizes the "consistent" value.  The legacy
-    deficit is the consistent one of (h, g, f, e): the exchange swaps the
-    weights |g|^2 + |f|^2 and |h|^2 + |e|^2 and conjugates both summands of the
-    cross term, whose real part it leaves bit for bit the same.
-    """
-    if mode not in DEFICIT_MODES:
-        raise ValueError(f"mode must be one of {DEFICIT_MODES}, got {mode!r}")
-    if mode == "legacy":
-        return scalar_deficit(c.h, c.g, c.f, c.e, sigma.m1p)
-    return scalar_deficit(c.g, c.h, c.e, c.f, sigma.m1p)
+    return fidelity_deficit(h, g, f, e, m1p)
 
 
 def avg_fidelity(deficit: float) -> float:
@@ -217,15 +176,16 @@ def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
 def closed_curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form fidelity and distortion at each x of a grid: the twin of `curves`.
 
-    F uses the consistent-mode deficit, the one the oracle realizes, and D
-    the distortion polynomial of p's couplings.  It does not validate.
+    F uses `fidelity_deficit`, the one the oracle realizes, and D the
+    distortion polynomial of p's couplings.  It does not validate.
     """
     c = couplings(p)
-    deficit, dc = fidelity_deficit(c, p.sigma), distortion_coefficients(c)
+    deficit = fidelity_deficit(*c, p.sigma.m1p)
+    quartic, coherence_sum = distortion_coefficients(*c)
     x = check_alpha_sq(np.atleast_1d(alpha_sq_grid))
     y = x * (1.0 - x)
     fidelity = 1.0 - deficit * x * (1.0 - x)
-    return fidelity, dc.quartic * y * y - 2.0 * dc.coherence_sum * y ** 1.5 + 2.0 * y
+    return fidelity, quartic * y * y - 2.0 * coherence_sum * y ** 1.5 + 2.0 * y
 
 
 def levels(p: MachineParams, route=curves) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -243,9 +203,9 @@ def levels(p: MachineParams, route=curves) -> tuple[tuple[float, float], tuple[f
 def averages(p: MachineParams, route=curves) -> tuple[float, float]:
     """Average fidelity and distortion: the refined `levels` of `route`.
 
-    For a valid machine both routes give ``avg_fidelity`` of the
-    consistent-mode deficit and the analytic-mode ``avg_distortion`` within
-    1e-8.  Raises :class:`ConvergenceError` if the two levels of either
+    For a valid machine both routes give ``avg_fidelity`` of
+    ``fidelity_deficit`` and ``avg_distortion`` at its default cross constant
+    within 1e-8.  Raises :class:`ConvergenceError` if the two levels of either
     disagree by more than QUAD_AGREEMENT_TOL.
     """
     fidelity, distortion = levels(p, route)

@@ -10,7 +10,7 @@ machine whose rows are orthonormal by construction.
 
 Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination.  `scorer` builds the one scoring function of a solve
-from the plain-scalar closed-form kernels of the metrics module; it resolves
+from the plain-scalar closed forms of the metrics module; it resolves
 the weights once and skips a term of weight zero, and each evaluation builds
 no record.  The simulation-quadrature oracle checks the returned machine's
 averages once per solve.
@@ -147,8 +147,7 @@ def decode(raw) -> MachineParams:
 
 def encode(p: MachineParams) -> np.ndarray:
     """A raw point of ``p``'s couplings and m1p; decoding it keeps p's metrics."""
-    c = couplings(p)
-    u = np.array([c.g, c.h, c.e, c.f], dtype=complex)
+    u = np.array(couplings(p), dtype=complex)
     return np.append(u.view(float), math.acos(p.sigma.m1p))
 
 
@@ -168,17 +167,17 @@ def scorer(cfg: OptConfig) -> Callable[[list[complex], float], float]:
 
     The returned function takes the couplings u = (g, h, e, f) and m1p as
     plain scalars, as `_sphere_point` gives them, and builds no record.
-    Fbar = 1 - k/6 with k the consistent-mode deficit, which the simulation
-    oracle realizes; Dbar is the analytic-mode average distortion.  The
-    weights are resolved here, once, and a term of weight zero is not
-    computed.  The value is still bit for bit the full formula's, because on
-    the sphere Fbar >= 1/3 and Dbar > 0 make w * Xbar equal to w, a signed
-    zero, when w is zero: wf * Fbar - (+-0) is wf * Fbar, and
-    (+-0) * Fbar - wd * Dbar is wf - wd * Dbar.
+    Fbar = 1 - k/6 with k = `metrics.fidelity_deficit`, which the simulation
+    oracle realizes; Dbar is `metrics.avg_distortion` at its default, exact
+    cross constant.  The weights are resolved here, once, and a term of
+    weight zero is not computed.  The value is still bit for bit the full
+    formula's, because on the sphere Fbar >= 1/3 and Dbar > 0 make w * Xbar
+    equal to w, a signed zero, when w is zero: wf * Fbar - (+-0) is
+    wf * Fbar, and (+-0) * Fbar - wd * Dbar is wf - wd * Dbar.
     """
     wf, wd = _WEIGHTS.get(cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion))
-    deficit, coefficients = metrics.scalar_deficit, metrics.scalar_coefficients
-    avg_distortion = metrics.scalar_avg_distortion
+    deficit, coefficients = metrics.fidelity_deficit, metrics.distortion_coefficients
+    avg_distortion = metrics.avg_distortion
 
     def fbar(u, m1p):
         return 1.0 - deficit(*u, m1p) / 6.0

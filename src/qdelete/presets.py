@@ -18,9 +18,10 @@ perfect   (0, 1, 1, 0)                (2/5 - 3*pi/32, 1)        yes
 ========  ==========================  ========================  ==========
 
 For the exchange-only family e = f = 0, N = (|g|^2 - 1)^2 + (|h|^2 - 1)^2 is
-the distortion polynomial's quartic coefficient and K is the "legacy" fidelity
-deficit 2 - (|g|^2 m1p^2 + |h|^2 (1 - m1p^2)).  The case4 preset is the member
-a0 = b1 = 1, the same machine as case3, so N = 0 and K = 1.
+the quartic of `metrics.distortion_coefficients` and K is
+`metrics.legacy_fidelity_deficit`, 2 - (|g|^2 m1p^2 + |h|^2 (1 - m1p^2)).
+The case4 preset is the member a0 = b1 = 1, the same machine as case3, so
+N = 0 and K = 1.
 
 case1 is infeasible: all-zero couplings force the second amplitude row to be
 the negative of the first, which contradicts row orthogonality.  Its machine
@@ -28,8 +29,8 @@ has rows (1, 0, 0, 0) and (-1, 0, 0, 0), so `validate` rejects it, and its
 metrics are evaluated in formula mode: `metrics.closed_curves` on its zero
 couplings, where both fidelity-deficit conventions give exactly 2.
 
-Every preset defaults to m1p = 1/sqrt(2), where the two fidelity-deficit
-conventions coincide, except "perfect", which needs m1p = 1.
+Every preset defaults to m1p = 1/sqrt(2), where `fidelity_deficit` and
+`legacy_fidelity_deficit` coincide, except "perfect", which needs m1p = 1.
 """
 
 from __future__ import annotations

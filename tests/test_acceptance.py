@@ -77,12 +77,12 @@ def test_criterion_1_case_table_reproduction():
         p = MachineParams(a0=v0[0], b0=v0[1], a1=v1[0], b1=v1[1])
         c = machine.couplings(p)
         dbar, fbar_legacy, fbar_consistent = exchange_only_averages(c, p.sigma)
-        dc = metrics.distortion_coefficients(c)
-        deficit_legacy = metrics.fidelity_deficit(c, p.sigma, "legacy")
-        deficit_consistent = metrics.fidelity_deficit(c, p.sigma, "consistent")
+        dc = metrics.distortion_coefficients(*c)
+        deficit_legacy = metrics.legacy_fidelity_deficit(*c, p.sigma.m1p)
+        deficit_consistent = metrics.fidelity_deficit(*c, p.sigma.m1p)
         closed_dev = max(
             closed_dev,
-            abs(metrics.avg_distortion(dc, "analytic") - dbar),
+            abs(metrics.avg_distortion(*dc) - dbar),
             abs(metrics.avg_fidelity(deficit_legacy) - fbar_legacy),
             abs(metrics.avg_fidelity(deficit_consistent) - fbar_consistent),
         )
@@ -242,8 +242,8 @@ def test_criterion_6_deficit_convention_adjudication():
     presets_exact = True
     for name in ("case1", "case2", "case3", "case4"):
         p = by_name(name)
-        legacy = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "legacy")
-        consistent = metrics.fidelity_deficit(machine.couplings(p), p.sigma, "consistent")
+        legacy = metrics.legacy_fidelity_deficit(*machine.couplings(p), p.sigma.m1p)
+        consistent = metrics.fidelity_deficit(*machine.couplings(p), p.sigma.m1p)
         presets_exact &= legacy == consistent
 
     # ... and whenever the two weight sums are equal floats
@@ -253,9 +253,8 @@ def test_criterion_6_deficit_convention_adjudication():
         g, f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         c = Couplings(g=g, h=f * 1j, e=g * 1j, f=f)
         sigma = BlankState(rng.uniform(-1.0, 1.0))
-        balanced_exact &= metrics.fidelity_deficit(c, sigma, "legacy") == metrics.fidelity_deficit(
-            c, sigma, "consistent"
-        )
+        legacy = metrics.legacy_fidelity_deficit(*c, sigma.m1p)
+        balanced_exact &= legacy == metrics.fidelity_deficit(*c, sigma.m1p)
 
     # ... and within rounding at m1p^2 = 1/2
     sigma = BlankState(math.sqrt(0.5))
@@ -265,8 +264,8 @@ def test_criterion_6_deficit_convention_adjudication():
         half_gap = max(
             half_gap,
             abs(
-                metrics.fidelity_deficit(c, sigma, "legacy")
-                - metrics.fidelity_deficit(c, sigma, "consistent")
+                metrics.legacy_fidelity_deficit(*c, sigma.m1p)
+                - metrics.fidelity_deficit(*c, sigma.m1p)
             ),
         )
 

@@ -375,6 +375,24 @@ def test_diagnose_compares_the_curves_on_21_points(monkeypatch):
         assert grid.tolist() == np.linspace(0.0, 1.0, 21).tolist()
 
 
+@pytest.mark.parametrize("m1p", [None, 0.3])
+def test_diagnose_samples_the_machines_its_seed_draws(monkeypatch, m1p):
+    sampled = []
+    curves = metrics.curves
+
+    def recording(p, grid):
+        sampled.append(p)
+        return curves(p, grid)
+
+    monkeypatch.setattr(metrics, "curves", recording)
+    cli.run_diagnose(samples=3, seed=4, m1p=m1p)
+    rng = np.random.default_rng(4)
+    expected = [optimizer.random_machine(rng) for _ in range(3)]
+    if m1p is not None:
+        expected = [dataclasses.replace(p, sigma=machine.BlankState(m1p)) for p in expected]
+    assert sampled == expected
+
+
 def test_diagnose_rejects_bad_samples(capsys):
     assert cli.main(["diagnose", "--samples", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: samples must be >= 1")

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qdelete import machine, metrics, qlinalg
 from qdelete.machine import BlankState, Couplings, MachineParams
@@ -102,32 +103,26 @@ def test_reduced_states_match_oracle_on_random_machines():
 
 
 def test_distortion_coefficients_case1():
-    dc = metrics.distortion_coefficients(CASE1)
-    assert dc.quartic == 2.0
-    assert dc.coherence_sum == 0.0
+    assert metrics.distortion_coefficients(*CASE1) == (2.0, 0.0)
 
 
 def test_distortion_coefficients_case2():
-    dc = metrics.distortion_coefficients(CASE2)
-    assert dc.quartic == 0.0
-    assert dc.coherence_sum == 0.0
+    assert metrics.distortion_coefficients(*CASE2) == (0.0, 0.0)
 
 
 def test_distortion_coefficients_case3():
-    dc = metrics.distortion_coefficients(CASE3)
-    assert dc.quartic == 0.0
-    assert dc.coherence_sum == 0.0
+    assert metrics.distortion_coefficients(*CASE3) == (0.0, 0.0)
 
 
 def test_distortion_coefficients_invariants_on_random_couplings():
     rng = np.random.default_rng(2)
     for _ in range(50):
         c = Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-        dc = metrics.distortion_coefficients(c)
-        assert type(dc.quartic) is float and type(dc.coherence_sum) is float
-        assert dc.quartic >= 0.0
+        quartic, coherence_sum = metrics.distortion_coefficients(*c)
+        assert type(quartic) is float and type(coherence_sum) is float
+        assert quartic >= 0.0
         # quartic >= 2 |coherence|^2 and coherence_sum = 2 Re(coherence)
-        assert dc.coherence_sum ** 2 <= 2.0 * dc.quartic + 1e-12
+        assert coherence_sum ** 2 <= 2.0 * quartic + 1e-12
 
 
 def test_closed_distortion_endpoints_vanish():
@@ -171,11 +166,6 @@ def test_curves_distortion_case2():
     assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
 
 
-def test_curves_distortion_requires_a_valid_machine():
-    with pytest.raises(machine.MachineValidationError):
-        metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
-
-
 def test_closed_distortion_matches_the_oracle_on_random_machines():
     rng = np.random.default_rng(3)
     grid = np.linspace(0.0, 1.0, 21)
@@ -192,30 +182,26 @@ def test_closed_distortion_matches_the_oracle_on_random_machines():
 
 
 def test_avg_distortion_case1_both_modes():
-    dc = metrics.distortion_coefficients(CASE1)
-    assert abs(metrics.avg_distortion(dc, "legacy") - 0.4) <= 1e-12
-    assert abs(metrics.avg_distortion(dc, "analytic") - 0.4) <= 1e-12
+    dc = metrics.distortion_coefficients(*CASE1)
+    assert abs(metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) - 0.4) <= 1e-12
+    assert abs(metrics.avg_distortion(*dc) - 0.4) <= 1e-12
 
 
 def test_avg_distortion_case2_case3():
     for c in (CASE2, CASE3):
-        dc = metrics.distortion_coefficients(c)
-        assert abs(metrics.avg_distortion(dc, "legacy") - 1.0 / 3.0) <= 1e-12
-        assert abs(metrics.avg_distortion(dc, "analytic") - 1.0 / 3.0) <= 1e-12
+        dc = metrics.distortion_coefficients(*c)
+        legacy = metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT)
+        assert abs(legacy - 1.0 / 3.0) <= 1e-12
+        assert abs(metrics.avg_distortion(*dc) - 1.0 / 3.0) <= 1e-12
 
 
 def test_avg_distortion_modes_differ_with_coherence():
     # the perfect preset's couplings (0, 1, 1, 0): quartic 2, coherence sum 2
-    dc = metrics.distortion_coefficients(machine.couplings(by_name("perfect")))
-    legacy = metrics.avg_distortion(dc, "legacy")
-    analytic = metrics.avg_distortion(dc, "analytic")
+    dc = metrics.distortion_coefficients(*machine.couplings(by_name("perfect")))
+    legacy = metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT)
+    analytic = metrics.avg_distortion(*dc)
     assert abs(legacy - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 0.589)) <= 1e-12
     assert abs(analytic - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 3.0 * math.pi / 64.0)) <= 1e-12
-
-
-def test_avg_distortion_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        metrics.avg_distortion(metrics.distortion_coefficients(CASE3), "exact")
 
 
 def test_closed_route_averages_known_values():
@@ -229,10 +215,10 @@ def test_closed_route_quadrature_adjudicates_cross_constant():
     # The quadrature is the oracle for the cross-term constant: it must agree
     # with the analytic mode (3*pi/64) and refute the legacy 0.589.
     p = by_name("perfect")  # coherence sum 2
-    dc = metrics.distortion_coefficients(machine.couplings(p))
+    dc = metrics.distortion_coefficients(*machine.couplings(p))
     quad = metrics.averages(p, metrics.closed_curves)[1]
-    assert abs(quad - metrics.avg_distortion(dc, "analytic")) <= 1e-6
-    assert abs(quad - metrics.avg_distortion(dc, "legacy")) > 0.4
+    assert abs(quad - metrics.avg_distortion(*dc)) <= 1e-6
+    assert abs(quad - metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT)) > 0.4
 
 
 def test_closed_route_averages_match_adaptive_integration():
@@ -256,8 +242,22 @@ def test_quadrature_reports_non_convergence():
     (f_coarse, f_fine), (d_coarse, d_fine) = metrics.levels(by_name("case3"), route)
     assert abs(f_fine - f_coarse) <= metrics.QUAD_AGREEMENT_TOL
     assert abs(d_fine - d_coarse) > metrics.QUAD_AGREEMENT_TOL
-    with pytest.raises(metrics.ConvergenceError, match="distortion"):
+    gap = f"distortion quadrature did not converge: levels differ by {abs(d_fine - d_coarse):.3e}"
+    with pytest.raises(metrics.ConvergenceError, match=re.escape(gap)):
         metrics.averages(by_name("case3"), route)
+
+
+def test_levels_call_the_route_once_on_the_64_and_128_gauss_legendre_nodes():
+    grids = []
+
+    def route(p, xs):
+        grids.append(xs)
+        return np.ones_like(xs), xs
+
+    metrics.levels(by_name("case3"), route)
+    nodes = [0.5 * (np.polynomial.legendre.leggauss(n)[0] + 1.0) for n in (64, 128)]
+    assert len(grids) == 1
+    assert_array_equal(grids[0], np.concatenate(nodes))
 
 
 def test_levels_that_differ_by_exactly_the_tolerance_converge():
@@ -296,16 +296,13 @@ def test_curves_require_a_valid_machine():
 
 def test_fidelity_deficit_cases():
     sigma = BlankState(SQRT_HALF)
-    for mode in metrics.DEFICIT_MODES:
-        assert metrics.fidelity_deficit(CASE1, sigma, mode) == 2.0
-        assert abs(metrics.fidelity_deficit(CASE2, sigma, mode) - 1.0) <= 1e-12
-        assert abs(metrics.fidelity_deficit(CASE3, sigma, mode) - 1.0) <= 1e-12
+    for deficit in (metrics.legacy_fidelity_deficit, metrics.fidelity_deficit):
+        assert deficit(*CASE1, sigma.m1p) == 2.0
+        assert abs(deficit(*CASE2, sigma.m1p) - 1.0) <= 1e-12
+        assert abs(deficit(*CASE3, sigma.m1p) - 1.0) <= 1e-12
     # any sigma: the case2/case3 weights are balanced, so modes coincide
     for m1p in (0.0, 0.3, 1.0):
-        sigma = BlankState(m1p)
-        assert metrics.fidelity_deficit(CASE2, sigma, "legacy") == metrics.fidelity_deficit(
-            CASE2, sigma, "consistent"
-        )
+        assert metrics.legacy_fidelity_deficit(*CASE2, m1p) == metrics.fidelity_deficit(*CASE2, m1p)
 
 
 def test_fidelity_deficit_modes_coincide_for_balanced_weights():
@@ -316,8 +313,8 @@ def test_fidelity_deficit_modes_coincide_for_balanced_weights():
         g, f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         c = Couplings(g=g, h=f * 1j, e=g * 1j, f=f)
         sigma = BlankState(rng.uniform(-1.0, 1.0))
-        legacy = metrics.fidelity_deficit(c, sigma, "legacy")
-        consistent = metrics.fidelity_deficit(c, sigma, "consistent")
+        legacy = metrics.legacy_fidelity_deficit(*c, sigma.m1p)
+        consistent = metrics.fidelity_deficit(*c, sigma.m1p)
         assert legacy == consistent
 
 
@@ -329,15 +326,10 @@ def test_fidelity_deficit_modes_near_balanced_overlap():
     for _ in range(20):
         c = Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
         gap = abs(
-            metrics.fidelity_deficit(c, sigma, "legacy")
-            - metrics.fidelity_deficit(c, sigma, "consistent")
+            metrics.legacy_fidelity_deficit(*c, sigma.m1p)
+            - metrics.fidelity_deficit(*c, sigma.m1p)
         )
         assert gap <= 1e-10
-
-
-def test_fidelity_deficit_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        metrics.fidelity_deficit(CASE3, BlankState(0.5), "exact")
 
 
 def test_consistent_deficit_matches_oracle():
@@ -393,8 +385,8 @@ def test_averages_match_the_consistent_deficit_and_analytic_distortion():
         p = random_machine(rng)
         c = machine.couplings(p)
         fbar, dbar = metrics.averages(p)
-        assert abs(fbar - (1.0 - metrics.fidelity_deficit(c, p.sigma, "consistent") / 6.0)) <= 1e-8
-        assert abs(dbar - metrics.avg_distortion(metrics.distortion_coefficients(c))) <= 1e-8
+        assert abs(fbar - (1.0 - metrics.fidelity_deficit(*c, p.sigma.m1p) / 6.0)) <= 1e-8
+        assert abs(dbar - metrics.avg_distortion(*metrics.distortion_coefficients(*c))) <= 1e-8
 
 
 def test_averages_require_valid_machine():
@@ -472,11 +464,11 @@ def test_endpoint_exactness_on_random_machines():
 
 def _library_averages(c, sigma):
     """Average distortion and both average fidelities by the general closed forms."""
-    dbar = metrics.avg_distortion(metrics.distortion_coefficients(c), "analytic")
+    dbar = metrics.avg_distortion(*metrics.distortion_coefficients(*c))
     return (
         dbar,
-        1.0 - metrics.fidelity_deficit(c, sigma, "legacy") / 6.0,
-        1.0 - metrics.fidelity_deficit(c, sigma, "consistent") / 6.0,
+        1.0 - metrics.legacy_fidelity_deficit(*c, sigma.m1p) / 6.0,
+        1.0 - metrics.fidelity_deficit(*c, sigma.m1p) / 6.0,
     )
 
 
@@ -515,9 +507,9 @@ def test_case4_matches_general_closed_forms():
         c = Couplings(g=g, h=h, e=0j, f=0j)
         sigma = BlankState(rng.uniform(-1.0, 1.0))
         n, k_legacy, k_consistent = exchange_only_coefficients(c, sigma)
-        assert abs(metrics.distortion_coefficients(c).quartic - n) <= 1e-12
-        assert abs(metrics.fidelity_deficit(c, sigma, "legacy") - k_legacy) <= 1e-12
-        assert abs(metrics.fidelity_deficit(c, sigma, "consistent") - k_consistent) <= 1e-12
+        assert abs(metrics.distortion_coefficients(*c)[0] - n) <= 1e-12
+        assert abs(metrics.legacy_fidelity_deficit(*c, sigma.m1p) - k_legacy) <= 1e-12
+        assert abs(metrics.fidelity_deficit(*c, sigma.m1p) - k_consistent) <= 1e-12
         assert_allclose(
             _library_averages(c, sigma), exchange_only_averages(c, sigma), rtol=0, atol=1e-12
         )

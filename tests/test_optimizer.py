@@ -255,8 +255,9 @@ def test_search_loop_builds_no_machine_and_validates_outside_it(monkeypatch):
 
 def test_search_loop_builds_no_records_per_evaluation(monkeypatch):
     built = Counter()
-    for cls in (machine.Couplings, BlankState, metrics.DistortionCoefficients):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__, built, cls.__name__))
+    # a NamedTuple is built through __new__, a dataclass through __init__
+    for cls, method in ((machine.Couplings, "__new__"), (BlankState, "__init__")):
+        monkeypatch.setattr(cls, method, counting(getattr(cls, method), built, cls.__name__))
     counts, evaluations = [], []
     for max_iters in (20, 200):
         built.clear()
@@ -279,14 +280,14 @@ def test_search_loop_builds_no_records_per_evaluation(monkeypatch):
 )
 def test_the_search_computes_only_the_terms_it_weighs(monkeypatch, settings, deficits, distortions):
     calls = Counter()
-    for name in ("scalar_deficit", "scalar_coefficients", "scalar_avg_distortion"):
+    for name in ("fidelity_deficit", "distortion_coefficients", "avg_distortion"):
         monkeypatch.setattr(metrics, name, counting(getattr(metrics, name), calls, name))
     result = optimizer.optimize(optimizer.OptConfig(restarts=1, max_iters=40, seed=5, **settings))
     n = len(result.history)
     assert calls == Counter(
-        scalar_deficit=deficits * n,
-        scalar_coefficients=distortions * n,
-        scalar_avg_distortion=distortions * n,
+        fidelity_deficit=deficits * n,
+        distortion_coefficients=distortions * n,
+        avg_distortion=distortions * n,
     )
 
 

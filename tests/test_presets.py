@@ -39,10 +39,10 @@ def test_expected_values_via_closed_forms():
     for name in presets.PRESET_NAMES:
         p = presets.by_name(name)
         expected_dbar, expected_fbar = PRESET_AVERAGES[name]
-        dc = metrics.distortion_coefficients(couplings(p))
-        dbar = metrics.avg_distortion(dc, "analytic")
+        dc = metrics.distortion_coefficients(*couplings(p))
+        dbar = metrics.avg_distortion(*dc)
         assert abs(dbar - expected_dbar) <= 1e-10, name
-        deficit = metrics.fidelity_deficit(couplings(p), p.sigma, "consistent")
+        deficit = metrics.fidelity_deficit(*couplings(p), p.sigma.m1p)
         fbar = 1.0 - deficit / 6.0
         assert abs(fbar - expected_fbar) <= 1e-10, name
 
@@ -64,10 +64,10 @@ def test_case1_expected_numbers():
     # formula mode: the closed forms on the raw zero couplings give (2/5, 2/3)
     p = presets.by_name("case1")
     assert not machine.validate(p).is_valid
-    dc = metrics.distortion_coefficients(couplings(p))
-    assert (dc.quartic, dc.coherence_sum) == (2.0, 0.0)
-    assert metrics.avg_distortion(dc, "analytic") == pytest.approx(0.4, abs=1e-15)
-    deficit = metrics.fidelity_deficit(couplings(p), p.sigma, "legacy")
+    dc = metrics.distortion_coefficients(*couplings(p))
+    assert dc == (2.0, 0.0)
+    assert metrics.avg_distortion(*dc) == pytest.approx(0.4, abs=1e-15)
+    deficit = metrics.legacy_fidelity_deficit(*couplings(p), p.sigma.m1p)
     assert metrics.avg_fidelity(deficit) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
@@ -103,11 +103,9 @@ def test_case2_canonical_amplitudes():
     assert p.c0 == 1.0 and p.d1 == 1.0
     c = couplings(p)
     assert (c.g, c.h, c.e, c.f) == (0.0, 0.0, 1.0, 1.0)
-    for mode in metrics.DEFICIT_MODES:
+    for deficit in (metrics.legacy_fidelity_deficit, metrics.fidelity_deficit):
         for m1p in (0.0, 0.5, 1.0):
-            assert (
-                abs(metrics.fidelity_deficit(c, BlankState(m1p), mode) - 1.0) <= 1e-12
-            )
+            assert abs(deficit(*c, m1p) - 1.0) <= 1e-12
 
 
 def test_case3_couplings_and_balanced_distortion():
@@ -136,8 +134,8 @@ def test_case4_hadamard_rows():
     # population defect (2-1)^2 + (0-1)^2 = 2 gives 2/30 + 1/3 = 0.4
     dbar = exchange_only_averages(c, p.sigma)[0]
     assert abs(dbar - 0.4) <= 1e-12
-    dc = metrics.distortion_coefficients(c)
-    assert abs(metrics.avg_distortion(dc, "analytic") - dbar) <= 1e-12
+    dc = metrics.distortion_coefficients(*c)
+    assert abs(metrics.avg_distortion(*dc) - dbar) <= 1e-12
     assert abs(metrics.averages(p, metrics.closed_curves)[1] - dbar) <= 1e-8
 
 
@@ -157,6 +155,4 @@ def test_perfect_preset_expected_distortion_value():
     p = presets.by_name("perfect")
     expected = 2.0 / 30.0 + 1.0 / 3.0 - 3.0 * math.pi / 32.0
     assert PERFECT_AVG_DISTORTION == pytest.approx(expected, abs=1e-15)
-    dc = metrics.distortion_coefficients(couplings(p))
-    assert dc.quartic == 2.0
-    assert dc.coherence_sum == 2.0
+    assert metrics.distortion_coefficients(*couplings(p)) == (2.0, 2.0)

@@ -134,6 +134,10 @@ def test_oracle_fidelity_endpoints_are_one_within_four_eps(seed):
     assert np.all(np.abs(fidelity - 1.0) <= 4 * np.finfo(float).eps)
 
 
+#: The two fidelity-deficit conventions by the names of their reference brackets.
+DEFICITS = {"legacy": metrics.legacy_fidelity_deficit, "consistent": metrics.fidelity_deficit}
+
+
 @PROPERTY
 @given(overlaps)
 @example(-1.0)
@@ -142,8 +146,8 @@ def test_oracle_fidelity_endpoints_are_one_within_four_eps(seed):
 def test_zero_couplings_have_deficit_two_in_both_conventions(m1p):
     # formula mode's premise: on case1's couplings the conventions agree exactly
     zero = Couplings(g=0j, h=0j, e=0j, f=0j)
-    for mode in metrics.DEFICIT_MODES:
-        assert metrics.fidelity_deficit(zero, BlankState(m1p), mode) == 2.0
+    for deficit in DEFICITS.values():
+        assert deficit(*zero, m1p) == 2.0
 
 
 @PROPERTY
@@ -163,7 +167,7 @@ def test_closed_forms_match_the_closed_reduced_states(c, m1p, x):
 
 def np_conj_fidelity_deficit(c: Couplings, sigma: BlankState, mode: str) -> float:
     """The fidelity deficit as written before its scalar kernel, one bracket per
-    mode, with `np.conj`: the exactness reference."""
+    convention, with `np.conj`: the exactness reference."""
     g, h, e, f = c.g, c.h, c.e, c.f
     gf = abs(g) ** 2 + abs(f) ** 2
     he = abs(h) ** 2 + abs(e) ** 2
@@ -193,12 +197,12 @@ def test_conjugate_closed_forms_equal_the_np_conj_forms_exactly(seed, scale, kin
     values = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
     c = Couplings(*SCALAR_KINDS[kind](values))
     sigma = BlankState(m1p)
-    for mode in metrics.DEFICIT_MODES:
-        assert metrics.fidelity_deficit(c, sigma, mode) == np_conj_fidelity_deficit(c, sigma, mode)
+    for mode, deficit in DEFICITS.items():
+        assert deficit(*c, sigma.m1p) == np_conj_fidelity_deficit(c, sigma, mode)
 
 
 def reference_avg_distortion(c: Couplings) -> float:
-    """The analytic-mode average distortion as written before its scalar kernels."""
+    """The average distortion at the exact cross constant, as written before its scalar kernels."""
     g, h, e, f = c.g, c.h, c.e, c.f
     coherence = e * h.conjugate() + g * f.conjugate()
     defect = (abs(e) ** 2 + abs(g) ** 2 - 1.0) ** 2 + (abs(h) ** 2 + abs(f) ** 2 - 1.0) ** 2
@@ -222,9 +226,9 @@ def ieee(value: float) -> bytes:
 
 @settings(PROPERTY, max_examples=200)
 @given(seeds, st.floats(min_value=-8.0, max_value=8.0))
-def test_scorer_is_bit_for_bit_the_formula_on_the_records(seed, exponent):
-    # The search's kernels and its skipped zero-weight term change no bit of
-    # wf * (1 - k/6) - wd * Dbar computed by the formulas on the records.
+def test_scorer_is_bit_for_bit_the_reference_formulas(seed, exponent):
+    # The search's closed forms and its skipped zero-weight term change no bit
+    # of wf * (1 - k/6) - wd * Dbar computed by the reference formulas.
     raw = optimizer.sample_raw(np.random.default_rng(seed)) * 10.0 ** exponent
     u, m1p = optimizer._sphere_point(raw)
     c, sigma = Couplings(*u), BlankState(m1p)
@@ -237,11 +241,9 @@ def test_scorer_is_bit_for_bit_the_formula_on_the_records(seed, exponent):
             cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion)
         )
         assert ieee(optimizer.scorer(cfg)(u, m1p)) == ieee(wf * fbar - wd * dbar), cfg
-    for mode in metrics.DEFICIT_MODES:
-        assert ieee(metrics.fidelity_deficit(c, sigma, mode)) == ieee(
-            np_conj_fidelity_deficit(c, sigma, mode)
-        )
-    assert ieee(metrics.avg_distortion(metrics.distortion_coefficients(c))) == ieee(dbar)
+    for mode, deficit in DEFICITS.items():
+        assert ieee(deficit(*c, m1p)) == ieee(np_conj_fidelity_deficit(c, sigma, mode))
+    assert ieee(metrics.avg_distortion(*metrics.distortion_coefficients(*c))) == ieee(dbar)
 
 
 @PROPERTY
@@ -295,8 +297,8 @@ def test_closed_form_averages_respect_the_certified_optima(seed, m1p):
     # Fbar <= 1, and Cauchy-Schwarz on the coherence term gives
     # Dbar >= D* = 2/5 - 3pi/32 for every valid machine.
     c = machine.couplings(qr_machine(seed, m1p))
-    fbar = 1.0 - metrics.fidelity_deficit(c, BlankState(m1p)) / 6.0
-    dbar = metrics.avg_distortion(metrics.distortion_coefficients(c))
+    fbar = 1.0 - metrics.fidelity_deficit(*c, m1p) / 6.0
+    dbar = metrics.avg_distortion(*metrics.distortion_coefficients(*c))
     assert fbar <= 1.0 + 1e-12
     assert dbar >= PERFECT_AVG_DISTORTION - 1e-12
 
