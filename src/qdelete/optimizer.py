@@ -15,10 +15,9 @@ the weights once and skips a term of weight zero, and each evaluation builds
 no record.  The simulation-quadrature oracle checks the returned machine's
 averages once per solve.
 
-scipy is imported on the first search, not with the module, so that the
-commands that run no search start without it.  ``minimize`` stays a
-module-level name that forwards to ``scipy.optimize.minimize``, so a caller
-can replace that one binding to wrap every Nelder-Mead run.
+The simplex is `minimize`, scipy's adaptive Nelder-Mead repeated on plain
+float lists, so no command imports scipy.  It stays a module-level name, so a
+caller can replace that one binding to wrap every Nelder-Mead run.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -105,30 +106,107 @@ class OptResult:
     history: list[HistoryEntry] = field(repr=False)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call."""
-    from scipy.optimize import minimize as scipy_minimize
+def _centroid(points: list[list[float]]) -> list[float]:
+    """Mean of the points, each coordinate summed left to right.
 
-    return scipy_minimize(*args, **kwargs)
-
-
-def _sphere_point(raw: np.ndarray) -> tuple[list[complex], float]:
-    """Couplings u scaled to |u|^2 = 2 and m1p = cos(theta) of a raw float array.
-
-    After `raw.tolist()` it is plain Python, since it runs at every search evaluation.
+    That is the order of numpy's ``add.reduce`` along axis 0.  ``sum()`` is
+    not used: it compensates its rounding since Python 3.12.
     """
-    if raw.shape != (RAW_DIM,):
-        raise DecodeError(f"raw point must have shape ({RAW_DIM},), got {raw.shape}")
-    r = raw.tolist()
-    norm = math.hypot(*r[0:8])
-    if not (math.isfinite(norm) and math.isfinite(r[8])):
+    n = len(points)
+    return [s / n for s in reduce(partial(map, add), points[1:], points[0])]
+
+
+def minimize(
+    fun: Callable[[list[float]], float],
+    x0: list[float],
+    *,
+    maxiter: int,
+    xatol: float,
+    fatol: float,
+) -> tuple[list[float], int]:
+    """Adaptive Nelder-Mead from ``x0``; returns the best vertex and the iteration count.
+
+    Bit for bit ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
+    options={"adaptive": True, "maxiter": ..., "xatol": ..., "fatol": ...})``
+    (scipy 1.17's ``_minimize_neldermead``), its ``x`` and ``nit``: the same
+    coefficients, initial simplex, expressions, branch tests and stopping
+    rule.  ``fun`` gets each point as a new list of floats, which is never
+    changed afterwards.  The vertices are ordered by numpy's argsort, as
+    scipy's are, since ``sorted`` orders ties differently.
+    """
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n  # and rho = 1
+    expand, outside, inside = 1 + chi, 1 + psi, 1 - psi
+    x0 = [float(v) for v in x0]
+    sim = [x0]
+    for k, v in enumerate(x0):
+        y = x0.copy()
+        y[k] = 1.05 * v if v != 0 else 0.00025
+        sim.append(y)
+    fsim = [fun(x) for x in sim]
+
+    def sort():
+        order = np.array(fsim).argsort().tolist()
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    sort()
+    sort()  # as scipy does; argsort need not be stable, so this may reorder ties
+    nit = 1
+    while nit < maxiter:
+        best, fbest = sim[0], fsim[0]
+        # fsim ascends, so its largest spread |f - fbest| is the worst vertex's
+        if abs(fsim[-1] - fbest) <= fatol and all(
+            abs(x - b) <= xatol for row in sim[1:] for x, b in zip(row, best)
+        ):
+            break
+        xbar, worst = _centroid(sim[:-1]), sim[-1]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]
+        fxr = fun(xr)
+        if fxr < fbest:
+            xe = [expand * b - chi * w for b, w in zip(xbar, worst)]
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = [outside * b - psi * w for b, w in zip(xbar, worst)]
+                fxc = fun(xc)
+                accept = fxc <= fxr
+            else:
+                xc = [inside * b + psi * w for b, w in zip(xbar, worst)]
+                fxc = fun(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + sigma * (x - b) for b, x in zip(best, sim[j])]
+                    fsim[j] = fun(sim[j])
+        nit += 1
+        sort()
+    return sim[0], nit
+
+
+def _sphere_point(raw: list[float]) -> tuple[list[complex], float]:
+    """Couplings u scaled to |u|^2 = 2 and m1p = cos(theta) of a raw point of 9 floats.
+
+    Plain Python, since it runs at every search evaluation.
+    """
+    try:
+        g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im, theta = raw
+        norm = math.hypot(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im)
+    except (TypeError, ValueError):
+        raise DecodeError(f"raw point must be {RAW_DIM} real numbers") from None
+    if not (math.isfinite(norm) and math.isfinite(theta)):
         raise DecodeError("raw point has non-finite entries or an overflowing norm")
     if norm < _DEGENERACY_TOL:
         raise DecodeError("coupling vector is numerically zero")
     k = math.sqrt(2.0) / norm
-    u = [complex(r[0], r[1]) * k, complex(r[2], r[3]) * k, complex(r[4], r[5]) * k,
-         complex(r[6], r[7]) * k]
-    return u, math.cos(r[8])
+    u = [complex(g_re, g_im) * k, complex(h_re, h_im) * k, complex(e_re, e_im) * k,
+         complex(f_re, f_im) * k]
+    return u, math.cos(theta)
 
 
 def decode(raw) -> MachineParams:
@@ -139,7 +217,7 @@ def decode(raw) -> MachineParams:
     :class:`DecodeError` for a wrong shape, non-finite entries, |u| < 1e-12
     or a |u| that overflows.
     """
-    u, m1p = _sphere_point(np.asarray(raw, dtype=float))
+    u, m1p = _sphere_point(np.asarray(raw, dtype=float).tolist())
     u = np.array(u)
     w = u[[1, 0, 3, 2]].conj() * np.array([-0.5, 0.5, -0.5, 0.5])
     return MachineParams.from_rows(u / 2 - w, u / 2 + w, BlankState(m1p))
@@ -202,7 +280,7 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
     """
     history: list[HistoryEntry] = []
     best_value = -math.inf
-    best_raw: np.ndarray | None = None
+    best_raw: list[float] | None = None
     iterations_used = 0
     value_of = scorer(cfg)
 
@@ -227,22 +305,14 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
             value = value_of(u, m1p)
             if value > best_value:
                 best_value = value
-                best_raw = raw  # minimize passes each point as its own copy
+                best_raw = raw  # minimize never changes a point it has passed
             history.append(HistoryEntry(restart, evaluation, best_value))
             return -value
 
-        result = minimize(
-            negated_objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iters,
-                "xatol": cfg.tol,
-                "fatol": cfg.tol,
-                "adaptive": True,
-            },
+        _, nit = minimize(
+            negated_objective, x0.tolist(), maxiter=cfg.max_iters, xatol=cfg.tol, fatol=cfg.tol
         )
-        iterations_used += int(result.nit)
+        iterations_used += nit
 
     assert best_raw is not None  # every restart evaluates its start point
     best_machine = decode(best_raw)

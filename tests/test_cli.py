@@ -652,7 +652,7 @@ def test_negative_seed_is_rejected_by_name(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# cold start: only a search imports scipy
+# cold start: no command imports scipy
 
 #: Runs each argv of the JSON list in argv[1] through cli.main in this fresh
 #: interpreter and prints, per command, its exit code and whether scipy and
@@ -669,7 +669,7 @@ print(json.dumps(report))
 """
 
 
-def test_only_optimize_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{", encoding="utf-8")
     commands = [
@@ -691,4 +691,4 @@ def test_only_optimize_imports_scipy(tmp_path):
     imported, *after_commands, after_search = json.loads(run.stdout)
     assert imported == [None, False, False]
     assert after_commands == [[code, False, False] for _, code in commands]
-    assert after_search == [0, True, True]
+    assert after_search == [0, False, False]

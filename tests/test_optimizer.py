@@ -319,6 +319,138 @@ def test_single_row_phase_changes_the_metrics():
 
 
 # ---------------------------------------------------------------------------
+# Nelder-Mead: bit for bit scipy's adaptive simplex
+
+
+def search_objective(cfg):
+    """The function the search minimizes: the negated score, or a degenerate point's penalty."""
+    value_of = optimizer.scorer(cfg)
+
+    def fun(raw):
+        try:
+            u, m1p = optimizer._sphere_point(raw)
+        except optimizer.DecodeError:
+            return optimizer._DEGENERATE_PENALTY
+        return -value_of(u, m1p)
+
+    return fun
+
+
+def recording(fun, log):
+    """``fun``, appending each point it gets and the value it returns to ``log`` as IEEE bytes."""
+
+    def wrapper(x):
+        value = fun(x)
+        log.append(np.array([*x, value]).tobytes())
+        return value
+
+    return wrapper
+
+
+def run_both(fun, x0, max_iters, xatol=1e-10, fatol=1e-10):
+    """Run optimizer.minimize and scipy's adaptive Nelder-Mead on ``fun`` from ``x0``.
+
+    Asserts that both evaluate the same points to the same values in the same
+    order, return the same point and count the same iterations, and that no
+    list passed to ``fun`` changed afterwards.  Returns (nit, evaluations).
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    ours, theirs, passed = [], [], []
+
+    def keeping(x):
+        assert type(x) is list
+        passed.append((x, np.array(x).tobytes()))
+        return fun(x)
+
+    best, nit = optimizer.minimize(
+        recording(keeping, ours), list(x0), maxiter=max_iters, xatol=xatol, fatol=fatol
+    )
+    options = {"adaptive": True, "maxiter": max_iters, "xatol": xatol, "fatol": fatol}
+    result = scipy_minimize(
+        recording(fun, theirs), np.array(x0, dtype=float), method="Nelder-Mead", options=options
+    )
+    assert ours == theirs
+    assert nit == result.nit
+    assert np.array(best).tobytes() == result.x.tobytes()
+    assert all(np.array(x).tobytes() == snapshot for x, snapshot in passed)
+    return nit, len(ours)
+
+
+def shrinks(nit, evaluations):
+    """Whether a run shrank its simplex: other iterations evaluate at most 2 points."""
+    return evaluations > optimizer.RAW_DIM + 1 + 2 * (nit - 1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=9, max_size=9),
+    st.sampled_from(optimizer.OBJECTIVES),
+)
+def test_nelder_mead_is_scipys_from_drawn_starts(start, objective):
+    run_both(search_objective(optimizer.OptConfig(objective=objective)), start, max_iters=120)
+
+
+@pytest.mark.parametrize("max_iters", [1, 20, 800])
+def test_nelder_mead_is_scipys_on_the_fidelity_plateau(max_iters):
+    # From perfect many points score exactly Fbar = 1, so the simplex is full
+    # of ties that only numpy's argsort orders as scipy does.
+    start = optimizer.encode(by_name("perfect"))
+    nit, evaluations = run_both(search_objective(optimizer.OptConfig()), start, max_iters)
+    if max_iters == 1:
+        assert (nit, evaluations) == (1, optimizer.RAW_DIM + 1)  # the initial simplex only
+    if max_iters == 800:
+        assert shrinks(nit, evaluations)
+
+
+def test_nelder_mead_is_scipys_from_a_start_with_zero_coordinates():
+    start = case3_raw()
+    assert np.count_nonzero(start == 0.0) > 0
+    cfg = optimizer.OptConfig(objective="min-distortion")
+    run_both(search_objective(cfg), start, max_iters=200)
+
+
+@pytest.mark.parametrize("seed, xatol, fatol", [(0, 1e-8, 1e-12), (1, 1e-12, 1e-8)])
+def test_nelder_mead_is_scipys_through_shrinks_to_separate_tolerances(seed, xatol, fatol):
+    start = optimizer.sample_raw(np.random.default_rng(seed))
+    nit, evaluations = run_both(
+        search_objective(optimizer.OptConfig()), start, 800, xatol=xatol, fatol=fatol
+    )
+    assert shrinks(nit, evaluations) and nit < 800
+
+
+#: Objectives whose values tie, or spread exactly a tolerance, within the
+#: first iterations from their start: (fun, start, xatol, fatol).
+EDGE_CASES = {
+    # the first expansion ties the reflection, which is kept
+    "expansion-ties-reflection": (
+        lambda x: -1.0 if x[0] < 0.99 else float(x[0] >= 1.04), [1.0, 1.0], 1e-10, 1e-10
+    ),
+    # a zero start on a constant spreads exactly xatol in x and fatol in f: stop
+    "spread-equals-the-tolerances": (lambda x: 0.0, [0.0] * 3, 0.00025, 0.0),
+    # only the worst vertex lies beyond fatol: go on
+    "worst-beyond-fatol": (lambda x: float(x[2] > 0.0), [0.0] * 3, 0.00025, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_nelder_mead_is_scipys_on_ties_and_at_the_tolerances(case):
+    fun, start, xatol, fatol = EDGE_CASES[case]
+    nit, _ = run_both(fun, start, 40, xatol=xatol, fatol=fatol)
+    assert (nit == 1) == (case == "spread-equals-the-tolerances")
+
+
+def test_centroid_sums_each_coordinate_left_to_right():
+    # numpy's add.reduce along axis 0 adds the rows in order, so scipy's
+    # centroid of (1e16, 1, -1e16) is 0; a compensated sum (math.fsum, or
+    # sum() since Python 3.12) gives 1/3.
+    assert optimizer._centroid([[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]]) == [0.0, 2.0]
+    rows = np.random.default_rng(3).standard_normal((9, 9)) * np.logspace(-8, 8, 9)
+    expected = np.add.reduce(rows, 0) / 9
+    assert np.array(optimizer._centroid(rows.tolist())).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # optimize
 
 
@@ -336,16 +468,10 @@ def test_every_restart_runs_nelder_mead_through_the_module_level_minimize(monkey
     # a wrapper of this one binding sees every search, as the benchmark's tracer needs
     cfg = optimizer.OptConfig(restarts=3, max_iters=20)
     expected = optimizer.optimize(cfg)
-    methods = []
-    minimize = optimizer.minimize
-
-    def counting(*args, **kwargs):
-        methods.append(kwargs.get("method"))
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "minimize", counting)
+    calls = Counter()
+    monkeypatch.setattr(optimizer, "minimize", counting(optimizer.minimize, calls, "minimize"))
     assert optimizer.optimize(cfg) == expected
-    assert methods == ["Nelder-Mead"] * 3
+    assert calls == Counter(minimize=3)
 
 
 def test_the_best_machine_is_the_first_point_that_reaches_the_best_objective(monkeypatch):
