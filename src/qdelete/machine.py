@@ -85,7 +85,8 @@ class BlankState:
 
     def __post_init__(self):
         m = self.m1p
-        if not (isinstance(m, (int, float)) and math.isfinite(m) and -1.0 <= m <= 1.0):
+        real = isinstance(m, (int, float)) and not isinstance(m, bool)
+        if not (real and math.isfinite(m) and -1.0 <= m <= 1.0):
             raise ValueError(f"m1p must be a finite real in [-1, 1], got {m!r}")
 
     def ket(self) -> np.ndarray:

@@ -11,8 +11,9 @@ machine whose rows are orthonormal by construction.
 Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination.  `scorer` builds the one scoring function of a solve
 from the plain-scalar closed forms of the metrics module; it resolves
-the weights once and skips a term of weight zero, and each evaluation builds
-no record.  The simulation-quadrature oracle checks the returned machine's
+the weights once and skips a term of weight zero.  An evaluation builds no
+`Couplings` and no `BlankState`; it appends one `HistoryEntry` to the
+history.  The simulation-quadrature oracle checks the returned machine's
 averages once per solve.
 
 The simplex is `minimize`, scipy's adaptive Nelder-Mead repeated on plain

@@ -18,6 +18,10 @@ Run by hand from the repository root (the Tier-1 suite does not collect it)::
 ``--module`` draws only from the mutants of one module; a sample at least
 as large as that module's count runs every one of them.
 
+The whole-package run, ``python tests/mutants.py --sample 1000``, runs every
+mutant of every module.  It is the gate for any change that deletes or merges
+tests: its survivor list must equal the one at the parent commit.
+
 Survivors are printed as ``file:line`` with the change made.  The exit code
 is 0 when every sampled mutant was killed, 1 otherwise.
 """

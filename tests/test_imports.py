@@ -11,7 +11,9 @@ attribute), and every
 public method must be read as an attribute somewhere in the package, unless
 the name is exported in ``__init__.__all__``.  A private module-level name
 must be named in its own module.  Code that only the tests call belongs in
-the tests.
+the tests.  The same scan covers ``tests/`` as one package that exports
+nothing, with the ``test_*`` functions exempt: a helper or constant that no
+test reads fails it.
 """
 
 import ast
@@ -21,9 +23,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qdelete").glob("*.py"))
-MODULES = sorted(
-    [p for p in PACKAGE if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")),
-)
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + TESTS)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -118,6 +119,17 @@ def test_package_defines_only_what_it_uses():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     unused = unreferenced_definitions(sources)
     assert not unused, f"src/qdelete/ defines but never uses or exports {unused}"
+
+
+def test_tests_define_only_what_they_read():
+    # the same scan over tests/ as one package with nothing exported; pytest
+    # collects the test_* functions, so no module need name them
+    sources = {"__init__": "", **{p.stem: p.read_text(encoding="utf-8") for p in TESTS}}
+    unused = [
+        path for path in unreferenced_definitions(sources)
+        if not path.rpartition(".")[2].startswith("test_")
+    ]
+    assert not unused, f"tests/ defines but never reads {unused}"
 
 
 def test_the_definition_scan_finds_unused_and_exempts_exports():

@@ -139,13 +139,6 @@ def test_couplings_all_zero_params():
     assert abs(c.g) ** 2 + abs(c.h) ** 2 + abs(c.e) ** 2 + abs(c.f) ** 2 == 0.0
 
 
-def test_coupling_norm_identity_on_random_valid_machines():
-    rng = np.random.default_rng(101)
-    for _ in range(50):
-        c = machine.couplings(random_machine(rng))
-        assert abs(abs(c.g) ** 2 + abs(c.h) ** 2 + abs(c.e) ** 2 + abs(c.f) ** 2 - 2.0) <= 1e-10
-
-
 # ---------------------------------------------------------------------------
 # application: the isometry and the batched outputs
 
@@ -255,15 +248,6 @@ def test_outputs_match_coupling_expansion():
         assert_allclose(machine.outputs(p, x), expected, atol=1e-12)
 
 
-def test_outputs_preserve_norm_on_valid_machines():
-    rng = np.random.default_rng(102)
-    for _ in range(25):
-        p = random_machine(rng)
-        for x in rng.uniform(0.0, 1.0, size=4):
-            s = machine.outputs(p, x)
-            assert abs(np.vdot(s, s).real - 1.0) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # blank state
 
@@ -274,7 +258,7 @@ def test_blank_state_ket_normalized():
         assert abs(np.vdot(ket, ket).real - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("m1p", [1.5, -1.0001, math.nan, math.inf])
+@pytest.mark.parametrize("m1p", [1.5, -1.0001, math.nan, math.inf, True, False])
 def test_blank_state_rejects_bad_overlap(m1p):
     with pytest.raises(ValueError):
         BlankState(m1p)

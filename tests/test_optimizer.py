@@ -253,7 +253,7 @@ def test_search_loop_builds_no_machine_and_validates_outside_it(monkeypatch):
     assert calls == {"validate": 2, "decode": 1}
 
 
-def test_search_loop_builds_no_records_per_evaluation(monkeypatch):
+def test_search_loop_builds_no_couplings_or_blank_state_per_evaluation(monkeypatch):
     built = Counter()
     # a NamedTuple is built through __new__, a dataclass through __init__
     for cls, method in ((machine.Couplings, "__new__"), (BlankState, "__init__")):
