@@ -39,15 +39,15 @@ from .machine import BlankState, MachineParams
 
 _PRESETS = {
     # the second row is minus the first: all couplings zero, formula mode only
-    "case1": MachineParams(a0=1.0 + 0j, a1=-1.0 + 0j),
+    "case1": MachineParams(a0=1.0, a1=-1.0),
     # |e| = |f| = 1 with g = h = 0
-    "case2": MachineParams(c0=1.0 + 0j, d1=1.0 + 0j),
+    "case2": MachineParams(c0=1.0, d1=1.0),
     # g = h = 1 with e = f = 0: the standard swap-style deletion machine
-    "case3": MachineParams(a0=1.0 + 0j, b1=1.0 + 0j),
+    "case3": MachineParams(a0=1.0, b1=1.0),
     # the exchange-only member a0 = b1 = 1 (c0 = c1 = d0 = d1 = 0)
-    "case4": MachineParams(a0=1.0 + 0j, b1=1.0 + 0j),
+    "case4": MachineParams(a0=1.0, b1=1.0),
     # sigma = |0>: the mode-2 reduced state is |0><0|, so F(x) = 1 at every x
-    "perfect": MachineParams(b0=1.0 + 0j, c1=1.0 + 0j, sigma=BlankState(1.0)),
+    "perfect": MachineParams(b0=1.0, c1=1.0, sigma=BlankState(1.0)),
 }
 
 PRESET_NAMES = tuple(_PRESETS)

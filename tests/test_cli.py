@@ -134,17 +134,6 @@ def test_sweep_case3_csv(tmp_path):
     assert mid[0] == 0.5 and abs(mid[1] - 0.75) <= 1e-12
 
 
-def test_sweep_case1_formula_mode(tmp_path):
-    out = tmp_path / "red.csv"
-    assert cli.main(["sweep", "--preset", "case1", "--points", "101", "--out", str(out)]) == 0
-    comments, header, rows = read_csv(out)
-    assert comments == ["# formula mode"]
-    assert header == "alpha_sq,fidelity,distortion"
-    mid = rows[50]
-    assert mid[1] == 0.5
-    assert rows[0][1] == 1.0 and rows[-1][1] == 1.0
-
-
 @pytest.mark.parametrize("m1p", ["-1", "-0.4", "0", "0.3", "1"])
 def test_sweep_case1_fidelity_is_the_zero_coupling_curve_at_any_m1p(m1p, capsys):
     # both deficit conventions are exactly 2 on zero couplings, so the curve is fixed
@@ -244,22 +233,6 @@ def test_sweep_defaults_to_101_points(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "alpha_sq,fidelity,distortion"
     assert len(lines) == 1 + 101
-
-
-def test_sweep_to_stdout(capsys):
-    assert cli.main(["sweep", "--preset", "case3", "--points", "3"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("alpha_sq,fidelity,distortion\n")
-
-
-def test_sweep_round_trips_full_precision(tmp_path):
-    out = tmp_path / "p.csv"
-    assert cli.main(["sweep", "--preset", "case3", "--points", "7", "--out", str(out)]) == 0
-    _, _, rows = read_csv(out)
-    xs = np.array([r[0] for r in rows])
-    fidelity, distortion = metrics.curves(by_name("case3"), xs)
-    assert [r[1] for r in rows] == list(fidelity)
-    assert [r[2] for r in rows] == list(distortion)
 
 
 @pytest.mark.parametrize(
@@ -397,11 +370,6 @@ def test_diagnose_rejects_bad_m1p(capsys, m1p):
     assert cli.main(["diagnose", "--samples", "1", "--m1p", m1p]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: m1p must be a finite real in [-1, 1]")
-
-
-def test_cases_command_emits_no_warning(recwarn):
-    assert cli.main(["cases"]) == 0
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

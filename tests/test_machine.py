@@ -44,13 +44,6 @@ def test_validate_parallel_rows():
     assert not report.is_valid
 
 
-def test_validate_case2_and_couplings():
-    params = case2_params()
-    assert machine.validate(params).is_valid
-    c = machine.couplings(params)
-    assert c.e == 1.0 and c.f == 1.0 and c.g == 0.0 and c.h == 0.0
-
-
 def test_validate_rejects_nonpositive_tol():
     with pytest.raises(ValueError):
         machine.validate(case3_params(), tol=0.0)
@@ -116,6 +109,13 @@ def test_gram_defect_tracks_row_defects():
     )
 
 
+def test_valid_exactly_up_to_a_gram_defect_equal_to_tol():
+    p = MachineParams(a0=1.1, b1=1.0)
+    defect = machine.validate(p).gram_defect
+    assert machine.validate(p, tol=defect).is_valid
+    assert not machine.validate(p, tol=math.nextafter(defect, 0.0)).is_valid
+
+
 def test_random_valid_machines_have_identity_gram():
     rng = np.random.default_rng(100)
     for _ in range(20):
@@ -126,11 +126,6 @@ def test_random_valid_machines_have_identity_gram():
 
 # ---------------------------------------------------------------------------
 # couplings
-
-
-def test_couplings_case3():
-    c = machine.couplings(case3_params())
-    assert (c.g, c.h, c.e, c.f) == (1.0, 1.0, 0.0, 0.0)
 
 
 def test_couplings_all_zero_params():
@@ -278,8 +273,10 @@ def test_json_round_trip(tmp_path):
 
 
 def test_from_dict_round_trip_exact():
-    p = case3_params()
-    assert machine.from_dict(machine.to_dict(p)) == p
+    # both ends of m1p's closed range load back, not only its interior
+    for m1p in (SQRT_HALF, -1.0, 1.0):
+        p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(m1p))
+        assert machine.from_dict(machine.to_dict(p)) == p, m1p
 
 
 @pytest.mark.parametrize("key", machine.AMPLITUDE_KEYS + ("m1p",))

@@ -147,12 +147,6 @@ def test_closed_distortion_matches_the_oracle_on_random_machines():
 # average distortion
 
 
-def test_avg_distortion_case1_both_modes():
-    dc = metrics.distortion_coefficients(*CASE1)
-    assert abs(metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) - 0.4) <= 1e-12
-    assert abs(metrics.avg_distortion(*dc) - 0.4) <= 1e-12
-
-
 def test_avg_distortion_case2_case3():
     for c in (CASE2, CASE3):
         dc = metrics.distortion_coefficients(*c)
@@ -237,11 +231,6 @@ def test_curves_fidelity_endpoints_exact_on_the_presets():
         assert metrics.curves(p, 1.0)[0][0] == 1.0
 
 
-def test_curves_fidelity_case3_balanced():
-    p = by_name("case3")
-    assert abs(metrics.curves(p, 0.5)[0][0] - 0.75) <= 1e-12
-
-
 def test_curves_require_a_valid_machine():
     with pytest.raises(machine.MachineValidationError):
         metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
@@ -302,12 +291,6 @@ def test_averages_require_valid_machine():
         metrics.averages(MachineParams(a0=1.0, a1=1.0))
 
 
-def test_closed_curves_and_averages_of_case1_in_formula_mode():
-    p = by_name("case1")  # fails validation; its closed forms need none
-    assert metrics.closed_curves(p, [0.5, 0.0])[0].tolist() == [0.5, 1.0]
-    assert abs(metrics.averages(p, metrics.closed_curves)[0] - 2.0 / 3.0) <= 1e-10
-
-
 def test_batched_fidelity_matches_per_point_simulation():
     # reference: one single-point `outputs`, partial trace and expectation per grid point
     rng = np.random.default_rng(9)
@@ -354,16 +337,6 @@ def test_input_state_stacks_over_a_grid():
     assert stacked.shape == (3, 2, 2)
     for x, rho in zip(xs, stacked):
         assert_allclose(rho, metrics.input_state(float(x)), atol=0)
-
-
-def test_endpoint_exactness_on_random_machines():
-    rng = np.random.default_rng(10)
-    for _ in range(15):
-        p = random_machine(rng)
-        for x in (0.0, 1.0):
-            fidelity, distortion = metrics.curves(p, x)
-            assert abs(fidelity[0] - 1.0) <= 1e-12
-            assert abs(distortion[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ def test_case1_expected_numbers():
     dc = metrics.distortion_coefficients(*couplings(p))
     assert dc == (2.0, 0.0)
     assert metrics.avg_distortion(*dc) == pytest.approx(0.4, abs=1e-15)
+    assert metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) == pytest.approx(
+        0.4, abs=1e-15
+    )
     deficit = metrics.legacy_fidelity_deficit(*couplings(p), p.sigma.m1p)
     assert metrics.avg_fidelity(deficit) == pytest.approx(2.0 / 3.0, abs=1e-15)
 

@@ -109,16 +109,6 @@ def test_batched_reduced_states_are_hermitian_with_unit_trace(seed, m1p, xs):
 
 @PROPERTY
 @given(seeds, overlaps, grids)
-def test_fidelity_in_unit_interval_and_distortion_nonnegative(seed, m1p, xs):
-    p = qr_machine(seed, m1p)
-    fidelity, distortion = metrics.curves(p, xs)
-    # bounds hold up to rounding of the last bits
-    assert np.all(fidelity >= -1e-15) and np.all(fidelity <= 1.0 + 1e-12)
-    assert np.all(distortion >= -1e-15)
-
-
-@PROPERTY
-@given(seeds, overlaps, grids)
 def test_oracle_fidelity_matches_closed_curves(seed, m1p, xs):
     p = qr_machine(seed, m1p)
     assert_allclose(metrics.curves(p, xs)[0], metrics.closed_curves(p, xs)[0], rtol=0, atol=1e-10)
@@ -126,12 +116,14 @@ def test_oracle_fidelity_matches_closed_curves(seed, m1p, xs):
 
 @PROPERTY
 @given(seeds)
-def test_oracle_fidelity_endpoints_are_one_within_four_eps(seed):
+def test_oracle_endpoints_have_unit_fidelity_and_no_distortion(seed):
     # At x = 0 and x = 1 the deleted mode holds the blank state exactly, so
-    # F(0) and F(1) miss 1 only by the rounding of the blank state's norm.
+    # F(0) and F(1) miss 1 only by the rounding of the blank state's norm,
+    # and the kept mode holds the input's pure state.
     p = optimizer.random_machine(np.random.default_rng(seed))
-    fidelity, _ = metrics.curves(p, np.array([0.0, 1.0]))
+    fidelity, distortion = metrics.curves(p, np.array([0.0, 1.0]))
     assert np.all(np.abs(fidelity - 1.0) <= 4 * np.finfo(float).eps)
+    assert np.all(np.abs(distortion) <= 1e-12)
 
 
 #: The two fidelity-deficit conventions by the names of their reference brackets.
@@ -256,6 +248,8 @@ def test_oracle_curves_respect_the_pointwise_certificate(seed, m1p, xs):
     fidelity, distortion = metrics.curves(p, xs)
     assert np.all(distortion >= 2.0 * y * (1.0 - np.sqrt(y)) ** 2 - 1e-12)
     assert np.all(fidelity <= 1.0 + 1e-12)
+    # the trivial lower bounds, up to rounding of the last bits
+    assert np.all(fidelity >= -1e-15) and np.all(distortion >= -1e-15)
 
 
 @PROPERTY
