@@ -12,9 +12,10 @@ Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination.  `scorer` builds the one scoring function of a solve
 from the plain-scalar closed forms of the metrics module; it resolves
 the weights once and skips a term of weight zero.  An evaluation builds no
-`Couplings` and no `BlankState`; it appends one `HistoryEntry` to the
-history.  The simulation-quadrature oracle checks the returned machine's
-averages once per solve.
+`Couplings` and no `BlankState`; it records one float, the best objective
+so far, and the `HistoryEntry` records of a restart are built in one pass
+after its search.  The simulation-quadrature oracle checks the returned
+machine's averages once per solve.
 
 The simplex is `minimize`, scipy's adaptive Nelder-Mead repeated on plain
 float lists, so no command imports scipy.  It stays a module-level name, so a
@@ -27,7 +28,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from operator import add
+from itertools import count, repeat
+from operator import add, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +91,7 @@ class OptConfig:
                 raise ValueError("objective weights must not both be zero")
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     """Best objective seen so far, recorded at each objective evaluation."""
 
     restart: int
@@ -147,9 +149,9 @@ def minimize(
     fsim = [fun(x) for x in sim]
 
     def sort():
-        order = np.array(fsim).argsort().tolist()
-        sim[:] = [sim[i] for i in order]
-        fsim[:] = [fsim[i] for i in order]
+        order = itemgetter(*np.array(fsim).argsort().tolist())
+        sim[:] = order(sim)
+        fsim[:] = order(fsim)
 
     sort()
     sort()  # as scipy does; argsort need not be stable, so this may reorder ties
@@ -257,18 +259,13 @@ def scorer(cfg: OptConfig) -> Callable[[list[complex], float], float]:
     wf, wd = _WEIGHTS.get(cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion))
     deficit, coefficients = metrics.fidelity_deficit, metrics.distortion_coefficients
     avg_distortion = metrics.avg_distortion
-
-    def fbar(u, m1p):
-        return 1.0 - deficit(*u, m1p) / 6.0
-
-    def dbar(u):
-        return avg_distortion(*coefficients(*u))
-
     if wd == 0:
-        return lambda u, m1p: wf * fbar(u, m1p)
+        return lambda u, m1p: wf * (1.0 - deficit(*u, m1p) / 6.0)
     if wf == 0:
-        return lambda u, m1p: wf - wd * dbar(u)
-    return lambda u, m1p: wf * fbar(u, m1p) - wd * dbar(u)
+        return lambda u, m1p: wf - wd * avg_distortion(*coefficients(*u))
+    return lambda u, m1p: (
+        wf * (1.0 - deficit(*u, m1p) / 6.0) - wd * avg_distortion(*coefficients(*u))
+    )
 
 
 def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResult:
@@ -280,40 +277,38 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
     evaluation, so it is monotone non-decreasing.
     """
     history: list[HistoryEntry] = []
+    bests: list[float] = []  # the best objective so far at each evaluation of this restart
     best_value = -math.inf
     best_raw: list[float] | None = None
     iterations_used = 0
     value_of = scorer(cfg)
 
+    def negated_objective(raw):
+        nonlocal best_value, best_raw
+        try:
+            u, m1p = _sphere_point(raw)
+        except DecodeError:
+            bests.append(best_value)
+            return _DEGENERATE_PENALTY
+        value = value_of(u, m1p)
+        if value > best_value:
+            best_value = value
+            best_raw = raw  # minimize never changes a point it has passed
+        bests.append(best_value)
+        return -value
+
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + restart)
         if restart == 0 and warm_start is not None:
             require_valid(warm_start)
             x0 = encode(warm_start)
         else:
-            x0 = sample_raw(rng)
-
-        evaluation = 0
-
-        def negated_objective(raw):
-            nonlocal evaluation, best_value, best_raw
-            evaluation += 1
-            try:
-                u, m1p = _sphere_point(raw)
-            except DecodeError:
-                history.append(HistoryEntry(restart, evaluation, best_value))
-                return _DEGENERATE_PENALTY
-            value = value_of(u, m1p)
-            if value > best_value:
-                best_value = value
-                best_raw = raw  # minimize never changes a point it has passed
-            history.append(HistoryEntry(restart, evaluation, best_value))
-            return -value
-
+            x0 = sample_raw(np.random.default_rng(cfg.seed + restart))
         _, nit = minimize(
             negated_objective, x0.tolist(), maxiter=cfg.max_iters, xatol=cfg.tol, fatol=cfg.tol
         )
         iterations_used += nit
+        history.extend(map(HistoryEntry, repeat(restart), count(1), bests))
+        bests.clear()
 
     assert best_raw is not None  # every restart evaluates its start point
     best_machine = decode(best_raw)

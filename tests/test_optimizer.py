@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import count
 
 import numpy as np
 import pytest
@@ -497,19 +498,71 @@ def test_the_best_machine_is_the_first_point_that_reaches_the_best_objective(mon
     assert optimizer.decode(ties[-1]) != result.best_machine
 
 
-def test_optimize_history_is_monotone_best_so_far():
-    cfg = optimizer.OptConfig(objective="max-fidelity", **SMALL)
-    result = optimizer.optimize(cfg)
-    values = [entry.objective for entry in result.history]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[-1] == result.best_objective
+def values_per_restart(monkeypatch, sphere_point=None):
+    """Wrap the module-level minimize; the list returned gets one list per restart.
+
+    Each restart's list holds the values its objective hands the simplex, in
+    order.  ``sphere_point``, when given, replaces ``optimizer._sphere_point``
+    while a search runs, but not for the decode of the best point after it.
+    """
+    runs, minimize, original = [], optimizer.minimize, optimizer._sphere_point
+
+    def recording(fun, x0, **kwargs):
+        run = []
+        runs.append(run)
+
+        def objective(raw):
+            run.append(fun(raw))
+            return run[-1]
+
+        optimizer._sphere_point = sphere_point or original
+        try:
+            return minimize(objective, x0, **kwargs)
+        finally:
+            optimizer._sphere_point = original
+
+    monkeypatch.setattr(optimizer, "minimize", recording)
+    return runs
 
 
-def test_optimize_history_numbers_the_evaluations_of_each_restart_from_1():
+def running_best_history(runs):
+    """The history of these runs: the best score so far, where a penalty scores nothing."""
+    best, history = -math.inf, []
+    for restart, run in enumerate(runs):
+        for evaluation, value in enumerate(run, 1):
+            if value != optimizer._DEGENERATE_PENALTY:
+                best = max(best, -value)
+            history.append(optimizer.HistoryEntry(restart, evaluation, best))
+    return history
+
+
+def test_optimize_history_is_monotone_best_so_far(monkeypatch):
+    # Entry i of restart r is the best score of all evaluations so far, over
+    # every restart, with i counting from 1 in each restart.
+    runs = values_per_restart(monkeypatch)
     result = optimizer.optimize(optimizer.OptConfig(objective="max-fidelity", **SMALL))
-    for restart in range(SMALL["restarts"]):
-        numbers = [entry.evaluation for entry in result.history if entry.restart == restart]
-        assert numbers == list(range(1, len(numbers) + 1))
+    assert len(runs) == SMALL["restarts"]
+    assert result.history == running_best_history(runs)
+    assert result.history[-1].objective == result.best_objective
+
+
+def test_a_point_that_fails_to_decode_scores_the_penalty_and_keeps_the_best(monkeypatch):
+    sphere_point, calls = optimizer._sphere_point, count(1)
+
+    def every_7th_fails(raw):
+        if next(calls) % 7 == 0:
+            raise optimizer.DecodeError("every 7th point fails")
+        return sphere_point(raw)
+
+    runs = values_per_restart(monkeypatch, every_7th_fails)
+    result = optimizer.optimize(optimizer.OptConfig(objective="weighted", **SMALL))
+    values = [value for run in runs for value in run]
+    failed = values[6::7]
+    assert len(failed) > 10 and failed == [optimizer._DEGENERATE_PENALTY] * len(failed)
+    assert optimizer._DEGENERATE_PENALTY not in [v for i, v in enumerate(values) if i % 7 != 6]
+    assert result.history == running_best_history(runs)
+    before, at = result.history[5::7], result.history[6::7]
+    assert all(a.objective == b.objective for a, b in zip(before, at))
 
 
 def test_optimize_result_machine_is_valid_and_reproducible():
