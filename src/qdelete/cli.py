@@ -230,7 +230,7 @@ def cmd_optimize(args) -> int:
     warm = None
     if args.warm_start in presets.PRESET_NAMES:
         warm = presets.by_name(args.warm_start)
-    elif args.warm_start:
+    elif args.warm_start is not None:
         warm = machine.load(args.warm_start)
     try:
         result = optimizer.optimize(cfg, warm_start=warm)

@@ -220,7 +220,11 @@ def decode(raw) -> MachineParams:
     :class:`DecodeError` for a wrong shape, non-finite entries, |u| < 1e-12
     or a |u| that overflows.
     """
-    u, m1p = _sphere_point(np.asarray(raw, dtype=float).tolist())
+    try:
+        raw = np.asarray(raw, dtype=float).tolist()
+    except (TypeError, ValueError):  # ragged nesting or entries that are no numbers
+        raise DecodeError(f"raw point must be {RAW_DIM} real numbers") from None
+    u, m1p = _sphere_point(raw)
     u = np.array(u)
     w = u[[1, 0, 3, 2]].conj() * np.array([-0.5, 0.5, -0.5, 0.5])
     return MachineParams.from_rows(u / 2 - w, u / 2 + w, BlankState(m1p))

@@ -13,13 +13,17 @@ the name is exported in ``__init__.__all__``.  A private module-level name
 must be named in its own module.  Code that only the tests call belongs in
 the tests.  The same scan covers ``tests/`` as one package that exports
 nothing, with the ``test_*`` functions exempt: a helper or constant that no
-test reads fails it.
+test reads fails it.  The last test holds the mutation check's list of
+equivalent survivors (``tests/mutants.py``) to the package's sources.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from mutants import EQUIVALENT, list_mutants
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qdelete").glob("*.py"))
@@ -178,3 +182,10 @@ def test_the_definition_scan_requires_private_names_in_their_own_module():
     # dunders and private methods are exempt; a private name read only by
     # another module counts as unused in its own
     assert unreferenced_definitions(sources) == ["a._orphan", "a._UNUSED", "a._used_elsewhere"]
+
+
+def test_each_equivalent_mutant_is_one_site_of_the_package():
+    # mutants.py excuses these survivors; an entry that names no site, or two,
+    # would excuse nothing or too much after an edit of the package
+    sites = Counter((module, function, change) for module, _, _, function, change in list_mutants())
+    assert {key: sites[key] for key in EQUIVALENT} == dict.fromkeys(EQUIVALENT, 1)

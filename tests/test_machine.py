@@ -220,29 +220,6 @@ def test_outputs_case2_balanced_input():
     assert abs(np.vdot(s, s).real - 1.0) <= 1e-12
 
 
-def test_outputs_match_coupling_expansion():
-    # the two-copy output collapses onto the coupling sums: alpha^2 |0,sig,A0>
-    # + alpha*beta (g|01> + h|10> + e|00> + f|11>)|Q> + beta^2 |1,sig,A1>
-    rng = np.random.default_rng(104)
-    ket0 = np.array([1, 0], dtype=complex)
-    ket1 = np.array([0, 1], dtype=complex)
-    anc_a0 = np.array([0, 1, 0], dtype=complex)
-    anc_a1 = np.array([0, 0, 1], dtype=complex)
-    for _ in range(10):
-        p = random_machine(rng)
-        c = machine.couplings(p)
-        x = float(rng.uniform(0.0, 1.0))
-        alpha, beta = math.sqrt(x), math.sqrt(1.0 - x)
-        sig = p.sigma.ket()
-        expected = alpha * alpha * np.kron(ket0, np.kron(sig, anc_a0))
-        expected += beta * beta * np.kron(ket1, np.kron(sig, anc_a1))
-        expected[qlinalg.joint_index(0, 1, 0)] += alpha * beta * c.g
-        expected[qlinalg.joint_index(1, 0, 0)] += alpha * beta * c.h
-        expected[qlinalg.joint_index(0, 0, 0)] += alpha * beta * c.e
-        expected[qlinalg.joint_index(1, 1, 0)] += alpha * beta * c.f
-        assert_allclose(machine.outputs(p, x), expected, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # blank state
 

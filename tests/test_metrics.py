@@ -65,14 +65,6 @@ def test_mode2_closed_perfect_preset_is_blank():
         assert_allclose(rho, np.array([[1, 0], [0, 0]], dtype=complex), atol=1e-15)
 
 
-@pytest.mark.parametrize("x", [-0.1, 1.1, math.nan])
-def test_closed_states_reject_bad_alpha_sq(x):
-    with pytest.raises(ValueError):
-        mode1_state_closed(CASE3, x)
-    with pytest.raises(ValueError):
-        mode2_state_closed(CASE3, BlankState(0.5), x)
-
-
 # ---------------------------------------------------------------------------
 # distortion coefficients and polynomial
 
@@ -132,17 +124,6 @@ def test_curves_distortion_case2():
     assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
 
 
-def test_closed_distortion_matches_the_oracle_on_random_machines():
-    rng = np.random.default_rng(3)
-    grid = np.linspace(0.0, 1.0, 21)
-    for _ in range(25):
-        p = random_machine(rng)
-        for x in grid:
-            closed = metrics.closed_curves(p, float(x))[1][0]
-            direct = metrics.curves(p, x)[1][0]
-            assert abs(closed - direct) <= 1e-10
-
-
 # ---------------------------------------------------------------------------
 # average distortion
 
@@ -162,16 +143,6 @@ def test_avg_distortion_modes_differ_with_coherence():
     analytic = metrics.avg_distortion(*dc)
     assert abs(legacy - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 0.589)) <= 1e-12
     assert abs(analytic - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 3.0 * math.pi / 64.0)) <= 1e-12
-
-
-def test_closed_route_quadrature_adjudicates_cross_constant():
-    # The quadrature is the oracle for the cross-term constant: it must agree
-    # with the analytic mode (3*pi/64) and refute the legacy 0.589.
-    p = by_name("perfect")  # coherence sum 2
-    dc = metrics.distortion_coefficients(*machine.couplings(p))
-    quad = metrics.averages(p, metrics.closed_curves)[1]
-    assert abs(quad - metrics.avg_distortion(*dc)) <= 1e-6
-    assert abs(quad - metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT)) > 0.4
 
 
 def test_closed_route_averages_match_adaptive_integration():
@@ -274,21 +245,6 @@ def test_avg_fidelity_silent_in_range():
         # the closed interval's ends: perfect deletion and the worst deficit
         assert metrics.avg_fidelity(0.0) == 1.0
         assert metrics.avg_fidelity(6.0) == 0.0
-
-
-def test_averages_match_the_consistent_deficit_and_analytic_distortion():
-    rng = np.random.default_rng(8)
-    for _ in range(15):
-        p = random_machine(rng)
-        c = machine.couplings(p)
-        fbar, dbar = metrics.averages(p)
-        assert abs(fbar - (1.0 - metrics.fidelity_deficit(*c, p.sigma.m1p) / 6.0)) <= 1e-8
-        assert abs(dbar - metrics.avg_distortion(*metrics.distortion_coefficients(*c))) <= 1e-8
-
-
-def test_averages_require_valid_machine():
-    with pytest.raises(machine.MachineValidationError):
-        metrics.averages(MachineParams(a0=1.0, a1=1.0))
 
 
 def test_batched_fidelity_matches_per_point_simulation():

