@@ -48,9 +48,11 @@ OBJECTIVES = (OBJECTIVE_MAX_FIDELITY, OBJECTIVE_MIN_DISTORTION, OBJECTIVE_WEIGHT
 #: Max-fidelity then scores 1.0 * Fbar, which is bit-equal to Fbar.
 _WEIGHTS = {OBJECTIVE_MAX_FIDELITY: (1.0, 0.0), OBJECTIVE_MIN_DISTORTION: (0.0, 1.0)}
 
-#: Minimization value returned for raw points that fail to decode; large
-#: enough that the simplex always moves away from degenerate points.
-_DEGENERATE_PENALTY = 1e6
+#: Minimization value returned for raw points that fail to decode.  A real
+#: point's value wd * Dbar - wf * Fbar is finite but has no fixed bound, since
+#: Dbar >= D* = 2/5 - 3pi/32 (about 0.1055) for any weight wd; only infinity is
+#: worse than every real point, so the simplex always moves away from it.
+_DEGENERATE_PENALTY = math.inf
 
 #: Raw points whose coupling vector is shorter than this fail to decode.
 _DEGENERACY_TOL = 1e-12
@@ -221,8 +223,10 @@ def decode(raw) -> MachineParams:
     or a |u| that overflows.
     """
     try:
+        if np.iscomplexobj(raw):  # a cast to float would drop the imaginary parts
+            raise TypeError
         raw = np.asarray(raw, dtype=float).tolist()
-    except (TypeError, ValueError):  # ragged nesting or entries that are no numbers
+    except (TypeError, ValueError):  # ragged nesting or entries that are no real numbers
         raise DecodeError(f"raw point must be {RAW_DIM} real numbers") from None
     u, m1p = _sphere_point(raw)
     u = np.array(u)

@@ -1,0 +1,66 @@
+"""Helpers that more than one test module uses, each written once.
+
+The kets and `reference_images` build the machine's basis images with
+``np.kron`` and index writes, without `machine.isometry`, so tests can check
+the isometry against them.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+
+from qdelete import machine, qlinalg
+from qdelete.machine import BlankState, Couplings, MachineParams
+
+KET0, KET1 = np.eye(2, dtype=complex)
+#: The ancilla kets |A0> and |A1>.
+ANC_A0, ANC_A1 = np.eye(3, dtype=complex)[[machine.ANC_A0, machine.ANC_A1]]
+
+
+def rows(p: MachineParams) -> np.ndarray:
+    """The two amplitude rows (a_i, b_i, c_i, d_i) as a 2x4 array."""
+    return np.array([[p.a0, p.b0, p.c0, p.d0], [p.a1, p.b1, p.c1, p.d1]], dtype=complex)
+
+
+def with_couplings(
+    c: Couplings, sigma: BlankState = BlankState(machine.DEFAULT_M1P)
+) -> MachineParams:
+    """A machine (valid or not) whose couplings are exactly ``c``: row 0 holds them, row 1 is 0."""
+    return MachineParams(a0=c.g, b0=c.h, c0=c.e, d0=c.f, sigma=sigma)
+
+
+def raw_of(u, m1p: float) -> np.ndarray:
+    """Raw search point of the couplings u = (g, h, e, f) and m1p."""
+    return np.append(np.asarray(u, dtype=complex).view(float), math.acos(m1p))
+
+
+def reference_images(p: MachineParams) -> list[np.ndarray]:
+    """Images of |00>, |01>, |10>, |11> (times |Q>), built without `isometry`."""
+    sig = p.sigma.ket()
+    images = [np.kron(KET0, np.kron(sig, ANC_A0))]
+    for a, b, c, d in rows(p):
+        image = np.zeros(qlinalg.JOINT_DIM, dtype=complex)
+        image[qlinalg.joint_index(0, 1, machine.ANC_Q)] = a
+        image[qlinalg.joint_index(1, 0, machine.ANC_Q)] = b
+        image[qlinalg.joint_index(0, 0, machine.ANC_Q)] = c
+        image[qlinalg.joint_index(1, 1, machine.ANC_Q)] = d
+        images.append(image)
+    images.append(np.kron(KET1, np.kron(sig, ANC_A1)))
+    return images
+
+
+def count_calls(monkeypatch, *targets) -> Counter:
+    """Wrap each (module or class, function name) target to count its calls by name."""
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    return calls

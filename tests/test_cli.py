@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,24 +12,13 @@ import pytest
 from qdelete import cli, machine, metrics, optimizer
 from qdelete.machine import MachineParams
 from qdelete.presets import PRESET_NAMES, by_name
+from helpers import count_calls
 
 
 def write_machine(tmp_path, params, name="machine.json"):
     path = tmp_path / name
     machine.save(params, path)
     return path
-
-
-def read_csv(path):
-    comments, header, rows = [], None, []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif header is None:
-            header = line
-        else:
-            rows.append([float(tok) for tok in line.split(",")])
-    return comments, header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +105,6 @@ def test_validate_bad_tol_is_usage_error(tmp_path, capsys, tol):
 # sweep
 
 
-def test_sweep_case3_csv(tmp_path):
-    out = tmp_path / "green.csv"
-    assert cli.main(["sweep", "--preset", "case3", "--points", "101", "--out", str(out)]) == 0
-    comments, header, rows = read_csv(out)
-    assert comments == []
-    assert header == "alpha_sq,fidelity,distortion"
-    assert len(rows) == 101
-    for x, f, d in rows:
-        assert 0.0 <= x <= 1.0
-        assert -1e-12 <= f <= 1.0 + 1e-12
-        assert d >= -1e-12
-    assert rows[0] == [0.0, 1.0, 0.0]
-    assert rows[-1] == [1.0, 1.0, 0.0]
-    mid = rows[50]
-    assert mid[0] == 0.5 and abs(mid[1] - 0.75) <= 1e-12
-
-
 @pytest.mark.parametrize("m1p", ["-1", "-0.4", "0", "0.3", "1"])
 def test_sweep_case1_fidelity_is_the_zero_coupling_curve_at_any_m1p(m1p, capsys):
     # both deficit conventions are exactly 2 on zero couplings, so the curve is fixed
@@ -156,8 +127,7 @@ def test_sweep_formula_mode_exactly_when_the_preset_fails_validation(name, capsy
 def test_sweep_two_points(tmp_path):
     out = tmp_path / "two.csv"
     assert cli.main(["sweep", "--preset", "case3", "--points", "2", "--out", str(out)]) == 0
-    _, _, rows = read_csv(out)
-    assert rows == [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+    assert out.read_text(encoding="utf-8") == "alpha_sq,fidelity,distortion\n0,1,0\n1,1,0\n"
 
 
 def test_sweep_rejects_too_few_points(capsys):
@@ -171,36 +141,10 @@ def test_sweep_unknown_preset_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
-def test_sweep_machine_file_with_m1p_override(tmp_path):
-    path = write_machine(tmp_path, by_name("case3"))
-    out = tmp_path / "sweep.csv"
-    assert cli.main(
-        ["sweep", "--machine", str(path), "--m1p", "1.0", "--points", "11", "--out", str(out)]
-    ) == 0
-    _, _, rows = read_csv(out)
-    assert len(rows) == 11
-
-
 def test_sweep_invalid_machine_file_exits_1(tmp_path, capsys):
     path = write_machine(tmp_path, MachineParams(a0=1.0, a1=1.0))
     assert cli.main(["sweep", "--machine", str(path), "--points", "5"]) == 1
     assert "isometry" in capsys.readouterr().err
-
-
-def count_calls(monkeypatch, *targets) -> Counter:
-    """Wrap each (module, function name) target to count its calls by name."""
-    calls = Counter()
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for module, name in targets:
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    return calls
 
 
 def test_sweep_machine_validates_and_simulates_once(tmp_path, monkeypatch):
@@ -236,12 +180,13 @@ def test_sweep_defaults_to_101_points(capsys):
 
 
 @pytest.mark.parametrize(
-    "source, points, to_file",
-    [("machine", 1001, True), ("case1", 7, True), ("case3", 21, False)],
-    ids=["machine-file", "formula-preset", "stdout"],
+    "source, m1p, points, to_file",
+    [("machine", None, 1001, True), ("machine", 0.3, 11, True), ("case1", None, 7, True),
+     ("case3", None, 21, False)],
+    ids=["machine-file", "machine-file-m1p", "formula-preset", "stdout"],
 )
 def test_sweep_prints_every_value_at_17_significant_digits(
-    tmp_path, capsys, source, points, to_file
+    tmp_path, capsys, source, m1p, points, to_file
 ):
     if source == "machine":
         p = optimizer.random_machine(np.random.default_rng(5))
@@ -250,6 +195,9 @@ def test_sweep_prints_every_value_at_17_significant_digits(
         p = by_name(source)
         argv = ["--preset", source]
         head = "# formula mode\n" if source == "case1" else ""
+    if m1p is not None:
+        argv += ["--m1p", str(m1p)]
+        p = dataclasses.replace(p, sigma=machine.BlankState(m1p))
     route = metrics.closed_curves if head else metrics.curves
     xs = np.linspace(0.0, 1.0, points)
     expected = head + "alpha_sq,fidelity,distortion\n" + "".join(
@@ -459,23 +407,6 @@ def test_optimize_reruns_bit_identical(tmp_path):
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a_history.csv").read_bytes() == (tmp_path / "b_history.csv").read_bytes()
-
-
-def test_optimize_warm_start_preset(tmp_path):
-    out = tmp_path / "warm.json"
-    code = cli.main(
-        [
-            "optimize",
-            "--restarts", "1",
-            "--max-iters", "30",
-            "--seed", "1",
-            "--warm-start", "perfect",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    best = machine.load(out)
-    assert metrics.averages(best)[0] >= 1.0 - 1e-6
 
 
 def test_optimize_warm_start_formula_preset_rejected(tmp_path, capsys):

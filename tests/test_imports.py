@@ -13,22 +13,22 @@ the name is exported in ``__init__.__all__``.  A private module-level name
 must be named in its own module.  Code that only the tests call belongs in
 the tests.  The same scan covers ``tests/`` as one package that exports
 nothing, with the ``test_*`` functions exempt: a helper or constant that no
-test reads fails it.  The last test holds the mutation check's list of
-equivalent survivors (``tests/mutants.py``) to the package's sources.
+test reads fails it.  A third scan requires each module-level name of
+``tests/`` to be defined in one module only: a helper that two test modules
+use lives in ``helpers.py``.  The last test holds the mutation check's list
+of equivalent survivors (``tests/mutants.py``) to the package's sources.
 """
 
 import ast
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from mutants import EQUIVALENT, list_mutants
+from mutants import EQUIVALENT, PACKAGE, ROOT, list_mutants
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted((ROOT / "src" / "qdelete").glob("*.py"))
+SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + TESTS)
+MODULES = sorted([p for p in SOURCES if p.name != "__init__.py"] + TESTS)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,6 +62,16 @@ def test_the_scan_finds_unused_and_exempts_future_imports():
         "def f():\n    return np.zeros(1), os.sep, pi\n"
     )
     assert unused_imports(source) == ["json", "tau"]
+
+
+def module_level_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a function, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
@@ -98,16 +108,9 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     for module, tree in trees.items():
         own_names = named_in[module]
         for node in tree.body:
-            if isinstance(node, (*functions, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                names = []
             found += [
                 (f"{module}.{name}", name, own_names if name.startswith("_") else module_level_used)
-                for name in names
+                for name in module_level_names(node)
                 if not (name.startswith("__") and name.endswith("__"))
             ]
             if isinstance(node, ast.ClassDef):
@@ -120,7 +123,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
 
 
 def test_package_defines_only_what_it_uses():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     unused = unreferenced_definitions(sources)
     assert not unused, f"src/qdelete/ defines but never uses or exports {unused}"
 
@@ -134,6 +137,16 @@ def test_tests_define_only_what_they_read():
         if not path.rpartition(".")[2].startswith("test_")
     ]
     assert not unused, f"tests/ defines but never reads {unused}"
+
+
+def test_tests_define_each_module_level_name_once():
+    defined_in = {}
+    for path in TESTS:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in module_level_names(node):
+                defined_in.setdefault(name, []).append(path.name)
+    twice = {name: modules for name, modules in defined_in.items() if len(modules) > 1}
+    assert not twice, f"tests/ defines these names in more than one module: {twice}"
 
 
 def test_the_definition_scan_finds_unused_and_exempts_exports():

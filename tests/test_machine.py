@@ -8,51 +8,20 @@ from numpy.testing import assert_allclose
 from qdelete import machine, qlinalg
 from qdelete.machine import BlankState, MachineParams
 from qdelete.optimizer import random_machine
-
-SQRT_HALF = math.sqrt(0.5)
-
-#: Joint basis vectors; row joint_index(q1, q2, anc) is |q1, q2, anc>.
-BASIS = np.eye(12, dtype=complex)
-
-
-def case3_params():
-    return MachineParams(a0=1.0, b1=1.0)
-
-
-def case2_params():
-    return MachineParams(c0=1.0, d1=1.0)
-
+from qdelete.presets import by_name
+from helpers import reference_images
 
 # ---------------------------------------------------------------------------
 # validation
 
 
 def test_validate_case3_is_exact():
-    report = machine.validate(case3_params())
+    report = machine.validate(by_name("case3"))
     assert report.row0_norm_defect == 0.0
     assert report.row1_norm_defect == 0.0
     assert report.orthogonality_defect == 0.0
     assert report.gram_defect == 0.0
     assert report.is_valid
-
-
-def test_validate_parallel_rows():
-    report = machine.validate(MachineParams(a0=1.0, a1=1.0))
-    assert report.row0_norm_defect == 0.0
-    assert report.row1_norm_defect == 0.0
-    assert abs(report.orthogonality_defect - 1.0) <= 1e-12
-    assert not report.is_valid
-
-
-def test_validate_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        machine.validate(case3_params(), tol=0.0)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
-def test_validate_rejects_non_finite_tol(tol):
-    with pytest.raises(ValueError):
-        machine.validate(case3_params(), tol=tol)
 
 
 def test_validate_reads_defects_from_gram_of_isometry():
@@ -125,51 +94,15 @@ def test_random_valid_machines_have_identity_gram():
 
 
 # ---------------------------------------------------------------------------
-# couplings
-
-
-def test_couplings_all_zero_params():
-    c = machine.couplings(MachineParams())
-    assert (c.g, c.h, c.e, c.f) == (0.0, 0.0, 0.0, 0.0)
-    assert abs(c.g) ** 2 + abs(c.h) ** 2 + abs(c.e) ** 2 + abs(c.f) ** 2 == 0.0
-
-
-# ---------------------------------------------------------------------------
 # application: the isometry and the batched outputs
-
-
-def test_isometry_diagonal_inputs():
-    # column 2i + j of the isometry is the image of |i>|j>|Q>
-    p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(1.0))
-    assert_allclose(machine.isometry(p)[:, 0], BASIS[qlinalg.joint_index(0, 0, 1)], atol=0)
-
-    p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(0.0))
-    assert_allclose(machine.isometry(p)[:, 3], BASIS[qlinalg.joint_index(1, 1, 2)], atol=0)
-
-
-def test_isometry_case3_off_diagonal():
-    v = machine.isometry(case3_params())
-    assert_allclose(v[:, 1], BASIS[qlinalg.joint_index(0, 1, 0)], atol=0)
-    assert_allclose(v[:, 2], BASIS[qlinalg.joint_index(1, 0, 0)], atol=0)
 
 
 def test_isometry_columns_are_basis_images():
     p = MachineParams(a0=0.6, b0=0.8j, c1=1.0, sigma=BlankState(0.6))
     v = machine.isometry(p)
     assert v.shape == (12, 4)
-
-    def basis(q1, q2, anc):
-        return BASIS[qlinalg.joint_index(q1, q2, anc)]
-
-    # the images of |00>, |01>, |10>, |11> (times |Q>) from the machine's definition
-    s0, s1 = p.sigma.ket()
-    images = [s0 * basis(0, 0, 1) + s1 * basis(0, 1, 1)]
-    for a, b, c, d in ((p.a0, p.b0, p.c0, p.d0), (p.a1, p.b1, p.c1, p.d1)):
-        images.append(
-            a * basis(0, 1, 0) + b * basis(1, 0, 0) + c * basis(0, 0, 0) + d * basis(1, 1, 0)
-        )
-    images.append(s0 * basis(1, 0, 2) + s1 * basis(1, 1, 2))
-    assert_allclose(v, np.stack(images, axis=1), atol=0)
+    # column 2i + j is the image of |i>|j>|Q>
+    assert_allclose(v, np.stack(reference_images(p), axis=1), atol=0)
     assert v[qlinalg.joint_index(0, 1, 0), 1] == 0.6
     assert v[qlinalg.joint_index(1, 0, 0), 1] == 0.8j
     assert v[qlinalg.joint_index(0, 0, 0), 2] == 1.0
@@ -195,18 +128,18 @@ def test_outputs_grid_matches_one_call_per_point():
 @pytest.mark.parametrize("grid", [[0.5, 1.1], [math.nan], -0.1])
 def test_outputs_reject_out_of_range_grid(grid):
     with pytest.raises(ValueError):
-        machine.outputs(case3_params(), grid)
+        machine.outputs(by_name("case3"), grid)
 
 
 def test_outputs_endpoints_are_products():
-    p = case3_params()
+    p = by_name("case3")
     v = machine.isometry(p)
     assert_allclose(machine.outputs(p, 1.0), v[:, 0], atol=0)
     assert_allclose(machine.outputs(p, 0.0), v[:, 3], atol=0)
 
 
 def test_outputs_case2_balanced_input():
-    p = case2_params()
+    p = by_name("case2")
     s = machine.outputs(p, 0.5)
     sig = p.sigma.ket()
     expected = np.zeros(12, dtype=complex)
@@ -222,12 +155,6 @@ def test_outputs_case2_balanced_input():
 
 # ---------------------------------------------------------------------------
 # blank state
-
-
-def test_blank_state_ket_normalized():
-    for m1p in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        ket = BlankState(m1p).ket()
-        assert abs(np.vdot(ket, ket).real - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("m1p", [1.5, -1.0001, math.nan, math.inf, True, False])
@@ -251,14 +178,14 @@ def test_json_round_trip(tmp_path):
 
 def test_from_dict_round_trip_exact():
     # both ends of m1p's closed range load back, not only its interior
-    for m1p in (SQRT_HALF, -1.0, 1.0):
+    for m1p in (machine.DEFAULT_M1P, -1.0, 1.0):
         p = MachineParams(a0=1.0, b1=1.0, sigma=BlankState(m1p))
         assert machine.from_dict(machine.to_dict(p)) == p, m1p
 
 
 @pytest.mark.parametrize("key", machine.AMPLITUDE_KEYS + ("m1p",))
 def test_from_dict_rejects_missing_key(key):
-    data = machine.to_dict(case3_params())
+    data = machine.to_dict(by_name("case3"))
     del data[key]
     with pytest.raises(machine.MachineFormatError) as excinfo:
         machine.from_dict(data)
@@ -266,7 +193,7 @@ def test_from_dict_rejects_missing_key(key):
 
 
 def test_from_dict_rejects_non_finite():
-    data = machine.to_dict(case3_params())
+    data = machine.to_dict(by_name("case3"))
     data["b0"] = [math.inf, 0.0]
     with pytest.raises(machine.MachineFormatError) as excinfo:
         machine.from_dict(data)
@@ -274,7 +201,7 @@ def test_from_dict_rejects_non_finite():
 
 
 def test_from_dict_rejects_malformed_amplitude():
-    data = machine.to_dict(case3_params())
+    data = machine.to_dict(by_name("case3"))
     data["c1"] = [1.0]
     with pytest.raises(machine.MachineFormatError):
         machine.from_dict(data)
@@ -284,7 +211,7 @@ def test_from_dict_rejects_malformed_amplitude():
 
 
 def test_from_dict_rejects_out_of_range_m1p():
-    data = machine.to_dict(case3_params())
+    data = machine.to_dict(by_name("case3"))
     for m1p in (1.25, -1.25):
         data["m1p"] = m1p
         with pytest.raises(machine.MachineFormatError) as excinfo:
@@ -294,7 +221,7 @@ def test_from_dict_rejects_out_of_range_m1p():
 
 @pytest.mark.parametrize("key", ["a0", "d1", "m1p"])
 def test_from_dict_names_key_of_integer_too_large_for_a_float(key):
-    data = machine.to_dict(case3_params())
+    data = machine.to_dict(by_name("case3"))
     data[key] = 10**400 if key == "m1p" else [0, -(10**400)]
     with pytest.raises(machine.MachineFormatError) as excinfo:
         machine.from_dict(data)
@@ -318,24 +245,17 @@ def test_load_rejects_hostile_files(tmp_path, blob):
         machine.load(path)
 
 
-def test_load_rejects_invalid_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(machine.MachineFormatError):
-        machine.load(path)
-
-
 def test_saved_file_layout(tmp_path):
     path = tmp_path / "machine.json"
-    machine.save(case2_params(), path)
+    machine.save(by_name("case2"), path)
     text = path.read_text(encoding="utf-8")
     assert text.startswith('{\n  "a0": [\n    0.0,\n    0.0\n  ],\n  "b0": [\n')
-    assert text.endswith(f'  "m1p": {SQRT_HALF!r}\n}}\n')
+    assert text.endswith(f'  "m1p": {machine.DEFAULT_M1P!r}\n}}\n')
 
 
 def test_saved_file_is_plain_json(tmp_path):
     path = tmp_path / "machine.json"
-    machine.save(case2_params(), path)
+    machine.save(by_name("case2"), path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert data["c0"] == [1.0, 0.0]
-    assert data["m1p"] == pytest.approx(SQRT_HALF)
+    assert data["m1p"] == pytest.approx(machine.DEFAULT_M1P)

@@ -11,17 +11,11 @@ from qdelete.optimizer import random_machine
 from qdelete.presets import by_name
 from paper_values import exchange_only_averages, exchange_only_coefficients
 from reduced_states import mode1_state_closed, mode2_state_closed
-
-SQRT_HALF = math.sqrt(0.5)
+from helpers import with_couplings
 
 CASE1 = Couplings(g=0j, h=0j, e=0j, f=0j)
 CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)
 CASE3 = Couplings(g=1 + 0j, h=1 + 0j, e=0j, f=0j)
-
-
-def with_couplings(c: Couplings, sigma: BlankState = BlankState(SQRT_HALF)) -> MachineParams:
-    """A machine (valid or not) whose couplings are exactly ``c``: row 0 holds them, row 1 is 0."""
-    return MachineParams(a0=c.g, b0=c.h, c0=c.e, d0=c.f, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def test_mode2_closed_blank_limit():
 
 
 def test_mode2_closed_case3_balanced():
-    sigma = BlankState(SQRT_HALF)
+    sigma = BlankState(machine.DEFAULT_M1P)
     rho = mode2_state_closed(CASE3, sigma, 0.5)
     sig = sigma.ket()
     expected = 0.5 * np.outer(sig, sig.conj()) + 0.25 * np.eye(2)
@@ -208,7 +202,7 @@ def test_curves_require_a_valid_machine():
 
 
 def test_fidelity_deficit_cases():
-    sigma = BlankState(SQRT_HALF)
+    sigma = BlankState(machine.DEFAULT_M1P)
     for deficit in (metrics.legacy_fidelity_deficit, metrics.fidelity_deficit):
         assert deficit(*CASE1, sigma.m1p) == 2.0
         assert abs(deficit(*CASE2, sigma.m1p) - 1.0) <= 1e-12
@@ -310,7 +304,7 @@ def _library_averages(c, sigma):
 
 
 def test_exchange_only_reference_unit_weights():
-    sigma = BlankState(SQRT_HALF)
+    sigma = BlankState(machine.DEFAULT_M1P)
     assert exchange_only_coefficients(CASE3, sigma)[0] == 0.0
     expected = exchange_only_averages(CASE3, sigma)
     assert expected == pytest.approx((1.0 / 3.0, 5.0 / 6.0, 5.0 / 6.0), abs=1e-12)
@@ -318,7 +312,7 @@ def test_exchange_only_reference_unit_weights():
 
 
 def test_exchange_only_reference_degenerate_couplings():
-    sigma = BlankState(SQRT_HALF)
+    sigma = BlankState(machine.DEFAULT_M1P)
     assert exchange_only_coefficients(CASE1, sigma)[0] == 2.0
     expected = exchange_only_averages(CASE1, sigma)
     assert abs(expected[0] - 0.4) <= 1e-12

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from qdelete import machine, metrics, presets
 from qdelete.machine import BlankState, MachineParams, couplings
 from paper_values import PERFECT_AVG_DISTORTION, PRESET_AVERAGES, exchange_only_averages
+from helpers import rows
 
 
 def test_unknown_name_rejected():
@@ -30,20 +32,8 @@ def test_feasible_presets_validate_tightly():
         assert machine.validate(p, tol=1e-12).is_valid == (name != "case1"), name
 
 
-def test_expected_values_via_closed_forms():
-    assert list(PRESET_AVERAGES) == list(presets.PRESET_NAMES)
-    for name in presets.PRESET_NAMES:
-        p = presets.by_name(name)
-        expected_dbar, expected_fbar = PRESET_AVERAGES[name]
-        dc = metrics.distortion_coefficients(*couplings(p))
-        dbar = metrics.avg_distortion(*dc)
-        assert abs(dbar - expected_dbar) <= 1e-10, name
-        deficit = metrics.fidelity_deficit(*couplings(p), p.sigma.m1p)
-        fbar = 1.0 - deficit / 6.0
-        assert abs(fbar - expected_fbar) <= 1e-10, name
-
-
 def test_expected_values_via_quadrature():
+    assert list(PRESET_AVERAGES) == list(presets.PRESET_NAMES)
     for name in presets.PRESET_NAMES:
         p = presets.by_name(name)
         expected_dbar, expected_fbar = PRESET_AVERAGES[name]
@@ -72,9 +62,8 @@ def test_case1_expected_numbers():
 
 def test_case1_rows_are_negatives_with_zero_couplings():
     p = presets.by_name("case1")
-    row0 = (p.a0, p.b0, p.c0, p.d0)
-    row1 = (p.a1, p.b1, p.c1, p.d1)
-    assert row1 == tuple(-z for z in row0)
+    row0, row1 = rows(p)
+    assert_array_equal(row1, -row0)
     assert couplings(p) == machine.Couplings(g=0j, h=0j, e=0j, f=0j)
     assert p.sigma.m1p == machine.DEFAULT_M1P
     report = machine.validate(p)

@@ -25,12 +25,9 @@ from qdelete import machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, Couplings, MachineParams
 from paper_values import PERFECT_AVG_DISTORTION
 from reduced_states import mode1_state_closed, mode2_state_closed
+from helpers import raw_of, reference_images, with_couplings
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
-
-KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
-ANC = np.eye(3, dtype=complex)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 overlaps = st.floats(min_value=-1.0, max_value=1.0)
@@ -68,21 +65,6 @@ scales = st.floats(min_value=-3.0, max_value=1.0).map(lambda exponent: 10.0 ** e
 any_couplings = st.one_of(
     st.just(Couplings(g=0j, h=0j, e=0j, f=0j)), st.builds(gaussian_couplings, seeds, scales)
 )
-
-
-def reference_images(p: MachineParams) -> list[np.ndarray]:
-    """Images of |00>, |01>, |10>, |11> (times |Q>), built without `isometry`."""
-    sig = p.sigma.ket()
-    images = [np.kron(KET0, np.kron(sig, ANC[machine.ANC_A0]))]
-    for a, b, c, d in ((p.a0, p.b0, p.c0, p.d0), (p.a1, p.b1, p.c1, p.d1)):
-        image = np.zeros(qlinalg.JOINT_DIM, dtype=complex)
-        image[qlinalg.joint_index(0, 1, machine.ANC_Q)] = a
-        image[qlinalg.joint_index(1, 0, machine.ANC_Q)] = b
-        image[qlinalg.joint_index(0, 0, machine.ANC_Q)] = c
-        image[qlinalg.joint_index(1, 1, machine.ANC_Q)] = d
-        images.append(image)
-    images.append(np.kron(KET1, np.kron(sig, ANC[machine.ANC_A1])))
-    return images
 
 
 @PROPERTY
@@ -144,8 +126,7 @@ def test_closed_forms_match_the_closed_reduced_states(c, m1p, x):
     d = metrics.input_state(x) - mode1_state_closed(c, x)
     distortion = np.trace(d @ d).real
     fidelity = np.vdot(sigma.ket(), mode2_state_closed(c, sigma, x) @ sigma.ket()).real
-    # row 0 holds the couplings and row 1 is zero, so the machine's couplings are exactly c
-    p = MachineParams(a0=c.g, b0=c.h, c0=c.e, d0=c.f, sigma=sigma)
+    p = with_couplings(c, sigma)
     for closed, reference in zip(metrics.closed_curves(p, x), (fidelity, distortion)):
         assert abs(closed[0] - reference) <= 1e-12 * max(1.0, abs(reference))
 
@@ -251,8 +232,7 @@ def test_certificate_family_attains_the_pointwise_bounds(m1p, xs):
     # (g, h, e, f) = (s, m, m, s) with m = m1p, s = sqrt(1 - m^2) meets both
     # bounds at every x.
     s = math.sqrt(1.0 - m1p * m1p)
-    u = np.array([s, m1p, m1p, s], dtype=complex)
-    p = optimizer.decode(np.append(u.view(float), math.acos(m1p)))
+    p = optimizer.decode(raw_of([s, m1p, m1p, s], m1p))
     y = xs * (1.0 - xs)
     bound = 2.0 * y * (1.0 - np.sqrt(y)) ** 2
     fidelity, distortion = metrics.curves(p, xs)
