@@ -86,7 +86,7 @@ class BlankState:
     def __post_init__(self):
         m = self.m1p
         real = isinstance(m, (int, float)) and not isinstance(m, bool)
-        if not (real and math.isfinite(m) and -1.0 <= m <= 1.0):
+        if not (real and -1.0 <= m <= 1.0):  # false for NaN; ints compare exactly
             raise ValueError(f"m1p must be a finite real in [-1, 1], got {m!r}")
 
     def ket(self) -> np.ndarray:
@@ -166,7 +166,7 @@ def validate(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> Validatio
     nor warns.  Amplitudes so large that G overflows report an infinite
     defect, never NaN.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not 0 < tol < math.inf:  # false for NaN; ints compare exactly
         raise ValueError(f"tol must be finite and positive, got {tol}")
     v = isometry(p)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -25,6 +25,7 @@ caller can replace that one binding to wrap every Nelder-Mead run.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -83,11 +84,12 @@ class OptConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
+        if not 0 <= self.tol < math.inf:  # false for NaN; ints compare exactly
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
         if self.objective == OBJECTIVE_WEIGHTED:
             weights = (self.weight_fidelity, self.weight_distortion)
-            if not all(math.isfinite(w) and w >= 0 for w in weights):
+            # the scorer multiplies a float by each weight, which an int beyond float overflows
+            if not all(0 <= w <= sys.float_info.max for w in weights):
                 raise ValueError(f"weights must be finite and non-negative, got {weights}")
             if weights == (0, 0):
                 raise ValueError("objective weights must not both be zero")
@@ -126,18 +128,18 @@ def minimize(
     x0: list[float],
     *,
     maxiter: int,
-    xatol: float,
-    fatol: float,
+    tol: float,
 ) -> tuple[list[float], int]:
     """Adaptive Nelder-Mead from ``x0``; returns the best vertex and the iteration count.
 
     Bit for bit ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
-    options={"adaptive": True, "maxiter": ..., "xatol": ..., "fatol": ...})``
+    options={"adaptive": True, "maxiter": maxiter, "xatol": tol, "fatol": tol})``
     (scipy 1.17's ``_minimize_neldermead``), its ``x`` and ``nit``: the same
     coefficients, initial simplex, expressions, branch tests and stopping
-    rule.  ``fun`` gets each point as a new list of floats, which is never
-    changed afterwards.  The vertices are ordered by numpy's argsort, as
-    scipy's are, since ``sorted`` orders ties differently.
+    rule, which stops once every vertex is within ``tol`` of the best one in
+    each coordinate and in value.  ``fun`` gets each point as a new list of
+    floats, which is never changed afterwards.  The vertices are ordered by
+    numpy's argsort, as scipy's are, since ``sorted`` orders ties differently.
     """
     n = len(x0)
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n  # and rho = 1
@@ -161,8 +163,8 @@ def minimize(
     while nit < maxiter:
         best, fbest = sim[0], fsim[0]
         # fsim ascends, so its largest spread |f - fbest| is the worst vertex's
-        if abs(fsim[-1] - fbest) <= fatol and all(
-            abs(x - b) <= xatol for row in sim[1:] for x, b in zip(row, best)
+        if abs(fsim[-1] - fbest) <= tol and all(
+            abs(x - b) <= tol for row in sim[1:] for x, b in zip(row, best)
         ):
             break
         xbar, worst = _centroid(sim[:-1]), sim[-1]
@@ -226,7 +228,7 @@ def decode(raw) -> MachineParams:
         if np.iscomplexobj(raw):  # a cast to float would drop the imaginary parts
             raise TypeError
         raw = np.asarray(raw, dtype=float).tolist()
-    except (TypeError, ValueError):  # ragged nesting or entries that are no real numbers
+    except (TypeError, ValueError, OverflowError):  # ragged, not real, or an int beyond float
         raise DecodeError(f"raw point must be {RAW_DIM} real numbers") from None
     u, m1p = _sphere_point(raw)
     u = np.array(u)
@@ -311,9 +313,7 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
             x0 = encode(warm_start)
         else:
             x0 = sample_raw(np.random.default_rng(cfg.seed + restart))
-        _, nit = minimize(
-            negated_objective, x0.tolist(), maxiter=cfg.max_iters, xatol=cfg.tol, fatol=cfg.tol
-        )
+        _, nit = minimize(negated_objective, x0.tolist(), maxiter=cfg.max_iters, tol=cfg.tol)
         iterations_used += nit
         history.extend(map(HistoryEntry, repeat(restart), count(1), bests))
         bests.clear()

@@ -31,8 +31,9 @@ machine.
 Survivors are printed as ``file:line``, the enclosing function and the change
 made, and a listed one is marked ``equivalent``.  Two runs whose lines have
 shifted compare with ``diff`` once the line numbers are cut, e.g.
-``sed 's/:[0-9]*//'``.  The exit code is 0 when every sampled mutant outside
-``EQUIVALENT`` was killed, 1 otherwise.
+``sed 's/:[0-9]*//'``.  The last line gives the number killed and the wall
+time of the whole run, the unmutated suite run included.  The exit code is
+0 when every sampled mutant outside ``EQUIVALENT`` was killed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -176,6 +178,7 @@ def main(argv=None) -> int:
     parser.add_argument("--module", metavar="FILE",
                         help="mutate only this file of src/qdelete/, e.g. optimizer.py")
     args = parser.parse_args(argv)
+    started = time.monotonic()
     if args.sample < 1 or args.workers < 1:
         parser.error("--sample and --workers must be >= 1")
     workers = min(args.workers, os.cpu_count() or 1)
@@ -199,7 +202,8 @@ def main(argv=None) -> int:
         gaps += not equivalent
         print(f"survived  src/qdelete/{module}:{line}  {function}  {description}"
               + ("  equivalent" if equivalent else ""))
-    print(f"killed {len(sample) - len(survivors)} of {len(sample)}")
+    minutes, seconds = divmod(round(time.monotonic() - started), 60)
+    print(f"killed {len(sample) - len(survivors)} of {len(sample)} in {minutes} min {seconds} s")
     return 1 if gaps else 0
 
 

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qdelete import machine, metrics, qlinalg
-from qdelete.machine import BlankState, Couplings, MachineParams
+from qdelete.machine import BlankState, Couplings
 from qdelete.optimizer import random_machine
 from qdelete.presets import by_name
 from paper_values import exchange_only_averages, exchange_only_coefficients
@@ -16,6 +16,17 @@ from helpers import with_couplings
 CASE1 = Couplings(g=0j, h=0j, e=0j, f=0j)
 CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)
 CASE3 = Couplings(g=1 + 0j, h=1 + 0j, e=0j, f=0j)
+PURE0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def random_couplings(rng):
+    return Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+
+
+def blank(m1p):
+    """The projector onto the blank state of overlap m1p."""
+    sig = BlankState(m1p).ket()
+    return np.outer(sig, sig.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -27,36 +38,23 @@ def test_mode1_closed_balanced(c):
     assert_allclose(mode1_state_closed(c, 0.5), 0.5 * np.eye(2), atol=1e-15)
 
 
-def test_mode1_closed_pure_limit():
-    rng = np.random.default_rng(0)
-    c = Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    assert_allclose(
-        mode1_state_closed(c, 1.0),
-        np.array([[1, 0], [0, 0]], dtype=complex),
-        atol=1e-15,
-    )
-
-
-def test_mode2_closed_blank_limit():
-    sigma = BlankState(0.3)
-    rho = mode2_state_closed(CASE3, sigma, 0.0)
-    sig = sigma.ket()
-    assert_allclose(rho, np.outer(sig, sig.conj()), atol=1e-15)
-
-
-def test_mode2_closed_case3_balanced():
-    sigma = BlankState(machine.DEFAULT_M1P)
-    rho = mode2_state_closed(CASE3, sigma, 0.5)
-    sig = sigma.ket()
-    expected = 0.5 * np.outer(sig, sig.conj()) + 0.25 * np.eye(2)
+@pytest.mark.parametrize(
+    "mode, c, m1p, x, expected",
+    [
+        pytest.param(1, random_couplings(np.random.default_rng(0)), None, 1.0, PURE0,
+                     id="mode1-pure-limit"),
+        pytest.param(2, CASE3, 0.3, 0.0, blank(0.3), id="mode2-blank-limit"),
+        pytest.param(2, CASE3, machine.DEFAULT_M1P, 0.5,
+                     0.5 * blank(machine.DEFAULT_M1P) + 0.25 * np.eye(2),
+                     id="mode2-case3-balanced"),
+    ]
+    # the perfect preset deletes into its blank state |0> at every x
+    + [pytest.param(2, machine.couplings(by_name("perfect")), by_name("perfect").sigma.m1p, x,
+                    PURE0, id=f"mode2-perfect-{x}") for x in (0.0, 0.25, 0.5, 0.75, 1.0)],
+)
+def test_closed_reduced_states(mode, c, m1p, x, expected):
+    rho = mode1_state_closed(c, x) if mode == 1 else mode2_state_closed(c, BlankState(m1p), x)
     assert_allclose(rho, expected, atol=1e-15)
-
-
-def test_mode2_closed_perfect_preset_is_blank():
-    p = by_name("perfect")
-    for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rho = mode2_state_closed(machine.couplings(p), p.sigma, x)
-        assert_allclose(rho, np.array([[1, 0], [0, 0]], dtype=complex), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def test_distortion_coefficients_of_the_cases(c, expected):
 def test_distortion_coefficients_invariants_on_random_couplings():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        c = Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        c = random_couplings(rng)
         quartic, coherence_sum = metrics.distortion_coefficients(*c)
         assert type(quartic) is float and type(coherence_sum) is float
         assert quartic >= 0.0
@@ -144,7 +142,7 @@ def test_closed_route_averages_match_adaptive_integration():
 
     rng = np.random.default_rng(4)
     for _ in range(5):
-        c = Couplings(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        c = random_couplings(rng)
         p = with_couplings(c, BlankState(rng.uniform(-1.0, 1.0)))
         averages = metrics.averages(p, metrics.closed_curves)
         for curve, average in enumerate(averages):
@@ -196,11 +194,6 @@ def test_curves_fidelity_endpoints_exact_on_the_presets():
         assert metrics.curves(p, 1.0)[0][0] == 1.0
 
 
-def test_curves_require_a_valid_machine():
-    with pytest.raises(machine.MachineValidationError):
-        metrics.curves(MachineParams(a0=1.0, a1=1.0), 0.5)
-
-
 def test_fidelity_deficit_cases():
     sigma = BlankState(machine.DEFAULT_M1P)
     for deficit in (metrics.legacy_fidelity_deficit, metrics.fidelity_deficit):
@@ -210,11 +203,6 @@ def test_fidelity_deficit_cases():
     # any sigma: the case2/case3 weights are balanced, so modes coincide
     for m1p in (0.0, 0.3, 1.0):
         assert metrics.legacy_fidelity_deficit(*CASE2, m1p) == metrics.fidelity_deficit(*CASE2, m1p)
-
-
-def test_avg_fidelity_values():
-    assert abs(metrics.avg_fidelity(2.0) - 2.0 / 3.0) <= 1e-15
-    assert abs(metrics.avg_fidelity(1.0) - 5.0 / 6.0) <= 1e-15
 
 
 def test_avg_fidelity_flags_out_of_range_deficit():
@@ -235,7 +223,7 @@ def test_avg_fidelity_silent_in_range():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        metrics.avg_fidelity(1.0)
+        assert abs(metrics.avg_fidelity(1.0) - 5.0 / 6.0) <= 1e-15
         # the closed interval's ends: perfect deletion and the worst deficit
         assert metrics.avg_fidelity(0.0) == 1.0
         assert metrics.avg_fidelity(6.0) == 0.0
@@ -279,6 +267,12 @@ def test_curves_reject_bad_grid(grid):
     p = by_name("case3")
     with pytest.raises(ValueError):
         metrics.curves(p, grid)
+
+
+def test_input_state_entries():
+    rho = metrics.input_state(0.5)
+    assert_allclose(rho, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), atol=1e-15)
+    assert_allclose(metrics.input_state(1.0), PURE0, atol=0)
 
 
 def test_input_state_stacks_over_a_grid():
@@ -345,12 +339,3 @@ def test_case4_matches_general_closed_forms():
             _library_averages(c, sigma), exchange_only_averages(c, sigma), rtol=0, atol=1e-12
         )
 
-
-# ---------------------------------------------------------------------------
-# input state
-
-
-def test_input_state_entries():
-    rho = metrics.input_state(0.5)
-    assert_allclose(rho, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), atol=1e-15)
-    assert_allclose(metrics.input_state(1.0), np.diag([1.0, 0.0]).astype(complex), atol=0)

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from itertools import count
 
@@ -63,9 +64,11 @@ def test_decode_rejects_non_finite_and_bad_shape():
             optimizer._sphere_point(raw)
         with pytest.raises(optimizer.DecodeError):
             optimizer.decode(raw)
-    # a cast to float would drop the imaginary parts; _sphere_point only gets float lists
-    with pytest.raises(optimizer.DecodeError):
-        optimizer.decode(case3_raw().astype(complex) + 1j)
+    # a cast to float would drop the imaginary parts or overflow; _sphere_point
+    # only gets float lists
+    for raw in (case3_raw().astype(complex) + 1j, [10**400] + [1] * 8, [1] * 8 + [-(10**400)]):
+        with pytest.raises(optimizer.DecodeError):
+            optimizer.decode(raw)
 
 
 def test_overflowing_coupling_norm_fails_to_decode():
@@ -97,21 +100,15 @@ def test_sphere_point_is_exactly_the_numpy_scaling(seed, exponent):
     assert m1p == math.cos(raw[8])
 
 
-def test_decode_seed_42_draw_is_tightly_valid():
-    rng = np.random.default_rng(42)
-    p = optimizer.decode(optimizer.sample_raw(rng))
-    report = machine.validate(p, tol=1e-12)
-    assert report.is_valid
-    assert report.row0_norm_defect < 1e-14
-    assert report.row1_norm_defect < 1e-14
-    assert report.orthogonality_defect < 1e-14
-
-
 def test_decoded_machines_always_validate():
     rng = np.random.default_rng(43)
     for _ in range(100):
         p = optimizer.decode(optimizer.sample_raw(rng))
-        assert machine.validate(p, tol=1e-12).is_valid
+        report = machine.validate(p, tol=1e-12)
+        assert report.is_valid
+        assert report.row0_norm_defect < 1e-14
+        assert report.row1_norm_defect < 1e-14
+        assert report.orthogonality_defect < 1e-14
 
 
 def test_decode_invariant_under_positive_row_scaling():
@@ -165,6 +162,11 @@ def test_config_validation():
     [
         dict(objective="weighted", weight_distortion=math.nan),
         dict(objective="weighted", weight_distortion=-math.inf),
+        # the scorer multiplies a float by it, which overflows
+        dict(objective="weighted", weight_distortion=10**400),
+        dict(tol=math.nan),
+        dict(tol=math.inf),
+        dict(tol=-1.0),
     ],
 )
 def test_config_rejects_non_finite_weights_and_bad_tol(settings):
@@ -185,6 +187,8 @@ def test_config_accepts_its_boundary_values():
         objective="weighted", weight_fidelity=0.0, restarts=1, max_iters=1, seed=0, tol=0.0
     )
     assert optimizer.optimize(cfg).iterations_used == 1
+    # the largest weight, and a finite tol even where it is an int too large for a float
+    optimizer.OptConfig(objective="weighted", weight_distortion=sys.float_info.max, tol=10**400)
 
 
 def test_scorer_known_machines():
@@ -310,7 +314,7 @@ def recording(fun, log):
     return wrapper
 
 
-def run_both(fun, x0, max_iters, xatol=1e-10, fatol=1e-10):
+def run_both(fun, x0, max_iters, tol=1e-10):
     """Run optimizer.minimize and scipy's adaptive Nelder-Mead on ``fun`` from ``x0``.
 
     Asserts that both evaluate the same points to the same values in the same
@@ -326,10 +330,8 @@ def run_both(fun, x0, max_iters, xatol=1e-10, fatol=1e-10):
         passed.append((x, np.array(x).tobytes()))
         return fun(x)
 
-    best, nit = optimizer.minimize(
-        recording(keeping, ours), list(x0), maxiter=max_iters, xatol=xatol, fatol=fatol
-    )
-    options = {"adaptive": True, "maxiter": max_iters, "xatol": xatol, "fatol": fatol}
+    best, nit = optimizer.minimize(recording(keeping, ours), list(x0), maxiter=max_iters, tol=tol)
+    options = {"adaptive": True, "maxiter": max_iters, "xatol": tol, "fatol": tol}
     result = scipy_minimize(
         recording(fun, theirs), np.array(x0, dtype=float), method="Nelder-Mead", options=options
     )
@@ -373,34 +375,35 @@ def test_nelder_mead_is_scipys_from_a_start_with_zero_coordinates():
     run_both(search_objective(cfg), start, max_iters=200)
 
 
-@pytest.mark.parametrize("seed, xatol, fatol", [(0, 1e-8, 1e-12), (1, 1e-12, 1e-8)])
-def test_nelder_mead_is_scipys_through_shrinks_to_separate_tolerances(seed, xatol, fatol):
+@pytest.mark.parametrize("seed, tol", [(0, 1e-8), (1, 1e-12)])
+def test_nelder_mead_is_scipys_through_shrinks_to_the_tolerance(seed, tol):
     start = optimizer.sample_raw(np.random.default_rng(seed))
-    nit, evaluations = run_both(
-        search_objective(optimizer.OptConfig()), start, 800, xatol=xatol, fatol=fatol
-    )
+    nit, evaluations = run_both(search_objective(optimizer.OptConfig()), start, 800, tol=tol)
     assert shrinks(nit, evaluations) and nit < 800
 
 
-#: Objectives whose values tie, or spread exactly a tolerance, within the
-#: first iterations from their start: (fun, start, xatol, fatol).
+#: Objectives whose values tie, or spread exactly the tolerance, within the
+#: first iterations from their start: (fun, start, tol, stops at once).  A
+#: zero start spreads its simplex 0.00025 in x.
 EDGE_CASES = {
     # the first expansion ties the reflection, which is kept
     "expansion-ties-reflection": (
-        lambda x: -1.0 if x[0] < 0.99 else float(x[0] >= 1.04), [1.0, 1.0], 1e-10, 1e-10
+        lambda x: -1.0 if x[0] < 0.99 else float(x[0] >= 1.04), [1.0, 1.0], 1e-10, False
     ),
-    # a zero start on a constant spreads exactly xatol in x and fatol in f: stop
-    "spread-equals-the-tolerances": (lambda x: 0.0, [0.0] * 3, 0.00025, 0.0),
-    # only the worst vertex lies beyond fatol: go on
-    "worst-beyond-fatol": (lambda x: float(x[2] > 0.0), [0.0] * 3, 0.00025, 0.0),
+    # a constant spreads exactly tol in x and nothing in f: stop
+    "x-spread-equals-the-tolerance": (lambda x: 0.0, [0.0] * 3, 0.00025, True),
+    # the worst vertex spreads exactly tol in f as well: stop
+    "f-spread-equals-the-tolerance": (lambda x: 0.00025 * (x[2] > 0.0), [0.0] * 3, 0.00025, True),
+    # only the worst vertex lies beyond tol in f: go on
+    "worst-beyond-the-tolerance": (lambda x: float(x[2] > 0.0), [0.0] * 3, 0.00025, False),
 }
 
 
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_nelder_mead_is_scipys_on_ties_and_at_the_tolerances(case):
-    fun, start, xatol, fatol = EDGE_CASES[case]
-    nit, _ = run_both(fun, start, 40, xatol=xatol, fatol=fatol)
-    assert (nit == 1) == (case == "spread-equals-the-tolerances")
+    fun, start, tol, stops_at_once = EDGE_CASES[case]
+    nit, _ = run_both(fun, start, 40, tol=tol)
+    assert (nit == 1) == stops_at_once
 
 
 def test_centroid_sums_each_coordinate_left_to_right():
@@ -556,8 +559,3 @@ def test_optimize_reaches_the_certified_optimum_and_never_beats_it(objective):
     for gap in gaps:
         assert -1e-12 <= gap <= 1e-8
 
-
-def test_optimize_warm_start_must_be_valid():
-    cfg = optimizer.OptConfig(objective="max-fidelity", restarts=1, max_iters=10, seed=1)
-    with pytest.raises(machine.MachineValidationError):
-        optimizer.optimize(cfg, warm_start=MachineParams(a0=1.0, a1=1.0))
