@@ -10,16 +10,15 @@ machine whose rows are orthonormal by construction.
 
 Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination.  `scorer` builds the one scoring function of a solve
-from the plain-scalar closed forms of the metrics module; it resolves
-the weights once and skips a term of weight zero.  An evaluation builds no
-`Couplings` and no `BlankState`; it records one float, the best objective
-so far, and the `HistoryEntry` records of a restart are built in one pass
-after its search.  The simulation-quadrature oracle checks the returned
-machine's averages once per solve.
+from the plain-scalar closed forms of the metrics module; it resolves the
+weights once and skips a term of weight zero.  An evaluation builds no
+`Couplings` and no `BlankState` and records one float, the best objective so
+far; a restart's `HistoryEntry` records are built after its search.  The
+simulation-quadrature oracle checks the returned machine's averages once.
 
-The simplex is `minimize`, scipy's adaptive Nelder-Mead repeated on plain
-float lists, so no command imports scipy.  It stays a module-level name, so a
-caller can replace that one binding to wrap every Nelder-Mead run.
+The simplex is `minimize`: scipy's adaptive Nelder-Mead on plain float lists,
+with tied vertices in index order on every CPU, and no command imports scipy.
+A caller can replace that one module-level binding to wrap every search.
 """
 
 from __future__ import annotations
@@ -137,9 +136,9 @@ def minimize(
     (scipy 1.17's ``_minimize_neldermead``), its ``x`` and ``nit``: the same
     coefficients, initial simplex, expressions, branch tests and stopping
     rule, which stops once every vertex is within ``tol`` of the best one in
-    each coordinate and in value.  ``fun`` gets each point as a new list of
-    floats, which is never changed afterwards.  The vertices are ordered by
-    numpy's argsort, as scipy's are, since ``sorted`` orders ties differently.
+    each coordinate and in value.  Tied vertices keep their index order, which
+    is scipy's wherever numpy's argsort is stable; its SIMD sorts are not.
+    ``fun`` gets each point as a new list of floats, never changed afterwards.
     """
     n = len(x0)
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n  # and rho = 1
@@ -153,12 +152,10 @@ def minimize(
     fsim = [fun(x) for x in sim]
 
     def sort():
-        order = itemgetter(*np.array(fsim).argsort().tolist())
-        sim[:] = order(sim)
-        fsim[:] = order(fsim)
+        order = itemgetter(*sorted(range(len(fsim)), key=fsim.__getitem__))
+        sim[:], fsim[:] = order(sim), order(fsim)
 
     sort()
-    sort()  # as scipy does; argsort need not be stable, so this may reorder ties
     nit = 1
     while nit < maxiter:
         best, fbest = sim[0], fsim[0]
@@ -248,7 +245,10 @@ def sample_raw(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_machine(rng: np.random.Generator) -> MachineParams:
-    """Draw a valid machine: rows from the QR of a complex Gaussian 4x2, m1p = cos N(0,1)."""
+    """Draw a valid machine: rows from the QR of a complex Gaussian 4x2, m1p = cos N(0,1).
+
+    LAPACK's QR varies in its last bits with the BLAS kernel, and so does `diagnose`'s stdout.
+    """
     q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     return MachineParams.from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))
 
