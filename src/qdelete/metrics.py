@@ -1,9 +1,9 @@
 """Deletion quality metrics: kept-mode distortion and deleted-mode fidelity.
 
-For the two-copy input with weight x = alpha^2 on |0>, the machine output has
-reduced states in mode 1 (the kept copy) and mode 2 (the deleted copy) that
-are quadratic in the couplings g, h, e, f.  Both metrics come by two routes
-of one shape, ``route(p, grid) -> (F, D)``:
+For two copies of the real input sqrt(x)|0> + sqrt(1-x)|1>, x = alpha^2, the
+machine output has reduced states in mode 1 (the kept copy) and mode 2 (the
+deleted copy) that are quadratic in the couplings g, h, e, f.  Both metrics
+come by two routes of one shape, ``route(p, grid) -> (F, D)``:
 
 * `curves`, the simulation oracle: validate and simulate the machine once
   per grid (`machine.outputs`), take both batched partial traces of `qlinalg`
@@ -30,6 +30,7 @@ whose coefficients (quartic, coherence_sum) are `distortion_coefficients`:
 
 and the fidelity of deletion is the blank-state overlap of the deleted mode,
 F(x) = 1 - deficit * x(1-x).  Averages are uniform integrals over x in [0, 1].
+Over the whole Bloch sphere the coherence term averages out: Dbar = quartic/30 + 1/3.
 
 Each closed form is written once, as a function of plain scalars (the
 couplings g, h, e, f and m1p), which the search calls at every evaluation.

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -136,8 +137,9 @@ def minimize(
     (scipy 1.17's ``_minimize_neldermead``), its ``x`` and ``nit``: the same
     coefficients, initial simplex, expressions, branch tests and stopping
     rule, which stops once every vertex is within ``tol`` of the best one in
-    each coordinate and in value.  Tied vertices keep their index order, which
-    is scipy's wherever numpy's argsort is stable; its SIMD sorts are not.
+    each coordinate and in value.  Tied vertices keep their index order (scipy's
+    wherever numpy's argsort is stable): the initial simplex and each shrink
+    are sorted stably, and otherwise the one new vertex goes after its ties.
     ``fun`` gets each point as a new list of floats, never changed afterwards.
     """
     n = len(x0)
@@ -184,12 +186,16 @@ def minimize(
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
+            else:  # shrink towards the best vertex; n vertices move, so all are sorted
                 for j in range(1, n + 1):
                     sim[j] = [b + sigma * (x - b) for b, x in zip(best, sim[j])]
                     fsim[j] = fun(sim[j])
+                sort()
+        # the rest ascends: put the last vertex after its ties, as a stable sort does
+        k = bisect_right(fsim, fsim[-1], 0, n)
+        sim.insert(k, sim.pop())
+        fsim.insert(k, fsim.pop())
         nit += 1
-        sort()
     return sim[0], nit
 
 
@@ -315,7 +321,8 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
             x0 = sample_raw(np.random.default_rng(cfg.seed + restart))
         _, nit = minimize(negated_objective, x0.tolist(), maxiter=cfg.max_iters, tol=cfg.tol)
         iterations_used += nit
-        history.extend(map(HistoryEntry, repeat(restart), count(1), bests))
+        rows = zip(repeat(restart), count(1), bests)
+        history.extend(map(tuple.__new__, repeat(HistoryEntry), rows))  # HistoryEntry._make, in C
         bests.clear()
 
     assert best_raw is not None  # every restart evaluates its start point
