@@ -28,9 +28,9 @@ import sys
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache
 from itertools import count, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -113,14 +113,31 @@ class OptResult:
     history: list[HistoryEntry] = field(repr=False)
 
 
-def _centroid(points: list[list[float]]) -> list[float]:
-    """Mean of the points, each coordinate summed left to right.
+@lru_cache
+def _centroid(n: int) -> Callable[[list[list[float]]], list[float]]:
+    """The mean of n points, each coordinate summed left to right.
 
     That is the order of numpy's ``add.reduce`` along axis 0.  ``sum()`` is
-    not used: it compensates its rounding since Python 3.12.
+    not used: it compensates its rounding since Python 3.12.  The function is
+    generated for n, from n alone, so that each coordinate is one chain
+    x0 + x1 + ... with no call per addition.  The chain is cut into statements
+    of at most 64 terms, since one expression of about 3 000 terms does not
+    compile.  The last 128 functions (`lru_cache`'s default) are kept.
     """
-    n = len(points)
-    return [s / n for s in reduce(partial(map, add), points[1:], points[0])]
+    terms = [f"x{i}" for i in range(n)]
+    chunks = [" + ".join(terms[i:i + 64]) for i in range(0, n, 64)]
+    source = "\n".join([
+        "def centroid(points):",
+        "    means = []",
+        f"    for {', '.join(terms)}, in zip(*points):",
+        f"        s = {chunks[0]}",
+        *[f"        s = s + {chunk}" for chunk in chunks[1:]],
+        f"        means.append(s / {n})",
+        "    return means",
+    ])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["centroid"]
 
 
 def minimize(
@@ -140,6 +157,8 @@ def minimize(
     each coordinate and in value.  Tied vertices keep their index order (scipy's
     wherever numpy's argsort is stable): the initial simplex and each shrink
     are sorted stably, and otherwise the one new vertex goes after its ties.
+    The centroid is one generated left-to-right sum per point count, in
+    numpy's ``add.reduce`` order, so its bits are scipy's too.
     ``fun`` gets each point as a new list of floats, never changed afterwards.
     """
     n = len(x0)
@@ -158,6 +177,7 @@ def minimize(
         sim[:], fsim[:] = order(sim), order(fsim)
 
     sort()
+    centroid = _centroid(n)
     nit = 1
     while nit < maxiter:
         best, fbest = sim[0], fsim[0]
@@ -166,7 +186,7 @@ def minimize(
             abs(x - b) <= tol for row in sim[1:] for x, b in zip(row, best)
         ):
             break
-        xbar, worst = _centroid(sim[:-1]), sim[-1]
+        xbar, worst = centroid(sim[:-1]), sim[-1]
         xr = [2 * b - w for b, w in zip(xbar, worst)]
         fxr = fun(xr)
         if fxr < fbest:

@@ -256,6 +256,40 @@ def test_batched_distortion_matches_per_point_simulation():
         assert_allclose(batched, scalar, atol=1e-13)
 
 
+def test_phased_inputs_keep_fidelity_and_average_out_the_coherence():
+    # Inputs sqrt(x)|0> + e^{i phi} sqrt(1-x)|1>, simulated through the isometry: F does
+    # not see the phase, D's coherence term turns with it, and over equally spaced
+    # phases it averages out, which gives the Bloch sphere's Dbar = quartic/30 + 1/3.
+    rng = np.random.default_rng(10)
+    xs = np.array([0.1, 0.5, 0.8])
+    x, phase = xs[:, None], np.exp(2j * np.pi * np.arange(7) / 7)
+    y = x * (1.0 - x)
+    alpha, beta = np.sqrt(x) + 0 * phase, np.sqrt(1.0 - x) * phase
+    two_copy = np.stack((alpha * alpha, alpha * beta, beta * alpha, beta * beta), axis=-1)
+    psi = np.stack((alpha, beta), axis=-1)
+    ideal = psi[..., :, None] * psi[..., None, :].conj()
+    worst_conjugate = 0.0
+    for _ in range(50):
+        p = random_machine(rng)
+        out = two_copy @ machine.isometry(p).T
+        sig = p.sigma.ket()
+        fidelity = ((qlinalg.partial_trace_mode2(out) @ sig) @ sig.conj()).real
+        assert np.abs(fidelity - metrics.curves(p, xs)[0][:, None]).max() <= 1e-14
+        d = ideal - qlinalg.partial_trace_mode1(out)
+        distortion = np.einsum("...ij,...ji->...", d, d).real
+        c = machine.couplings(p)
+        quartic = metrics.distortion_coefficients(*c)[0]
+        coherence = c.e * c.h.conjugate() + c.g * c.f.conjugate()
+
+        def closed(turn):
+            return quartic * y**2 - 2 * (2 * (coherence * turn).real) * y**1.5 + 2 * y
+
+        assert_allclose(distortion, closed(phase), atol=1e-14)
+        assert_allclose(distortion.mean(axis=1), (quartic * y**2 + 2 * y)[:, 0], atol=1e-14)
+        worst_conjugate = max(worst_conjugate, np.abs(distortion - closed(phase.conj())).max())
+    assert worst_conjugate > 0.1  # the formula with e^{-i phi} is wrong
+
+
 def test_curves_keep_scalar_grid_one_dimensional():
     p = by_name("case3")
     fidelity, distortion = metrics.curves(p, 0.5)

@@ -1,8 +1,9 @@
 import math
 import sys
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import count
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -407,13 +408,31 @@ def test_nelder_mead_is_scipys_on_ties_and_at_the_tolerances(case):
 
 
 def test_centroid_sums_each_coordinate_left_to_right():
-    # numpy's add.reduce along axis 0 adds the rows in order, so scipy's
-    # centroid of (1e16, 1, -1e16) is 0; a compensated sum (math.fsum, or
-    # sum() since Python 3.12) gives 1/3.
-    assert optimizer._centroid([[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]]) == [0.0, 2.0]
-    rows = np.random.default_rng(3).standard_normal((9, 9)) * np.logspace(-8, 8, 9)
-    expected = np.add.reduce(rows, 0) / 9
-    assert np.array(optimizer._centroid(rows.tolist())).tobytes() == expected.tobytes()
+    # point counts around the 64-term statements, cancellation and signed zeros
+    rng = np.random.default_rng(3)
+    rows = [(f"n={n}", rng.standard_normal((n, 3)).tolist()) for n in (1, 2, 3, 9, 65, 3001)]
+    rows += [
+        # numpy's add.reduce along axis 0 adds the rows in order, so scipy's
+        # centroid of (1e16, 1, -1e16) is 0; a compensated sum (math.fsum, or
+        # sum() since Python 3.12) gives 1/3.
+        ("cancellation", [[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]]),
+        ("9x9-log-scaled", (rng.standard_normal((9, 9)) * np.logspace(-8, 8, 9)).tolist()),
+        ("zeros-n=1", [[-0.0, 0.0]]),
+        ("zeros-n=2", [[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]),
+        ("zeros-n=3", [[-0.0, 1.0, -0.0], [-0.0, -1.0, 0.0], [-0.0, -0.0, -0.0]]),
+    ]
+    # the reference adds the rows in order, one `add` call per addition
+    for label, points in rows:
+        n = len(points)
+        got = np.array(optimizer._centroid(n)(points))
+        reference = np.array([s / n for s in reduce(partial(map, add), points[1:], points[0])])
+        assert got.tobytes() == reference.tobytes(), label
+        # numpy starts the sum of a column of -0.0 from +0.0; the reference starts from its first row
+        a = np.array(points)
+        numpy_sum = ~np.all((a == 0) & np.signbit(a), axis=0)
+        expected = np.add.reduce(a, 0) / n
+        assert got[numpy_sum].tobytes() == expected[numpy_sum].tobytes(), label
+    assert optimizer._centroid(3)([[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]]) == [0.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
