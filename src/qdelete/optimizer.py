@@ -86,13 +86,12 @@ class OptConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.tol < math.inf:  # false for NaN; ints compare exactly
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
-        if self.objective == OBJECTIVE_WEIGHTED:
-            weights = (self.weight_fidelity, self.weight_distortion)
-            # the scorer multiplies a float by each weight, which an int beyond float overflows
-            if not all(0 <= w <= sys.float_info.max for w in weights):
-                raise ValueError(f"weights must be finite and non-negative, got {weights}")
-            if weights == (0, 0):
-                raise ValueError("objective weights must not both be zero")
+        weights = (self.weight_fidelity, self.weight_distortion)
+        # the scorer multiplies a float by each weight, which an int beyond float overflows
+        if not all(0 <= w <= sys.float_info.max for w in weights):
+            raise ValueError(f"weights must be finite and non-negative, got {weights}")
+        if self.objective == OBJECTIVE_WEIGHTED and weights == (0, 0):
+            raise ValueError("objective weights must not both be zero")
 
 
 class HistoryEntry(NamedTuple):
@@ -273,7 +272,9 @@ def sample_raw(rng: np.random.Generator) -> np.ndarray:
 def random_machine(rng: np.random.Generator) -> MachineParams:
     """Draw a valid machine: rows from the QR of a complex Gaussian 4x2, m1p = cos N(0,1).
 
-    LAPACK's QR varies in its last bits with the BLAS kernel, and so does `diagnose`'s stdout.
+    LAPACK's QR varies in its last bits with the BLAS kernel, and so does the drawn machine.
+    `diagnose`'s stdout varies with the kernel for that reason and also through the matrix
+    product in `machine.outputs`.
     """
     q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     return MachineParams.from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))

@@ -7,8 +7,7 @@ constant.  A seeded sample of the mutants is drawn; for each, the package, the
 tests, ``README.md`` and ``pyproject.toml`` are copied into a temporary
 directory, the mutated module is written there, and the suite runs on that
 copy with ``pytest -x``.  The checkout itself is never modified.  A mutant
-that the suite does not fail is a survivor: either an equivalent mutant or a
-behaviour no test pins.
+that the suite does not fail is a survivor: a behaviour no test pins.
 
 Run by hand from the repository root (the Tier-1 suite does not collect it)::
 
@@ -20,20 +19,13 @@ as large as that module's count runs every one of them.
 
 The whole-package run, ``python tests/mutants.py --sample 1000``, runs every
 mutant of every module.  It is the gate for any change that deletes or merges
-tests: it must show no survivor outside ``EQUIVALENT``.
-
-``EQUIVALENT`` lists the mutants no test can kill, keyed by (file, enclosing
-function, change).  There are three, all in ``optimizer.random_machine``'s
-draw ``A + 1j * B``: ``+`` -> ``-``, ``*`` -> ``/`` and ``1j`` -> ``(1+1j)``.
-Each still gives a generic complex 4x2 matrix whose QR factor is a valid
-machine.
+tests: it must show no survivor.
 
 Survivors are printed as ``file:line``, the enclosing function and the change
-made, and a listed one is marked ``equivalent``.  Two runs whose lines have
-shifted compare with ``diff`` once the line numbers are cut, e.g.
-``sed 's/:[0-9]*//'``.  The last line gives the number killed and the wall
-time of the whole run, the unmutated suite run included.  The exit code is
-0 when every sampled mutant outside ``EQUIVALENT`` was killed, 1 otherwise.
+made.  Two runs whose lines have shifted compare with ``diff`` once the line
+numbers are cut, e.g. ``sed 's/:[0-9]*//'``.  The last line gives the number
+killed and the wall time of the whole run, the unmutated suite run included.
+The exit code is 0 when every sampled mutant was killed, 1 when any survived.
 """
 
 from __future__ import annotations
@@ -53,18 +45,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qdelete"
 COPIED = ("src/qdelete", "tests", "README.md", "pyproject.toml")
-
-#: The mutants no test can kill, as (module file, enclosing function, change).
-EQUIVALENT = {
-    ("optimizer.py", "random_machine", "+ -> -"),
-    ("optimizer.py", "random_machine", "* -> /"),
-    ("optimizer.py", "random_machine", "1j -> (1+1j)"),
-}
-
-#: The Tier-1 test that each EQUIVALENT entry names one mutant.  A mutant of a
-#: listed site fails it by renaming the site, not by changing the package's
-#: behaviour, so the mutated copies run the suite without it.
-SELF_CHECK = "tests/test_imports.py::test_each_equivalent_mutant_is_one_site_of_the_package"
 
 #: Seconds one suite run may take before its mutant counts as killed (by hanging).
 TIMEOUT_S = 600
@@ -159,8 +139,7 @@ def run_suite(mutant: tuple[str, int, int, str, str] | None) -> bool:
             target.write_text(mutated_source(target.read_text(encoding="utf-8"), mutant[1]),
                               encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "--deselect", SELF_CHECK]
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         try:
             result = subprocess.run(command, cwd=copy, env=env, capture_output=True,
                                     timeout=TIMEOUT_S)
@@ -196,15 +175,11 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         passed = list(pool.map(run_suite, sample))
     survivors = [m for m, alive in zip(sample, passed) if alive]
-    gaps = 0
     for module, _, line, function, description in survivors:
-        equivalent = (module, function, description) in EQUIVALENT
-        gaps += not equivalent
-        print(f"survived  src/qdelete/{module}:{line}  {function}  {description}"
-              + ("  equivalent" if equivalent else ""))
+        print(f"survived  src/qdelete/{module}:{line}  {function}  {description}")
     minutes, seconds = divmod(round(time.monotonic() - started), 60)
     print(f"killed {len(sample) - len(survivors)} of {len(sample)} in {minutes} min {seconds} s")
-    return 1 if gaps else 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

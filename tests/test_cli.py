@@ -261,6 +261,16 @@ def test_diagnose_compares_the_curves_on_21_points(monkeypatch):
         assert grid.tolist() == np.linspace(0.0, 1.0, 21).tolist()
 
 
+#: The eight amplitudes a0 ... d1 and the m1p of random_machine's first draw from default_rng(4).
+FIRST_DRAW_AT_SEED_4 = [
+    -0.19435218984136937 - 0.47953215731814575j, 0.49609203764559284 + 0.07018628101991407j,
+    -0.4894346253765091 + 0.09441774732148603j, -0.18590547426466164 - 0.44522006205317155j,
+    0.1052800075047203 + 0.020207245965183432j, -0.3431559320557309 - 0.5730340053884361j,
+    0.10995020000552785 - 0.20212502894097614j, -0.01112669277977904 - 0.6995115760985624j,
+    -0.3380547885533749,
+]
+
+
 @pytest.mark.parametrize("m1p", [None, 0.3])
 def test_diagnose_samples_the_machines_its_seed_draws(monkeypatch, m1p):
     sampled = []
@@ -274,6 +284,10 @@ def test_diagnose_samples_the_machines_its_seed_draws(monkeypatch, m1p):
     cli.run_diagnose(samples=3, seed=4, m1p=m1p)
     rng = np.random.default_rng(4)
     expected = [optimizer.random_machine(rng) for _ in range(3)]
+    # the draw itself; its last bits vary with the BLAS kernel, far below the tolerance
+    first = [getattr(expected[0], key) for key in machine.AMPLITUDE_KEYS]
+    np.testing.assert_allclose(first + [expected[0].sigma.m1p], FIRST_DRAW_AT_SEED_4,
+                               rtol=0, atol=1e-12)
     if m1p is not None:
         expected = [dataclasses.replace(p, sigma=machine.BlankState(m1p)) for p in expected]
     assert sampled == expected
@@ -482,6 +496,9 @@ BAD_INPUT = (
         ("optimize-wf-nan", WEIGHTED + ["--wf", "nan"], BAD_WEIGHTS),
         ("optimize-weights-inf", WEIGHTED + ["--wf", "inf", "--wd", "inf"], BAD_WEIGHTS),
         ("optimize-wd-neg", WEIGHTED + ["--wd", "-1"], BAD_WEIGHTS),
+        ("optimize-wf-nan-max-fidelity", OPT + ["--wf", "nan"], BAD_WEIGHTS),
+        ("optimize-wd-neg-min-distortion",
+         OPT + ["--objective", "min-distortion", "--wd", "-1"], BAD_WEIGHTS),
         ("optimize-weights-0", WEIGHTED + ["--wf", "0", "--wd", "0"],
          "objective weights must not both be zero"),
     ]

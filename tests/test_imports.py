@@ -15,16 +15,14 @@ the tests.  The same scan covers ``tests/`` as one package that exports
 nothing, with the ``test_*`` functions exempt: a helper or constant that no
 test reads fails it.  A third scan requires each module-level name of
 ``tests/`` to be defined in one module only: a helper that two test modules
-use lives in ``helpers.py``.  The last test holds the mutation check's list
-of equivalent survivors (``tests/mutants.py``) to the package's sources.
+use lives in ``helpers.py``.
 """
 
 import ast
-from collections import Counter
 
 import pytest
 
-from mutants import EQUIVALENT, PACKAGE, ROOT, list_mutants
+from mutants import PACKAGE, ROOT
 
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
@@ -195,10 +193,3 @@ def test_the_definition_scan_requires_private_names_in_their_own_module():
     # dunders and private methods are exempt; a private name read only by
     # another module counts as unused in its own
     assert unreferenced_definitions(sources) == ["a._orphan", "a._UNUSED", "a._used_elsewhere"]
-
-
-def test_each_equivalent_mutant_is_one_site_of_the_package():
-    # mutants.py excuses these survivors; an entry that names no site, or two,
-    # would excuse nothing or too much after an edit of the package
-    sites = Counter((module, function, change) for module, _, _, function, change in list_mutants())
-    assert {key: sites[key] for key in EQUIVALENT} == dict.fromkeys(EQUIVALENT, 1)

@@ -187,41 +187,32 @@ def test_from_dict_round_trip_exact():
         assert machine.from_dict(machine.to_dict(p)) == p, m1p
 
 
-def assert_rejected_by_name(data, key):
-    """from_dict rejects ``data`` with a message that names ``key``."""
-    with pytest.raises(machine.MachineFormatError) as excinfo:
-        machine.from_dict(data)
-    assert key in str(excinfo.value)
-
-
-@pytest.mark.parametrize("key", machine.AMPLITUDE_KEYS + ("m1p",))
-def test_from_dict_rejects_missing_key(key):
-    data = machine.to_dict(by_name("case3"))
-    del data[key]
-    assert_rejected_by_name(data, key)
+#: A value that test_from_dict_rejects_a_bad_entry_by_its_key deletes its key for.
+MISSING = object()
 
 
 @pytest.mark.parametrize(
     "key, value",
-    [
+    [pytest.param(key, MISSING, id=f"missing-{key}") for key in machine.AMPLITUDE_KEYS + ("m1p",)]
+    + [
         pytest.param("b0", [math.inf, 0.0], id="non-finite"),
         pytest.param("c1", [1.0], id="one-element"),
         pytest.param("c1", "nope", id="not-an-array"),
         pytest.param("m1p", 1.25, id="m1p-above-1"),
         pytest.param("m1p", -1.25, id="m1p-below-minus-1"),
-    ],
+    ]
+    + [pytest.param(key, 10**400 if key == "m1p" else [0, -(10**400)], id=f"huge-int-{key}")
+       for key in ("a0", "d1", "m1p")],
 )
 def test_from_dict_rejects_a_bad_entry_by_its_key(key, value):
     data = machine.to_dict(by_name("case3"))
-    data[key] = value
-    assert_rejected_by_name(data, key)
-
-
-@pytest.mark.parametrize("key", ["a0", "d1", "m1p"])
-def test_from_dict_names_key_of_integer_too_large_for_a_float(key):
-    data = machine.to_dict(by_name("case3"))
-    data[key] = 10**400 if key == "m1p" else [0, -(10**400)]
-    assert_rejected_by_name(data, key)
+    if value is MISSING:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(machine.MachineFormatError) as excinfo:
+        machine.from_dict(data)
+    assert key in str(excinfo.value)
 
 
 @pytest.mark.parametrize(

@@ -33,16 +33,13 @@ def blank(m1p):
 # closed-form reduced states (criterion 2 compares them with the partial traces)
 
 
-@pytest.mark.parametrize("c", [CASE2, CASE3], ids=["case2", "case3"])
-def test_mode1_closed_balanced(c):
-    assert_allclose(mode1_state_closed(c, 0.5), 0.5 * np.eye(2), atol=1e-15)
-
-
 @pytest.mark.parametrize(
     "mode, c, m1p, x, expected",
     [
         pytest.param(1, random_couplings(np.random.default_rng(0)), None, 1.0, PURE0,
                      id="mode1-pure-limit"),
+        pytest.param(1, CASE2, None, 0.5, 0.5 * np.eye(2), id="mode1-case2-balanced"),
+        pytest.param(1, CASE3, None, 0.5, 0.5 * np.eye(2), id="mode1-case3-balanced"),
         pytest.param(2, CASE3, 0.3, 0.0, blank(0.3), id="mode2-blank-limit"),
         pytest.param(2, CASE3, machine.DEFAULT_M1P, 0.5,
                      0.5 * blank(machine.DEFAULT_M1P) + 0.25 * np.eye(2),
@@ -86,13 +83,17 @@ def test_closed_distortion_endpoints_vanish():
         assert metrics.closed_curves(with_couplings(c), [0.0, 1.0])[1].tolist() == [0.0, 0.0]
 
 
-def test_closed_distortion_case3_balanced():
-    assert abs(metrics.closed_curves(with_couplings(CASE3), 0.5)[1][0] - 0.5) <= 1e-12
-
-
-def test_closed_distortion_case1_balanced():
-    # quartic term 2/16 plus 2 * 1/4
-    assert abs(metrics.closed_curves(with_couplings(CASE1), 0.5)[1][0] - 0.625) <= 1e-12
+@pytest.mark.parametrize(
+    "route, p, expected",
+    [
+        pytest.param(metrics.closed_curves, with_couplings(CASE3), 0.5, id="closed-case3"),
+        # quartic term 2/16 plus 2 * 1/4
+        pytest.param(metrics.closed_curves, with_couplings(CASE1), 0.625, id="closed-case1"),
+        pytest.param(metrics.curves, by_name("case2"), 0.5, id="oracle-case2"),
+    ],
+)
+def test_distortion_at_the_balanced_input(route, p, expected):
+    assert abs(route(p, 0.5)[1][0] - expected) <= 1e-12
 
 
 def test_closed_curves_vectorized_match_scalar():
@@ -108,33 +109,24 @@ def test_closed_curves_reject_bad_grid():
 
 
 # ---------------------------------------------------------------------------
-# direct distortion oracle
-
-
-def test_curves_distortion_case2():
-    p = by_name("case2")
-    assert abs(metrics.curves(p, 0.5)[1][0] - 0.5) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
 # average distortion
 
 
-def test_avg_distortion_case2_case3():
-    for c in (CASE2, CASE3):
-        dc = metrics.distortion_coefficients(*c)
-        legacy = metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT)
-        assert abs(legacy - 1.0 / 3.0) <= 1e-12
-        assert abs(metrics.avg_distortion(*dc) - 1.0 / 3.0) <= 1e-12
-
-
-def test_avg_distortion_modes_differ_with_coherence():
-    # the perfect preset's couplings (0, 1, 1, 0): quartic 2, coherence sum 2
-    dc = metrics.distortion_coefficients(*machine.couplings(by_name("perfect")))
-    legacy = metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT)
-    analytic = metrics.avg_distortion(*dc)
-    assert abs(legacy - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 0.589)) <= 1e-12
-    assert abs(analytic - (2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 3.0 * math.pi / 64.0)) <= 1e-12
+@pytest.mark.parametrize(
+    "c, legacy, analytic",
+    [
+        pytest.param(CASE2, 1.0 / 3.0, 1.0 / 3.0, id="case2"),
+        pytest.param(CASE3, 1.0 / 3.0, 1.0 / 3.0, id="case3"),
+        # the perfect preset's couplings (0, 1, 1, 0): quartic 2, coherence sum 2, so the
+        # two cross constants differ
+        pytest.param(machine.couplings(by_name("perfect")), 2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 0.589,
+                     2.0 / 30.0 + 1.0 / 3.0 - 2.0 * 3.0 * math.pi / 64.0, id="perfect"),
+    ],
+)
+def test_avg_distortion_under_both_cross_constants(c, legacy, analytic):
+    dc = metrics.distortion_coefficients(*c)
+    assert abs(metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) - legacy) <= 1e-12
+    assert abs(metrics.avg_distortion(*dc) - analytic) <= 1e-12
 
 
 def test_closed_route_averages_match_adaptive_integration():
@@ -229,31 +221,26 @@ def test_avg_fidelity_silent_in_range():
         assert metrics.avg_fidelity(6.0) == 0.0
 
 
-def test_batched_fidelity_matches_per_point_simulation():
+@pytest.mark.parametrize(
+    "seed, xs",
+    [
+        pytest.param(9, np.linspace(0.01, 0.99, 37), id="seed9-interior-grid"),
+        pytest.param(21, np.linspace(0.0, 1.0, 37), id="seed21-closed-grid"),
+    ],
+)
+def test_batched_curves_match_per_point_simulation(seed, xs):
     # reference: one single-point `outputs`, partial trace and expectation per grid point
-    rng = np.random.default_rng(9)
-    xs = np.linspace(0.01, 0.99, 37)
+    rng = np.random.default_rng(seed)
     for _ in range(5):
         p = random_machine(rng)
-        batched = metrics.curves(p, xs)[0]
         sig = p.sigma.ket()
-        rhos = [qlinalg.partial_trace_mode2(machine.outputs(p, x)) for x in xs]
-        scalar = [np.vdot(sig, rho @ sig).real for rho in rhos]
-        assert_allclose(batched, scalar, atol=1e-13)
-
-
-def test_batched_distortion_matches_per_point_simulation():
-    rng = np.random.default_rng(21)
-    xs = np.linspace(0.0, 1.0, 37)
-    for _ in range(5):
-        p = random_machine(rng)
-        batched = metrics.curves(p, xs)[1]
-        ds = [
-            metrics.input_state(x) - qlinalg.partial_trace_mode1(machine.outputs(p, x))
-            for x in xs
-        ]
-        scalar = [np.trace(d @ d).real for d in ds]
-        assert_allclose(batched, scalar, atol=1e-13)
+        fidelity, distortion = [], []
+        for x in xs:
+            out = machine.outputs(p, x)
+            fidelity.append(np.vdot(sig, qlinalg.partial_trace_mode2(out) @ sig).real)
+            d = metrics.input_state(x) - qlinalg.partial_trace_mode1(out)
+            distortion.append(np.trace(d @ d).real)
+        assert_allclose(metrics.curves(p, xs), (fidelity, distortion), atol=1e-13)
 
 
 def test_phased_inputs_keep_fidelity_and_average_out_the_coherence():
@@ -331,29 +318,23 @@ def _library_averages(c, sigma):
     )
 
 
-def test_exchange_only_reference_unit_weights():
-    sigma = BlankState(machine.DEFAULT_M1P)
-    assert exchange_only_coefficients(CASE3, sigma)[0] == 0.0
-    expected = exchange_only_averages(CASE3, sigma)
-    assert expected == pytest.approx((1.0 / 3.0, 5.0 / 6.0, 5.0 / 6.0), abs=1e-12)
-    assert_allclose(_library_averages(CASE3, sigma), expected, rtol=0, atol=1e-12)
-
-
-def test_exchange_only_reference_degenerate_couplings():
-    sigma = BlankState(machine.DEFAULT_M1P)
-    assert exchange_only_coefficients(CASE1, sigma)[0] == 2.0
-    expected = exchange_only_averages(CASE1, sigma)
-    assert abs(expected[0] - 0.4) <= 1e-12
-    assert_allclose(_library_averages(CASE1, sigma), expected, rtol=0, atol=1e-12)
-
-
-def test_exchange_only_reference_asymmetric_weights():
-    # |g|^2 = 1, |h|^2 = 0 at m1p = 1: the two deficit conventions split.
-    c = Couplings(g=1 + 0j, h=0j, e=0j, f=0j)
-    sigma = BlankState(1.0)
-    assert exchange_only_coefficients(c, sigma) == (1.0, 1.0, 2.0)
+@pytest.mark.parametrize(
+    "c, m1p, coefficients, averages",
+    [
+        pytest.param(CASE3, machine.DEFAULT_M1P, (0.0, 1.0, 1.0), (1.0 / 3.0, 5.0 / 6.0, 5.0 / 6.0),
+                     id="unit-weights"),
+        pytest.param(CASE1, machine.DEFAULT_M1P, (2.0, 2.0, 2.0), (0.4, 2.0 / 3.0, 2.0 / 3.0),
+                     id="degenerate-couplings"),
+        # |g|^2 = 1, |h|^2 = 0 at m1p = 1: the two deficit conventions split.
+        pytest.param(Couplings(g=1 + 0j, h=0j, e=0j, f=0j), 1.0, (1.0, 1.0, 2.0),
+                     (11.0 / 30.0, 5.0 / 6.0, 2.0 / 3.0), id="asymmetric-weights"),
+    ],
+)
+def test_exchange_only_reference(c, m1p, coefficients, averages):
+    sigma = BlankState(m1p)
+    assert exchange_only_coefficients(c, sigma) == coefficients
     expected = exchange_only_averages(c, sigma)
-    assert expected == pytest.approx((11.0 / 30.0, 5.0 / 6.0, 2.0 / 3.0), abs=1e-12)
+    assert expected == pytest.approx(averages, abs=1e-12)
     assert_allclose(_library_averages(c, sigma), expected, rtol=0, atol=1e-12)
 
 

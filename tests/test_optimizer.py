@@ -165,6 +165,9 @@ def test_decoded_certificate_couplings_reach_both_optima(m1p):
         dict(tol=-1.0),
         dict(objective="fastest"),
         dict(objective="weighted", weight_fidelity=-1.0),
+        # the weights are checked under every objective, not only the weighted one
+        dict(weight_fidelity=math.nan),
+        dict(objective="min-distortion", weight_distortion=-1.0),
     ],
 )
 def test_config_rejects_a_bad_objective_weight_or_tol(settings):

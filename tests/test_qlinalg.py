@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from qdelete import qlinalg
@@ -23,11 +24,20 @@ def test_joint_index_is_the_kron_basis_position():
         assert np.count_nonzero(s) == 1
 
 
-def test_partial_trace_mode1_product_state():
-    sigma = np.array([0.6, 0.8], dtype=complex)
-    s = np.kron(KET0, np.kron(sigma, ANC_A0))
-    rho = qlinalg.partial_trace_mode1(s)
-    assert_allclose(rho, np.array([[1, 0], [0, 0]], dtype=complex), atol=1e-12)
+SIGMA = np.array([0.6, 0.8], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "trace, expected",
+    [
+        pytest.param(qlinalg.partial_trace_mode1, np.array([[1, 0], [0, 0]], dtype=complex),
+                     id="mode1"),
+        pytest.param(qlinalg.partial_trace_mode2, np.outer(SIGMA, SIGMA.conj()), id="mode2"),
+    ],
+)
+def test_partial_traces_of_a_product_state(trace, expected):
+    s = np.kron(KET0, np.kron(SIGMA, ANC_A0))
+    assert_allclose(trace(s), expected, atol=1e-12)
 
 
 def test_partial_trace_mode1_case3_balanced_input():
@@ -41,13 +51,6 @@ def test_partial_trace_mode1_uniform_amplitudes():
     s = np.full(12, 1 / math.sqrt(12), dtype=complex)
     rho = qlinalg.partial_trace_mode1(s)
     assert_allclose(rho, np.full((2, 2), 0.5, dtype=complex), atol=1e-12)
-
-
-def test_partial_trace_mode2_product_state():
-    sigma = np.array([0.6, 0.8], dtype=complex)
-    s = np.kron(KET0, np.kron(sigma, ANC_A0))
-    rho = qlinalg.partial_trace_mode2(s)
-    assert_allclose(rho, np.outer(sigma, sigma.conj()), atol=1e-12)
 
 
 def test_partial_trace_mode2_perfect_preset():
