@@ -232,6 +232,9 @@ def cmd_optimize(args) -> int:
         warm = presets.by_name(args.warm_start)
     elif args.warm_start is not None:
         warm = machine.load(args.warm_start)
+    out = Path(args.out)
+    if not out.parent.is_dir():  # before the search: a write failing after it wastes the run
+        raise ValueError(f"cannot write {out}: directory {out.parent} does not exist")
     try:
         result = optimizer.optimize(cfg, warm_start=warm)
     except machine.MachineValidationError:  # raised by the one validation of the warm start
@@ -240,7 +243,6 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"preset {args.warm_start!r} has no machine realization") from None
 
     best = result.best_machine
-    out = Path(args.out)
     machine.save(best, out)
     history_path = out.with_name(out.stem + "_history.csv")
     history_path.write_text(render_history_csv(result.history), encoding="utf-8", newline="")

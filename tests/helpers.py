@@ -50,6 +50,19 @@ def reference_images(p: MachineParams) -> list[np.ndarray]:
     return images
 
 
+def einsum_traces(states) -> tuple[np.ndarray, np.ndarray]:
+    """Both partial traces as one `einsum` each on a C-contiguous copy of the stack.
+
+    This is the order of additions that `qlinalg` keeps on both the row-major
+    and the grid-innermost layout, so the tests compare its bytes with the
+    package's.
+    """
+    t = np.ascontiguousarray(states, dtype=complex)
+    t = t.reshape(t.shape[:-1] + (2, 2, 3))
+    return (np.einsum("...ijk,...ljk->...il", t, t.conj()),
+            np.einsum("...ijk,...ilk->...jl", t, t.conj()))
+
+
 def count_calls(monkeypatch, *targets) -> Counter:
     """Wrap each (module or class, function name) target to count its calls by name."""
     calls = Counter()

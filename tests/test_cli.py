@@ -501,6 +501,8 @@ BAD_INPUT = (
          OPT + ["--objective", "min-distortion", "--wd", "-1"], BAD_WEIGHTS),
         ("optimize-weights-0", WEIGHTED + ["--wf", "0", "--wd", "0"],
          "objective weights must not both be zero"),
+        ("optimize-out-missing-dir", OPT + ["--out", "@tmp/missing/best.json"],
+         "cannot write @tmp/missing/best.json: directory @tmp/missing does not exist"),
     ]
 )
 
@@ -508,17 +510,25 @@ BAD_INPUT = (
 @pytest.mark.parametrize(
     "argv, message", [pytest.param(argv, message, id=name) for name, argv, message in BAD_INPUT]
 )
-def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, message):
+def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
     def resolve(token):
         if not token.startswith("@"):
             return token
         if token == "@valid":
             return str(write_machine(tmp_path, by_name("case3")))
+        if token.startswith("@tmp/"):
+            return str(tmp_path / token[len("@tmp/"):])
         return hostile_file(tmp_path, token[1:])
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
 
     argv = [resolve(token) for token in argv]
     if argv[0] == "optimize":
-        argv += ["--out", str(tmp_path / "best.json")]
+        if "--out" in argv:  # a row's own bad path is rejected before any search
+            monkeypatch.setattr(cli.optimizer, "optimize", no_search)
+        else:
+            argv += ["--out", str(tmp_path / "best.json")]
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse rejects values of the wrong type
@@ -528,7 +538,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, message):
     # our own errors are one "error: " line; argparse's follow its usage text
     usage, _, rest = err.partition("error: ")
     assert usage.startswith("usage: qdelete") if message.startswith("argument ") else usage == ""
-    assert rest.startswith(message)
+    assert rest.startswith(message.replace("@tmp", str(tmp_path)))
     assert "Traceback" not in err
     assert not (tmp_path / "best.json").exists()
 

@@ -11,7 +11,7 @@ from qdelete.optimizer import random_machine
 from qdelete.presets import by_name
 from paper_values import exchange_only_averages, exchange_only_coefficients
 from reduced_states import mode1_state_closed, mode2_state_closed
-from helpers import with_couplings
+from helpers import einsum_traces, with_couplings
 
 CASE1 = Couplings(g=0j, h=0j, e=0j, f=0j)
 CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)
@@ -241,6 +241,44 @@ def test_batched_curves_match_per_point_simulation(seed, xs):
             d = metrics.input_state(x) - qlinalg.partial_trace_mode1(out)
             distortion.append(np.trace(d @ d).real)
         assert_allclose(metrics.curves(p, xs), (fidelity, distortion), atol=1e-13)
+
+
+#: Grids of the oracle byte pin: 0-d, the sweep's 21 and 1001 points, the
+#: quadrature's 192 nodes, a 2-D grid and an empty one.
+ORACLE_GRIDS = {
+    "0d": np.float64(0.3),
+    "21": np.linspace(0.0, 1.0, 21),
+    "quadrature": metrics._QX_BOTH,
+    "1001": np.linspace(0.0, 1.0, 1001),
+    "2d": np.linspace(0.0, 1.0, 35).reshape(5, 7),
+    "empty": np.empty(0),
+}
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+def test_oracle_keeps_the_bytes_of_one_product_and_one_einsum_per_trace(grid):
+    # The reference is the oracle written as one row-major product and one `einsum`
+    # per trace.  Bytes make signed zeros count: a negative m1p puts 0 * m1p = -0.0
+    # into the sum of an exact zero at x = 1, which the transposed product
+    # `V @ inputs.T` returns as -0.0 under OpenBLAS's AVX-512 kernel.
+    rng = np.random.default_rng(30)
+    negative_m1p = machine.MachineParams(a0=1.0, b1=1.0, sigma=BlankState(-0.6))
+    presets = [by_name(name) for name in ("case2", "case3", "case4", "perfect")]
+    for p in [random_machine(rng) for _ in range(8)] + presets + [negative_m1p]:
+        states = machine.outputs(p, grid)
+        reference = machine.inputs(grid) @ machine.isometry(p).T
+        assert states.tobytes() == reference.tobytes()
+        for trace, expected in zip(
+            (qlinalg.partial_trace_mode1, qlinalg.partial_trace_mode2), einsum_traces(reference)
+        ):
+            assert trace(states).tobytes() == expected.tobytes()
+        xs = np.atleast_1d(grid)
+        rho1, rho2 = einsum_traces(machine.inputs(xs) @ machine.isometry(p).T)
+        sig = p.sigma.ket()
+        d = metrics.input_state(xs) - rho1
+        expected = ((rho2 @ sig) @ sig.conj()).real, np.einsum("...ij,...ji->...", d, d).real
+        for got, want in zip(metrics.curves(p, grid), expected):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_phased_inputs_keep_fidelity_and_average_out_the_coherence():

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from qdelete import qlinalg
 from qdelete.machine import outputs
 from qdelete.presets import by_name
-from helpers import ANC_A0, KET0
+from helpers import ANC_A0, KET0, einsum_traces
 
 
 def random_state(rng):
@@ -87,3 +87,19 @@ def test_partial_traces_batched_match_per_state():
         assert stacked.shape == (2, 3, 2, 2)
         for idx in np.ndindex(2, 3):
             assert_allclose(stacked[idx], trace(batch[idx]), atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(12,), (5, 12), (3, 4, 12), (1001, 12), (0, 12)])
+def test_partial_traces_keep_their_bytes_on_a_grid_innermost_stack(shape):
+    # one `einsum` per trace on the C-contiguous stack is the reference order
+    rng = np.random.default_rng(31)
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected = einsum_traces(s)
+    for stack in (s, np.ascontiguousarray(s.T).T):
+        for trace, want in zip((qlinalg.partial_trace_mode1, qlinalg.partial_trace_mode2), expected):
+            assert trace(stack).tobytes() == want.tobytes()
+
+
+def test_outputs_put_the_grid_axis_innermost():
+    # the traces are several times faster on this layout than on the row-major one
+    assert outputs(by_name("case3"), np.linspace(0.0, 1.0, 21)).T.flags.c_contiguous
