@@ -28,10 +28,6 @@ def _f10(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _f17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 # ---------------------------------------------------------------------------
 # validate
 
@@ -219,10 +215,8 @@ def cmd_diagnose(args) -> int:
 
 
 def render_history_csv(history) -> str:
-    lines = ["restart,iteration,objective"]
-    for entry in history:
-        lines.append(f"{entry.restart},{entry.evaluation},{_f17(entry.objective)}")
-    return "\n".join(lines) + "\n"
+    fields = tuple(value for entry in history for value in entry)
+    return "restart,iteration,objective\n" + ("%d,%d,%.17g\n" * len(history)) % fields
 
 
 def cmd_optimize(args) -> int:
@@ -233,8 +227,14 @@ def cmd_optimize(args) -> int:
     elif args.warm_start is not None:
         warm = machine.load(args.warm_start)
     out = Path(args.out)
-    if not out.parent.is_dir():  # before the search: a write failing after it wastes the run
+    # checked before the search: a write failing after it wastes the run
+    if not out.parent.is_dir():
         raise ValueError(f"cannot write {out}: directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ValueError(f"cannot write {out}: it is a directory")
+    history_path = out.with_name(out.stem + "_history.csv")
+    if history_path.is_dir():
+        raise ValueError(f"cannot write {history_path}: it is a directory")
     try:
         result = optimizer.optimize(cfg, warm_start=warm)
     except machine.MachineValidationError:  # raised by the one validation of the warm start
@@ -244,7 +244,6 @@ def cmd_optimize(args) -> int:
 
     best = result.best_machine
     machine.save(best, out)
-    history_path = out.with_name(out.stem + "_history.csv")
     history_path.write_text(render_history_csv(result.history), encoding="utf-8", newline="")
 
     print(f"objective: {cfg.objective}   seed: {cfg.seed}   restarts: {cfg.restarts}")

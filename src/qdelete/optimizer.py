@@ -28,7 +28,6 @@ import sys
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import count, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -112,31 +111,17 @@ class OptResult:
     history: list[HistoryEntry] = field(repr=False)
 
 
-@lru_cache
-def _centroid(n: int) -> Callable[[list[list[float]]], list[float]]:
-    """The mean of n points, each coordinate summed left to right.
+def _centroid(points: list[list[float]]) -> list[float]:
+    """The mean of 9 points, each coordinate summed left to right.
 
     That is the order of numpy's ``add.reduce`` along axis 0.  ``sum()`` is
-    not used: it compensates its rounding since Python 3.12.  The function is
-    generated for n, from n alone, so that each coordinate is one chain
-    x0 + x1 + ... with no call per addition.  The chain is cut into statements
-    of at most 64 terms, since one expression of about 3 000 terms does not
-    compile.  The last 128 functions (`lru_cache`'s default) are kept.
+    not used: it compensates its rounding since Python 3.12.  Each coordinate
+    is one written-out chain x0 + x1 + ... + x8, with no call per addition.
     """
-    terms = [f"x{i}" for i in range(n)]
-    chunks = [" + ".join(terms[i:i + 64]) for i in range(0, n, 64)]
-    source = "\n".join([
-        "def centroid(points):",
-        "    means = []",
-        f"    for {', '.join(terms)}, in zip(*points):",
-        f"        s = {chunks[0]}",
-        *[f"        s = s + {chunk}" for chunk in chunks[1:]],
-        f"        means.append(s / {n})",
-        "    return means",
-    ])
-    namespace = {}
-    exec(source, namespace)
-    return namespace["centroid"]
+    means = []
+    for x0, x1, x2, x3, x4, x5, x6, x7, x8 in zip(*points):
+        means.append((x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8) / 9)
+    return means
 
 
 def minimize(
@@ -156,11 +141,14 @@ def minimize(
     each coordinate and in value.  Tied vertices keep their index order (scipy's
     wherever numpy's argsort is stable): the initial simplex and each shrink
     are sorted stably, and otherwise the one new vertex goes after its ties.
-    The centroid is one generated left-to-right sum per point count, in
-    numpy's ``add.reduce`` order, so its bits are scipy's too.
+    The simplex has the search's `RAW_DIM` coordinates, so its centroid is
+    written out as one left-to-right sum of 9 terms, in numpy's ``add.reduce``
+    order, and its bits are scipy's too; any other length is a ``ValueError``.
     ``fun`` gets each point as a new list of floats, never changed afterwards.
     """
     n = len(x0)
+    if n != RAW_DIM:
+        raise ValueError(f"x0 must have {RAW_DIM} entries, got {n}")
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n  # and rho = 1
     expand, outside, inside = 1 + chi, 1 + psi, 1 - psi
     x0 = [float(v) for v in x0]
@@ -176,7 +164,6 @@ def minimize(
         sim[:], fsim[:] = order(sim), order(fsim)
 
     sort()
-    centroid = _centroid(n)
     nit = 1
     while nit < maxiter:
         best, fbest = sim[0], fsim[0]
@@ -185,7 +172,7 @@ def minimize(
             abs(x - b) <= tol for row in sim[1:] for x, b in zip(row, best)
         ):
             break
-        xbar, worst = centroid(sim[:-1]), sim[-1]
+        xbar, worst = _centroid(sim[:-1]), sim[-1]
         xr = [2 * b - w for b, w in zip(xbar, worst)]
         fxr = fun(xr)
         if fxr < fbest:

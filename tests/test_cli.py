@@ -503,6 +503,10 @@ BAD_INPUT = (
          "objective weights must not both be zero"),
         ("optimize-out-missing-dir", OPT + ["--out", "@tmp/missing/best.json"],
          "cannot write @tmp/missing/best.json: directory @tmp/missing does not exist"),
+        ("optimize-out-dir", OPT + ["--out", "@tmp/"], "cannot write @tmp: it is a directory"),
+        ("optimize-out-empty", OPT + ["--out", ""], "cannot write .: it is a directory"),
+        ("optimize-history-dir", OPT + ["--out", "@tmp/taken.json"],
+         "cannot write @tmp/taken_history.csv: it is a directory"),
     ]
 )
 
@@ -523,6 +527,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
+    (tmp_path / "taken_history.csv").mkdir()  # the history path of `--out @tmp/taken.json`
     argv = [resolve(token) for token in argv]
     if argv[0] == "optimize":
         if "--out" in argv:  # a row's own bad path is rejected before any search
@@ -540,7 +545,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     assert usage.startswith("usage: qdelete") if message.startswith("argument ") else usage == ""
     assert rest.startswith(message.replace("@tmp", str(tmp_path)))
     assert "Traceback" not in err
-    assert not (tmp_path / "best.json").exists()
+    assert not (tmp_path / "best.json").exists() and not (tmp_path / "taken.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -392,14 +392,14 @@ def test_nelder_mead_is_scipys_through_shrinks_to_the_tolerance(seed, tol):
 EDGE_CASES = {
     # the first expansion ties the reflection, which is kept
     "expansion-ties-reflection": (
-        lambda x: -1.0 if x[0] < 0.99 else float(x[0] >= 1.04), [1.0, 1.0], 1e-10, False
+        lambda x: -1.0 if x[0] < 0.99 else float(x[0] >= 1.04), [1.0] * 9, 1e-10, False
     ),
     # a constant spreads exactly tol in x and nothing in f: stop
-    "x-spread-equals-the-tolerance": (lambda x: 0.0, [0.0] * 3, 0.00025, True),
+    "x-spread-equals-the-tolerance": (lambda x: 0.0, [0.0] * 9, 0.00025, True),
     # the worst vertex spreads exactly tol in f as well: stop
-    "f-spread-equals-the-tolerance": (lambda x: 0.00025 * (x[2] > 0.0), [0.0] * 3, 0.00025, True),
+    "f-spread-equals-the-tolerance": (lambda x: 0.00025 * (x[2] > 0.0), [0.0] * 9, 0.00025, True),
     # only the worst vertex lies beyond tol in f: go on
-    "worst-beyond-the-tolerance": (lambda x: float(x[2] > 0.0), [0.0] * 3, 0.00025, False),
+    "worst-beyond-the-tolerance": (lambda x: float(x[2] > 0.0), [0.0] * 9, 0.00025, False),
 }
 
 
@@ -411,31 +411,34 @@ def test_nelder_mead_is_scipys_on_ties_and_at_the_tolerances(case):
 
 
 def test_centroid_sums_each_coordinate_left_to_right():
-    # point counts around the 64-term statements, cancellation and signed zeros
+    # 9 points, as the simplex has: drawn, cancelling, log-scaled and signed zeros
     rng = np.random.default_rng(3)
-    rows = [(f"n={n}", rng.standard_normal((n, 3)).tolist()) for n in (1, 2, 3, 9, 65, 3001)]
-    rows += [
+    zeros = [[0.0, -0.0, 0.0]] * 8
+    rows = [
+        ("drawn", rng.standard_normal((9, 3)).tolist()),
         # numpy's add.reduce along axis 0 adds the rows in order, so scipy's
-        # centroid of (1e16, 1, -1e16) is 0; a compensated sum (math.fsum, or
-        # sum() since Python 3.12) gives 1/3.
-        ("cancellation", [[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]]),
+        # centroid of (1e16, 1, -1e16, 0, ...) is 0; a compensated sum
+        # (math.fsum, or sum() since Python 3.12) gives 1/9.
+        ("cancellation", [[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]] + [[0.0, 0.0]] * 6),
         ("9x9-log-scaled", (rng.standard_normal((9, 9)) * np.logspace(-8, 8, 9)).tolist()),
-        ("zeros-n=1", [[-0.0, 0.0]]),
-        ("zeros-n=2", [[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]),
-        ("zeros-n=3", [[-0.0, 1.0, -0.0], [-0.0, -1.0, 0.0], [-0.0, -0.0, -0.0]]),
+        ("zeros-after-minus-zero", [[-0.0, -0.0, -0.0]] + zeros),
+        ("zeros-after-cancelling-ones",
+         [[-0.0, 1.0, -0.0]] * 4 + [[-0.0, -1.0, 0.0]] * 4 + [[-0.0, -0.0, -0.0]]),
     ]
     # the reference adds the rows in order, one `add` call per addition
     for label, points in rows:
-        n = len(points)
-        got = np.array(optimizer._centroid(n)(points))
-        reference = np.array([s / n for s in reduce(partial(map, add), points[1:], points[0])])
+        got = np.array(optimizer._centroid(points))
+        reference = np.array([s / 9 for s in reduce(partial(map, add), points[1:], points[0])])
         assert got.tobytes() == reference.tobytes(), label
         # numpy starts the sum of a column of -0.0 from +0.0; the reference starts from its first row
         a = np.array(points)
         numpy_sum = ~np.all((a == 0) & np.signbit(a), axis=0)
-        expected = np.add.reduce(a, 0) / n
+        expected = np.add.reduce(a, 0) / 9
         assert got[numpy_sum].tobytes() == expected[numpy_sum].tobytes(), label
-    assert optimizer._centroid(3)([[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]]) == [0.0, 2.0]
+    assert optimizer._centroid(rows[1][1]) == [0.0, 2.0 / 3.0]
+    # the simplex has the search's 9 coordinates and no other count
+    with pytest.raises(ValueError, match="x0 must have 9 entries, got 8"):
+        optimizer.minimize(lambda x: 0.0, [0.0] * 8, maxiter=1, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
