@@ -153,7 +153,11 @@ class DiagnoseReport:
 
 
 def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseReport:
-    """Quantify both closed-form ambiguities against the simulation oracle."""
+    """Quantify both closed-form ambiguities against the simulation oracle.
+
+    The machines are decoded `optimizer.sample_raw` draws, the search's start
+    distribution; ``m1p``, when given, replaces their blank state.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
@@ -164,7 +168,7 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
 
     deviations = []  # per sample, in the order of the report's fields
     for _ in range(samples):
-        p = optimizer.random_machine(rng)
+        p = optimizer.decode(optimizer.sample_raw(rng))
         if m1p is not None:
             p = dataclasses.replace(p, sigma=machine.BlankState(m1p))
         c = machine.couplings(p)

@@ -108,18 +108,6 @@ class MachineParams:
     d1: complex = 0j
     sigma: BlankState = field(default_factory=lambda: BlankState(DEFAULT_M1P))
 
-    @classmethod
-    def from_rows(cls, row0, row1, sigma: BlankState) -> "MachineParams":
-        row0 = np.asarray(row0, dtype=complex)
-        row1 = np.asarray(row1, dtype=complex)
-        if row0.shape != (4,) or row1.shape != (4,):
-            raise ValueError("amplitude rows must have four complex entries each")
-        return cls(
-            a0=complex(row0[0]), b0=complex(row0[1]), c0=complex(row0[2]), d0=complex(row0[3]),
-            a1=complex(row1[0]), b1=complex(row1[1]), c1=complex(row1[2]), d1=complex(row1[3]),
-            sigma=sigma,
-        )
-
 
 class Couplings(NamedTuple):
     """Row sums of the machine amplitudes; every output metric depends only on these."""

@@ -29,7 +29,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import count, repeat
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -229,9 +229,10 @@ def decode(raw) -> MachineParams:
     """Decode a raw 9-vector into a valid machine with its couplings and m1p.
 
     The rows are u/2 -+ w with w = conj(-h, g, -f, e)/2, which is orthogonal
-    to u with |w|^2 = 1/2, so they are orthonormal for every u.  Raises
-    :class:`DecodeError` for a wrong shape, non-finite entries, |u| < 1e-12
-    or a |u| that overflows.
+    to u with |w|^2 = 1/2, so they are orthonormal for every u.  Each entry
+    rounds every product once, as numpy's complex128 loops do without FMA, so
+    its bits are the same on every host.  Raises :class:`DecodeError` for a
+    wrong shape, non-finite entries, |u| < 1e-12 or a |u| that overflows.
     """
     try:
         if np.iscomplexobj(raw):  # a cast to float would drop the imaginary parts
@@ -239,10 +240,10 @@ def decode(raw) -> MachineParams:
         raw = np.asarray(raw, dtype=float).tolist()
     except (TypeError, ValueError, OverflowError):  # ragged, not real, or an int beyond float
         raise DecodeError(f"raw point must be {RAW_DIM} real numbers") from None
-    u, m1p = _sphere_point(raw)
-    u = np.array(u)
-    w = u[[1, 0, 3, 2]].conj() * np.array([-0.5, 0.5, -0.5, 0.5])
-    return MachineParams.from_rows(u / 2 - w, u / 2 + w, BlankState(m1p))
+    (g, h, e, f), m1p = _sphere_point(raw)
+    half = (g / 2, h / 2, e / 2, f / 2)
+    w = (h.conjugate() * -0.5, g.conjugate() * 0.5, f.conjugate() * -0.5, e.conjugate() * 0.5)
+    return MachineParams(*map(sub, half, w), *map(add, half, w), BlankState(m1p))
 
 
 def encode(p: MachineParams) -> np.ndarray:
@@ -252,19 +253,11 @@ def encode(p: MachineParams) -> np.ndarray:
 
 
 def sample_raw(rng: np.random.Generator) -> np.ndarray:
-    """Draw a standard-normal raw point; it fails to decode with probability 0."""
-    return rng.standard_normal(RAW_DIM)
+    """Draw a standard-normal raw point; it fails to decode with probability 0.
 
-
-def random_machine(rng: np.random.Generator) -> MachineParams:
-    """Draw a valid machine: rows from the QR of a complex Gaussian 4x2, m1p = cos N(0,1).
-
-    LAPACK's QR varies in its last bits with the BLAS kernel, and so does the drawn machine.
-    `diagnose`'s stdout varies with the kernel for that reason and also through the matrix
-    product in `machine.outputs`.
+    Cold search restarts start from these, and `diagnose` samples them decoded.
     """
-    q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-    return MachineParams.from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))
+    return rng.standard_normal(RAW_DIM)
 
 
 def scorer(cfg: OptConfig) -> Callable[[list[complex], float], float]:

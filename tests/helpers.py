@@ -2,7 +2,8 @@
 
 The kets and `reference_images` build the machine's basis images with
 ``np.kron`` and index writes, without `machine.isometry`, so tests can check
-the isometry against them.
+the isometry against them.  `random_machine` draws machines with generic
+rows, which `optimizer.decode`'s rows u/2 -+ w are not.
 """
 
 import math
@@ -28,6 +29,20 @@ def with_couplings(
 ) -> MachineParams:
     """A machine (valid or not) whose couplings are exactly ``c``: row 0 holds them, row 1 is 0."""
     return MachineParams(a0=c.g, b0=c.h, c0=c.e, d0=c.f, sigma=sigma)
+
+
+def from_rows(row0, row1, sigma: BlankState) -> MachineParams:
+    """A machine (valid or not) with amplitude rows ``row0`` and ``row1``, as Python complexes."""
+    return MachineParams(*np.asarray([row0, row1], dtype=complex).ravel().tolist(), sigma)
+
+
+def random_machine(rng: np.random.Generator) -> MachineParams:
+    """Draw a valid machine: rows from the QR of a complex Gaussian 4x2, m1p = cos N(0,1).
+
+    LAPACK's QR varies in its last bits with the BLAS kernel, and so does the drawn machine.
+    """
+    q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    return from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))
 
 
 def raw_of(u, m1p: float) -> np.ndarray:

@@ -12,10 +12,11 @@ import numpy as np
 
 from qdelete import cli, machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, Couplings, MachineParams
-from qdelete.optimizer import OptConfig, random_machine
+from qdelete.optimizer import OptConfig
 from qdelete.presets import by_name
 from paper_values import PAPER_AVERAGES, exchange_only_averages
 from reduced_states import mode1_state_closed, mode2_state_closed
+from helpers import random_machine
 
 SAMPLE_SEED = 20260811
 N_MACHINES = 200

@@ -12,7 +12,7 @@ import pytest
 from qdelete import cli, machine, metrics, optimizer
 from qdelete.machine import MachineParams
 from qdelete.presets import PRESET_NAMES, by_name
-from helpers import count_calls
+from helpers import count_calls, random_machine
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -167,7 +167,7 @@ def test_sweep_prints_every_value_at_17_significant_digits(
     tmp_path, capsys, source, m1p, points, to_file
 ):
     if source == "machine":
-        p = optimizer.random_machine(np.random.default_rng(5))
+        p = random_machine(np.random.default_rng(5))
         argv, head = ["--machine", str(write_machine(tmp_path, p))], ""
     else:
         p = by_name(source)
@@ -261,13 +261,13 @@ def test_diagnose_compares_the_curves_on_21_points(monkeypatch):
         assert grid.tolist() == np.linspace(0.0, 1.0, 21).tolist()
 
 
-#: The eight amplitudes a0 ... d1 and the m1p of random_machine's first draw from default_rng(4).
+#: The eight amplitudes a0 ... d1 and the m1p of the first decoded draw from default_rng(4).
 FIRST_DRAW_AT_SEED_4 = [
-    -0.19435218984136937 - 0.47953215731814575j, 0.49609203764559284 + 0.07018628101991407j,
-    -0.4894346253765091 + 0.09441774732148603j, -0.18590547426466164 - 0.44522006205317155j,
-    0.1052800075047203 + 0.020207245965183432j, -0.3431559320557309 - 0.5730340053884361j,
-    0.10995020000552785 - 0.20212502894097614j, -0.01112669277977904 - 0.6995115760985624j,
-    -0.3380547885533749,
+    0.275152032500933 - 0.2267340799592847j, 0.6296057146712563 + 0.13172022873477238j,
+    -0.6158324874817869 - 0.041828817888846126j, 0.276783671296525 + 0.0389992057689882j,
+    -0.6296057146712563 + 0.13172022873477238j, 0.275152032500933 + 0.2267340799592847j,
+    -0.276783671296525 + 0.0389992057689882j, -0.6158324874817869 + 0.041828817888846126j,
+    -0.037382745036392676,
 ]
 
 
@@ -283,11 +283,10 @@ def test_diagnose_samples_the_machines_its_seed_draws(monkeypatch, m1p):
     monkeypatch.setattr(metrics, "curves", recording)
     cli.run_diagnose(samples=3, seed=4, m1p=m1p)
     rng = np.random.default_rng(4)
-    expected = [optimizer.random_machine(rng) for _ in range(3)]
-    # the draw itself; its last bits vary with the BLAS kernel, far below the tolerance
+    expected = [optimizer.decode(optimizer.sample_raw(rng)) for _ in range(3)]
+    # the draw itself, exactly: it makes no LAPACK or BLAS call
     first = [getattr(expected[0], key) for key in machine.AMPLITUDE_KEYS]
-    np.testing.assert_allclose(first + [expected[0].sigma.m1p], FIRST_DRAW_AT_SEED_4,
-                               rtol=0, atol=1e-12)
+    assert first + [expected[0].sigma.m1p] == FIRST_DRAW_AT_SEED_4
     if m1p is not None:
         expected = [dataclasses.replace(p, sigma=machine.BlankState(m1p)) for p in expected]
     assert sampled == expected

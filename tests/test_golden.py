@@ -5,11 +5,10 @@ of commands: the stdout of ``cases`` and of ``sweep --preset`` (each preset
 at 101 points, and at 11 points with ``--m1p 0.3``), and for ``optimize``
 (each objective, cold and warm-started from ``perfect`` and from ``case3``)
 its stdout without the "wrote" line, its machine JSON and its history CSV.
-``diagnose`` is left out: its last bits vary with the BLAS kernel, both
-through its machines, which come from LAPACK's QR, and through the matrix
-product in ``machine.outputs``, which rounds a generic machine's output
-differently under different kernels.  The presets' outputs gave the same
-bytes under every kernel tried.  The table also records the numpy version,
+``diagnose`` is left out: its last bits vary with the BLAS kernel, through
+the matrix product in ``machine.outputs``, which rounds a generic machine's
+output differently under different kernels.  The presets' outputs gave the
+same bytes under every kernel tried.  The table also records the numpy version,
 its SIMD levels and its BLAS library where it was written; a failure prints
 those of both hosts.
 

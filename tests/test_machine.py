@@ -7,9 +7,8 @@ from numpy.testing import assert_allclose
 
 from qdelete import machine, qlinalg
 from qdelete.machine import BlankState, MachineParams
-from qdelete.optimizer import random_machine
 from qdelete.presets import by_name
-from helpers import reference_images
+from helpers import from_rows, random_machine, reference_images
 
 # ---------------------------------------------------------------------------
 # validation
@@ -29,7 +28,7 @@ def test_validate_reads_defects_from_gram_of_isometry():
     for _ in range(10):
         row0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         row1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        p = MachineParams.from_rows(row0, row1, BlankState(rng.uniform(-1.0, 1.0)))
+        p = from_rows(row0, row1, BlankState(rng.uniform(-1.0, 1.0)))
         report = machine.validate(p)
         assert report.row0_norm_defect == pytest.approx(abs(np.vdot(row0, row0).real - 1.0))
         assert report.row1_norm_defect == pytest.approx(abs(np.vdot(row1, row1).real - 1.0))

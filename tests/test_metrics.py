@@ -7,11 +7,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from qdelete import machine, metrics, qlinalg
 from qdelete.machine import BlankState, Couplings
-from qdelete.optimizer import random_machine
 from qdelete.presets import by_name
 from paper_values import exchange_only_averages, exchange_only_coefficients
 from reduced_states import mode1_state_closed, mode2_state_closed
-from helpers import einsum_traces, with_couplings
+from helpers import einsum_traces, random_machine, with_couplings
 
 CASE1 = Couplings(g=0j, h=0j, e=0j, f=0j)
 CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer
-from qdelete.machine import BlankState, MachineParams, couplings
+from qdelete.machine import BlankState, couplings
 from qdelete.presets import by_name
 from paper_values import PERFECT_AVG_DISTORTION
-from helpers import count_calls, raw_of, rows
+from helpers import count_calls, from_rows, random_machine, raw_of, rows
 
 SMALL = dict(restarts=2, max_iters=80, seed=5)
 
@@ -94,13 +94,46 @@ def test_decode_accepts_a_plain_list():
 )
 def test_sphere_point_is_exactly_the_numpy_scaling(seed, exponent):
     # The search scores Python complexes; they must be bit for bit the
-    # complex128 view of the raw couplings times sqrt(2)/|u|.
+    # complex128 view of the raw couplings times sqrt(2)/|u|.  decode's rows
+    # are built from them, and must be bit for bit the numpy rows of that u.
     raw = optimizer.sample_raw(np.random.default_rng(seed)) * 10.0 ** exponent
     u, m1p = optimizer._sphere_point(raw)
     reference = raw[0:8].view(complex) * (math.sqrt(2.0) / math.hypot(*raw[0:8]))
     assert all(type(z) is complex for z in u) and type(m1p) is float
     assert u == reference.tolist()
     assert m1p == math.cos(raw[8])
+    assert decoded_bytes(raw) == numpy_rows(reference).tobytes()
+
+
+def numpy_rows(u: np.ndarray) -> np.ndarray:
+    """decode's 8 amplitudes u/2 -+ w, w = conj(-h, g, -f, e)/2, on complex128 arrays."""
+    w = u[[1, 0, 3, 2]].conj() * np.array([-0.5, 0.5, -0.5, 0.5])
+    return np.concatenate((u / 2 - w, u / 2 + w))
+
+
+def decoded_bytes(raw) -> bytes:
+    p = optimizer.decode(raw)
+    return np.array([getattr(p, key) for key in machine.AMPLITUDE_KEYS]).tobytes()
+
+
+def test_decode_rows_keep_the_numpy_signed_zeros():
+    # Coordinates drawn from signed zeros, tiny and plain values: the golden
+    # solves have no zero coordinate, and == would not see a sign.
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-300]
+    rng = np.random.default_rng(48)
+    points = [[0.0, -0.0, -0.0, 1.0, 0.0, 0.0, -0.0, -0.0, 0.3]]
+    draws = (np.append(rng.choice(values, 8), rng.standard_normal()) for _ in range(500))
+    points += [raw for raw in draws if np.abs(raw[:8]).max() >= 0.5]  # the rest fail to decode
+    for raw in points:
+        u, _ = optimizer._sphere_point(raw)
+        assert decoded_bytes(raw) == numpy_rows(np.array(u)).tobytes(), raw
+    # Here u has e and f with real part -5e-324, and halving it rounds to -0.0.
+    # Each product rounded on its own, conj(e) * 0.5 has real part
+    # -0.0 - (-0.78 * 0.0) = +0.0, and d0 = f/2 - conj(e) * 0.5 has real part
+    # -0.0.  numpy's complex multiply at SIMD level X86_V3 and up fuses the
+    # halving into that difference: its real part is -0.0, and d0's is +0.0.
+    p = optimizer.decode([-5e-324, 1.0, 0.5, -0.0, -5e-324, 1.0, -5e-324, -1.0, -2.0])
+    assert p.d0.real == 0.0 and math.copysign(1.0, p.d0.real) == -1.0
 
 
 def test_decoded_machines_always_validate():
@@ -127,7 +160,7 @@ def test_decode_invariant_under_positive_row_scaling():
 def test_encode_decode_round_trip():
     rng = np.random.default_rng(45)
     cfg = optimizer.OptConfig(objective="weighted")
-    machines = [by_name("case3")] + [optimizer.random_machine(rng) for _ in range(5)]
+    machines = [by_name("case3")] + [random_machine(rng) for _ in range(5)]
     for p in machines:
         q = optimizer.decode(optimizer.encode(p))
         c, d = couplings(p), couplings(q)
@@ -265,9 +298,9 @@ def test_scorer_invariant_under_joint_row_phase():
     rng = np.random.default_rng(46)
     cfg = optimizer.OptConfig(objective="weighted")
     for _ in range(10):
-        p = optimizer.random_machine(rng)
+        p = random_machine(rng)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        q = MachineParams.from_rows(*(phase * rows(p)), p.sigma)
+        q = from_rows(*(phase * rows(p)), p.sigma)
         fp = scored(cfg, couplings(p), p.sigma)
         assert abs(fp - scored(cfg, couplings(q), q.sigma)) <= 1e-12
 
@@ -275,11 +308,11 @@ def test_scorer_invariant_under_joint_row_phase():
 def test_single_row_phase_changes_the_metrics():
     # Phasing one row alone is NOT a symmetry: it rotates some couplings but
     # not others, which moves the fidelity of deletion.
-    p = MachineParams.from_rows(
+    p = from_rows(
         [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], BlankState(math.sqrt(0.5))
     )
     row0, row1 = rows(p)
-    q = MachineParams.from_rows(row0, 1j * row1, p.sigma)
+    q = from_rows(row0, 1j * row1, p.sigma)
     f_p = metrics.averages(p)[0]
     f_q = metrics.averages(q)[0]
     assert abs(f_p - 1.0) <= 1e-9

@@ -8,7 +8,7 @@ from numpy.testing import assert_array_equal
 from qdelete import machine, metrics, presets
 from qdelete.machine import BlankState, MachineParams, couplings
 from paper_values import PERFECT_AVG_DISTORTION, PRESET_AVERAGES, exchange_only_averages
-from helpers import rows
+from helpers import from_rows, rows
 
 
 def test_unknown_name_rejected():
@@ -78,7 +78,7 @@ def test_case1_couplings_are_unreachable():
     for _ in range(20):
         row0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         row0 = row0 / np.linalg.norm(row0)
-        p = MachineParams.from_rows(row0, -row0, BlankState(0.5))
+        p = from_rows(row0, -row0, BlankState(0.5))
         c = machine.couplings(p)
         assert max(abs(c.g), abs(c.h), abs(c.e), abs(c.f)) <= 1e-15
         report = machine.validate(p)

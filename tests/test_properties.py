@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer, qlinalg
-from qdelete.machine import BlankState, Couplings, MachineParams
+from qdelete.machine import BlankState, Couplings
 from paper_values import PERFECT_AVG_DISTORTION
 from reduced_states import mode1_state_closed, mode2_state_closed
-from helpers import raw_of, reference_images, with_couplings
+from helpers import from_rows, random_machine, raw_of, reference_images, with_couplings
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -51,7 +51,7 @@ def qr_machine(seed: int, m1p: float, perturbation: float = 0.0, tilt: float = 0
     noise = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     q = q + perturbation * noise
     row1 = math.cos(tilt) * q[:, 1] + math.sin(tilt) * q[:, 0]
-    return MachineParams.from_rows(q[:, 0], row1, BlankState(m1p))
+    return from_rows(q[:, 0], row1, BlankState(m1p))
 
 
 def gaussian_couplings(seed: int, scale: float) -> Couplings:
@@ -95,7 +95,7 @@ def test_oracle_endpoints_have_unit_fidelity_and_no_distortion(seed):
     # At x = 0 and x = 1 the deleted mode holds the blank state exactly, so
     # F(0) and F(1) miss 1 only by the rounding of the blank state's norm,
     # and the kept mode holds the input's pure state.
-    p = optimizer.random_machine(np.random.default_rng(seed))
+    p = random_machine(np.random.default_rng(seed))
     fidelity, distortion = metrics.curves(p, np.array([0.0, 1.0]))
     assert np.all(np.abs(fidelity - 1.0) <= 4 * np.finfo(float).eps)
     assert np.all(np.abs(distortion) <= 1e-12)
