@@ -158,7 +158,8 @@ def validate(p: MachineParams, tol: float = DEFAULT_VALIDATION_TOL) -> Validatio
         raise ValueError(f"tol must be finite and positive, got {tol}")
     v = isometry(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = np.abs(v.conj().T @ v - _EYE4)
+        deviation = np.einsum("ji,jk->ik", v.conj(), v) - _EYE4  # no BLAS call, unlike @
+        defects = np.hypot(deviation.real, deviation.imag)  # same bits at every SIMD level
     defects[np.isnan(defects)] = np.inf
     # The Gram defect bounds the other three: their entries are part of it.
     gram_defect = float(defects.max())
@@ -199,14 +200,16 @@ def inputs(alpha_sq) -> np.ndarray:
 def outputs(p: MachineParams, alpha_sq) -> np.ndarray:
     """Output states ``inputs(alpha_sq) @ V.T``, shape (..., 12): the simulation kernel.
 
-    The values are that BLAS product's, stored with the grid axes innermost
-    (Fortran order), where the partial traces of `qlinalg` run 3-6x faster at
-    1001 points.  The product ``V @ inputs.T`` has that layout without the
-    copy, but OpenBLAS's AVX-512 kernel returns some of its exact zeros as
-    -0.0 where this one returns +0.0.  For a valid machine every output state
-    has unit norm within 1e-12.
+    Each output amplitude is fed by the one input amplitude its ancilla picks:
+    |Q> by ab (columns 1 and 2 of V), |A0> by x and |A1> by 1 - x.  So each is
+    one row sum of V times one weight: one IEEE product and no BLAS call,
+    which gives the same bits on every host.  The grid axes are innermost in
+    memory, where the partial traces of `qlinalg` run 3-6x faster at 1001
+    points.  For a valid machine every output state has unit norm within 1e-12.
     """
-    return (inputs(alpha_sq) @ isometry(p).T).copy(order="F")
+    w = inputs(alpha_sq).T  # the two transposes put the grid axes innermost, in their order
+    rows = isometry(p).sum(axis=1).reshape((4, 3) + (1,) * (w.ndim - 1))
+    return (rows * w[[2, 0, 3]]).reshape((12,) + w.shape[1:]).T  # ab, x, 1 - x: Q, A0, A1
 
 
 def to_dict(p: MachineParams) -> dict:

@@ -1,16 +1,15 @@
 """Seeded outputs keep their bytes across commits: a committed table of their digests.
 
 ``golden.json`` holds the SHA-256 of every normative output of a fixed list
-of commands: the stdout of ``cases`` and of ``sweep --preset`` (each preset
-at 101 points, and at 11 points with ``--m1p 0.3``), and for ``optimize``
-(each objective, cold and warm-started from ``perfect`` and from ``case3``)
-its stdout without the "wrote" line, its machine JSON and its history CSV.
-``diagnose`` is left out: its last bits vary with the BLAS kernel, through
-the matrix product in ``machine.outputs``, which rounds a generic machine's
-output differently under different kernels.  The presets' outputs gave the
-same bytes under every kernel tried.  The table also records the numpy version,
-its SIMD levels and its BLAS library where it was written; a failure prints
-those of both hosts.
+of commands: the stdout of ``cases``, of ``diagnose --samples 100 --seed 0``
+and of ``sweep --preset`` (each preset at 101 points, and at 11 points with
+``--m1p 0.3``); the stdout of ``validate`` and ``sweep --machine`` of
+``generic_machine.json``, a saved ``helpers.random_machine(default_rng(3))``
+with generic rows (saved, because the QR draw depends on LAPACK); and for
+``optimize`` (each objective, cold and warm-started from ``perfect`` and from
+``case3``) its stdout without the "wrote" line, its machine JSON and its
+history CSV.  The table also records the numpy version, its SIMD levels and
+its BLAS library where it was written; a failure prints those of both hosts.
 
 A change that alters an output on purpose rewrites the table, and names each
 changed output and its cause.  Run from the repository root::
@@ -31,10 +30,14 @@ from qdelete import cli, optimizer
 from qdelete.presets import PRESET_NAMES
 
 TABLE = Path(__file__).with_name("golden.json")
+GENERIC = str(Path(__file__).with_name("generic_machine.json"))
 
 SEARCH = ["--restarts", "3", "--max-iters", "200", "--seed", "7"]
 COMMANDS = {
     "cases": ["cases"],
+    "diagnose": ["diagnose", "--samples", "100", "--seed", "0"],
+    "validate generic": ["validate", GENERIC],
+    "sweep generic": ["sweep", "--machine", GENERIC],
     **{f"sweep {name}": ["sweep", "--preset", name] for name in PRESET_NAMES},
     **{
         f"sweep {name} m1p=0.3": ["sweep", "--preset", name, "--points", "11", "--m1p", "0.3"]

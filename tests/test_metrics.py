@@ -10,7 +10,7 @@ from qdelete.machine import BlankState, Couplings
 from qdelete.presets import by_name
 from paper_values import exchange_only_averages, exchange_only_coefficients
 from reduced_states import mode1_state_closed, mode2_state_closed
-from helpers import einsum_traces, random_machine, with_couplings
+from helpers import einsum_traces, random_machine, reference_images, with_couplings
 
 CASE1 = Couplings(g=0j, h=0j, e=0j, f=0j)
 CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)
@@ -256,23 +256,26 @@ ORACLE_GRIDS = {
 
 @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
 def test_oracle_keeps_the_bytes_of_one_product_and_one_einsum_per_trace(grid):
-    # The reference is the oracle written as one row-major product and one `einsum`
-    # per trace.  Bytes make signed zeros count: a negative m1p puts 0 * m1p = -0.0
-    # into the sum of an exact zero at x = 1, which the transposed product
-    # `V @ inputs.T` returns as -0.0 under OpenBLAS's AVX-512 kernel.
+    # The reference is the oracle written as one product per amplitude, the sum of the
+    # basis images times the weight of the entry's ancilla j % 3, and one `einsum` per
+    # trace.  Bytes make signed zeros count, as a negative m1p's 0 * m1p = -0.0 does.
+    def one_product_per_amplitude(p, grid):
+        weights = machine.inputs(grid)[..., [1, 0, 3]]  # ab, x, 1 - x: |Q>, |A0>, |A1>
+        return sum(reference_images(p)) * weights[..., np.arange(qlinalg.JOINT_DIM) % 3]
+
     rng = np.random.default_rng(30)
     negative_m1p = machine.MachineParams(a0=1.0, b1=1.0, sigma=BlankState(-0.6))
     presets = [by_name(name) for name in ("case2", "case3", "case4", "perfect")]
     for p in [random_machine(rng) for _ in range(8)] + presets + [negative_m1p]:
         states = machine.outputs(p, grid)
-        reference = machine.inputs(grid) @ machine.isometry(p).T
+        reference = one_product_per_amplitude(p, grid)
         assert states.tobytes() == reference.tobytes()
         for trace, expected in zip(
             (qlinalg.partial_trace_mode1, qlinalg.partial_trace_mode2), einsum_traces(reference)
         ):
             assert trace(states).tobytes() == expected.tobytes()
         xs = np.atleast_1d(grid)
-        rho1, rho2 = einsum_traces(machine.inputs(xs) @ machine.isometry(p).T)
+        rho1, rho2 = einsum_traces(one_product_per_amplitude(p, xs))
         sig = p.sigma.ket()
         d = metrics.input_state(xs) - rho1
         expected = ((rho2 @ sig) @ sig.conj()).real, np.einsum("...ij,...ji->...", d, d).real
