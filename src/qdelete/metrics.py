@@ -33,8 +33,9 @@ F(x) = 1 - deficit * x(1-x).  Averages are uniform integrals over x in [0, 1].
 Over the whole Bloch sphere the coherence term averages out: Dbar = quartic/30 + 1/3.
 
 Each closed form is written once, as a function of plain scalars (the
-couplings g, h, e, f and m1p), which the search calls at every evaluation.
-Two historical conventions of the closed-form averages are kept:
+couplings g, h, e, f and m1p); `closed_curves` and the `cases` and
+`diagnose` commands call them.  Two historical conventions of the
+closed-form averages are kept:
 
 * the cross constant of `avg_distortion`: the default, 3*pi/64, is the exact
   Beta-integral value; `LEGACY_CROSS_CONSTANT`, 0.589, is the one
@@ -46,6 +47,23 @@ Two historical conventions of the closed-form averages are kept:
   simulation agrees with `fidelity_deficit`, which `closed_curves` uses.
   The two coincide whenever the weights are equal or m1p^2 = 1/2, and both
   are exactly 2 for zero couplings.
+
+On the coupling sphere |u|^2 = 2, which every valid machine lies on, both
+averages are certified optima minus a sum of non-negative squares.  With
+s = sqrt(1 - m1p^2) and coherence = e conj(h) + g conj(f):
+
+    1 - Fbar   = (|m1p g - s e|^2 + |s h - m1p f|^2) / 6,
+    Dbar - D*  = [(|e|^2 + |g|^2 - 1)^2 + (|h|^2 + |f|^2 - 1)^2 + 2 Im(coherence)^2] / 30
+                 + (|e - h|^2 + |g - f|^2) (3 pi/64 - (1 + Re(coherence)) / 30),
+
+with D* = 2/5 - 3 pi/32 (`MIN_AVG_DISTORTION`).  Re(coherence) <= 1 on the
+sphere, so the last factor is at least 3 pi/64 - 1/15 > 0.  `fidelity_gap`
+and `distortion_gap` compute them in plain float arithmetic on the 8 real
+coordinates of the couplings; the search scores them at every evaluation.
+Every term is a rounded square or a product of non-negative floats, so
+neither gap is ever negative, and near the optimum, where the closed forms
+above cancel to a few ulps of either sign, the gaps are the square of that
+error.
 """
 
 from __future__ import annotations
@@ -64,6 +82,11 @@ LEGACY_CROSS_CONSTANT = 0.589
 
 #: Exact cross-term constant: 2 * integral_0^1 (x(1-x))^(3/2) dx = 3*pi/64.
 ANALYTIC_CROSS_CONSTANT = 3.0 * math.pi / 64.0
+
+#: The certified minimum D* = 2/5 - 3*pi/32 of the average distortion on the
+#: coupling sphere.  The float lies 3.4e-17 above the exact value, so a score
+#: of -(D* + gap) never passes the exact optimum.
+MIN_AVG_DISTORTION = 2.0 / 5.0 - 3.0 * math.pi / 32.0
 
 #: Gauss-Legendre orders for the averaging quadrature; the two levels must
 #: agree within QUAD_AGREEMENT_TOL or the integral is reported as
@@ -155,6 +178,34 @@ def avg_fidelity(deficit: float) -> float:
             stacklevel=2,
         )
     return 1.0 - deficit / 6.0
+
+
+def fidelity_gap(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im, m1p: float) -> float:
+    """1 - Fbar of couplings on the sphere |u|^2 = 2: (|m1p g - s e|^2 + |s h - m1p f|^2) / 6.
+
+    Takes the real and imaginary parts of g, h, e, f and m1p; s = sqrt(1 - m1p^2).
+    """
+    s = math.sqrt(1.0 - m1p * m1p)
+    a_re, a_im = m1p * g_re - s * e_re, m1p * g_im - s * e_im
+    b_re, b_im = s * h_re - m1p * f_re, s * h_im - m1p * f_im
+    return (a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im) / 6.0
+
+
+def distortion_gap(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im) -> float:
+    """Dbar - D* of couplings on the sphere |u|^2 = 2, as the module docstring's sum of squares.
+
+    Takes the real and imaginary parts of g, h, e, f.
+    """
+    row0 = e_re * e_re + e_im * e_im + g_re * g_re + g_im * g_im - 1.0
+    row1 = h_re * h_re + h_im * h_im + f_re * f_re + f_im * f_im - 1.0
+    coh_re = e_re * h_re + e_im * h_im + g_re * f_re + g_im * f_im
+    coh_im = e_im * h_re - e_re * h_im + g_im * f_re - g_re * f_im
+    eh_re, eh_im, gf_re, gf_im = e_re - h_re, e_im - h_im, g_re - f_re, g_im - f_im
+    mismatch = eh_re * eh_re + eh_im * eh_im + gf_re * gf_re + gf_im * gf_im
+    return (
+        (row0 * row0 + row1 * row1 + 2.0 * coh_im * coh_im) / 30.0
+        + mismatch * (ANALYTIC_CROSS_CONSTANT - (1.0 + coh_re) / 30.0)
+    )
 
 
 def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:

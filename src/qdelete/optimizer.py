@@ -10,11 +10,15 @@ machine whose rows are orthonormal by construction.
 
 Objectives are maximized: average fidelity, negated average distortion, or a
 weighted combination.  `scorer` builds the one scoring function of a solve
-from the plain-scalar closed forms of the metrics module; it resolves the
-weights once and skips a term of weight zero.  An evaluation builds no
-`Couplings` and no `BlankState` and records one float, the best objective so
-far; a restart's `HistoryEntry` records are built after its search.  The
-simulation-quadrature oracle checks the returned machine's averages once.
+from the metrics module's certified gaps, `fidelity_gap` and
+`distortion_gap`, which it takes in plain floats; it resolves the weights
+once and skips a term of weight zero.  Both gaps are sums of squares, so no
+score passes the certified optimum wf - wd * D*.  `_sphere_point` holds the
+decode rule, and both `decode` and the search's objective call it.  An
+evaluation builds no complex number, no `Couplings` and no `BlankState` and
+records one float, the best objective so far; a restart's `HistoryEntry`
+records are built after its search.  The simulation-quadrature oracle checks
+the returned machine's averages once.
 
 The simplex is `minimize`: scipy's adaptive Nelder-Mead on plain float lists,
 with tied vertices in index order on every CPU, and no command imports scipy.
@@ -205,10 +209,14 @@ def minimize(
     return sim[0], nit
 
 
-def _sphere_point(raw: list[float]) -> tuple[list[complex], float]:
-    """Couplings u scaled to |u|^2 = 2 and m1p = cos(theta) of a raw point of 9 floats.
+def _sphere_point(raw: list[float]) -> tuple[float, ...]:
+    """The decode rule: a raw point of 9 floats as its couplings' 8 real coordinates and m1p.
 
-    Plain Python, since it runs at every search evaluation.
+    The coordinates are (re, im) of u = (g, h, e, f) scaled to |u|^2 = 2, each
+    one product by sqrt(2)/|u|, and m1p = cos(theta).  Raises
+    :class:`DecodeError` unless the point is 9 real numbers, all finite, whose
+    |u| (``math.hypot``) does not overflow and is at least 1e-12.  Plain
+    Python, since it runs at every search evaluation.
     """
     try:
         g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im, theta = raw
@@ -220,19 +228,21 @@ def _sphere_point(raw: list[float]) -> tuple[list[complex], float]:
     if norm < _DEGENERACY_TOL:
         raise DecodeError("coupling vector is numerically zero")
     k = math.sqrt(2.0) / norm
-    u = [complex(g_re, g_im) * k, complex(h_re, h_im) * k, complex(e_re, e_im) * k,
-         complex(f_re, f_im) * k]
-    return u, math.cos(theta)
+    return (g_re * k, g_im * k, h_re * k, h_im * k, e_re * k, e_im * k, f_re * k, f_im * k,
+            math.cos(theta))
 
 
 def decode(raw) -> MachineParams:
     """Decode a raw 9-vector into a valid machine with its couplings and m1p.
 
     The rows are u/2 -+ w with w = conj(-h, g, -f, e)/2, which is orthogonal
-    to u with |w|^2 = 1/2, so they are orthonormal for every u.  Each entry
-    rounds every product once, as numpy's complex128 loops do without FMA, so
-    its bits are the same on every host.  Raises :class:`DecodeError` for a
-    wrong shape, non-finite entries, |u| < 1e-12 or a |u| that overflows.
+    to u with |w|^2 = 1/2, so they are orthonormal for every u.  Each coupling
+    is the complex (x - y*0, x*0 + y) of its scaled coordinates x, y: the
+    complex128 product of the raw pair and sqrt(2)/|u|, signed zeros
+    included.  Each entry rounds every product once, as numpy's complex128
+    loops do without FMA, so its bits are the same on every host.  Raises
+    :class:`DecodeError` where `_sphere_point` does, and for a point that
+    is ragged, complex or an int beyond float.
     """
     try:
         if np.iscomplexobj(raw):  # a cast to float would drop the imaginary parts
@@ -240,7 +250,9 @@ def decode(raw) -> MachineParams:
         raw = np.asarray(raw, dtype=float).tolist()
     except (TypeError, ValueError, OverflowError):  # ragged, not real, or an int beyond float
         raise DecodeError(f"raw point must be {RAW_DIM} real numbers") from None
-    (g, h, e, f), m1p = _sphere_point(raw)
+    *coordinates, m1p = _sphere_point(raw)
+    pairs = zip(coordinates[0::2], coordinates[1::2])
+    g, h, e, f = (complex(x - y * 0.0, x * 0.0 + y) for x, y in pairs)
     half = (g / 2, h / 2, e / 2, f / 2)
     w = (h.conjugate() * -0.5, g.conjugate() * 0.5, f.conjugate() * -0.5, e.conjugate() * 0.5)
     return MachineParams(*map(sub, half, w), *map(add, half, w), BlankState(m1p))
@@ -260,28 +272,29 @@ def sample_raw(rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(RAW_DIM)
 
 
-def scorer(cfg: OptConfig) -> Callable[[list[complex], float], float]:
+def scorer(cfg: OptConfig) -> Callable[..., float]:
     """The objective wf * Fbar - wd * Dbar of a point of the coupling sphere; larger is better.
 
-    The returned function takes the couplings u = (g, h, e, f) and m1p as
-    plain scalars, as `_sphere_point` gives them, and builds no record.
-    Fbar = 1 - k/6 with k = `metrics.fidelity_deficit`, which the simulation
-    oracle realizes; Dbar is `metrics.avg_distortion` at its default, exact
-    cross constant.  The weights are resolved here, once, and a term of
-    weight zero is not computed.  The value is still bit for bit the full
-    formula's, because on the sphere Fbar >= 1/3 and Dbar > 0 make w * Xbar
-    equal to w, a signed zero, when w is zero: wf * Fbar - (+-0) is
-    wf * Fbar, and (+-0) * Fbar - wd * Dbar is wf - wd * Dbar.
+    The returned function takes the point's 8 real coordinates and m1p as
+    plain floats, as `_sphere_point` gives them, and builds no record.  It
+    scores wf * (1 - fidelity_gap) - wd * (D* + distortion_gap), the
+    certified gaps of `metrics` with D* = `metrics.MIN_AVG_DISTORTION`.  Both
+    gaps are never negative, so the score never passes wf - wd * D*, and it
+    equals it on the optimal family.  The weights are resolved here, once,
+    and a term of weight zero is not computed.  The value is still bit for
+    bit the full formula's, because on the sphere Fbar >= 1/3 and Dbar > 0
+    make w * Xbar equal to w, a signed zero, when w is zero: wf * Fbar - (+-0)
+    is wf * Fbar, and (+-0) * Fbar - wd * Dbar is wf - wd * Dbar.
     """
     wf, wd = _WEIGHTS.get(cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion))
-    deficit, coefficients = metrics.fidelity_deficit, metrics.distortion_coefficients
-    avg_distortion = metrics.avg_distortion
+    fidelity_gap, distortion_gap = metrics.fidelity_gap, metrics.distortion_gap
+    d_star = metrics.MIN_AVG_DISTORTION
     if wd == 0:
-        return lambda u, m1p: wf * (1.0 - deficit(*u, m1p) / 6.0)
+        return lambda *point: wf * (1.0 - fidelity_gap(*point))
     if wf == 0:
-        return lambda u, m1p: wf - wd * avg_distortion(*coefficients(*u))
-    return lambda u, m1p: (
-        wf * (1.0 - deficit(*u, m1p) / 6.0) - wd * avg_distortion(*coefficients(*u))
+        return lambda *point: wf - wd * (d_star + distortion_gap(*point[:8]))
+    return lambda *point: (
+        wf * (1.0 - fidelity_gap(*point)) - wd * (d_star + distortion_gap(*point[:8]))
     )
 
 
@@ -303,11 +316,11 @@ def optimize(cfg: OptConfig, warm_start: MachineParams | None = None) -> OptResu
     def negated_objective(raw):
         nonlocal best_value, best_raw
         try:
-            u, m1p = _sphere_point(raw)
+            point = _sphere_point(raw)
         except DecodeError:
             bests.append(best_value)
             return _DEGENERATE_PENALTY
-        value = value_of(u, m1p)
+        value = value_of(*point)
         if value > best_value:
             best_value = value
             best_raw = raw  # minimize never changes a point it has passed

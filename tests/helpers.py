@@ -45,6 +45,11 @@ def random_machine(rng: np.random.Generator) -> MachineParams:
     return from_rows(q[:, 0], q[:, 1], BlankState(math.cos(rng.standard_normal())))
 
 
+def coordinates(c: Couplings) -> list[float]:
+    """The (re, im) pairs of the couplings (g, h, e, f): the scorer's 8 floats before m1p."""
+    return np.array(c, dtype=complex).view(float).tolist()
+
+
 def raw_of(u, m1p: float) -> np.ndarray:
     """Raw search point of the couplings u = (g, h, e, f) and m1p."""
     return np.append(np.asarray(u, dtype=complex).view(float), math.acos(m1p))

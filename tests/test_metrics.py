@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from qdelete import machine, metrics, qlinalg
 from qdelete.machine import BlankState, Couplings
 from qdelete.presets import by_name
-from paper_values import exchange_only_averages, exchange_only_coefficients
+from paper_values import (
+    PERFECT_AVG_DISTORTION, exchange_only_averages, exchange_only_coefficients,
+)
 from reduced_states import mode1_state_closed, mode2_state_closed
 from helpers import einsum_traces, random_machine, reference_images, with_couplings
 
@@ -126,6 +129,13 @@ def test_avg_distortion_under_both_cross_constants(c, legacy, analytic):
     dc = metrics.distortion_coefficients(*c)
     assert abs(metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) - legacy) <= 1e-12
     assert abs(metrics.avg_distortion(*dc) - analytic) <= 1e-12
+
+
+def test_min_avg_distortion_rounds_above_the_exact_optimum():
+    # pi truncated after 30 digits is below pi, so this bound is above D* = 2/5 - 3pi/32
+    above = Fraction(2, 5) - 3 * Fraction("3.141592653589793238462643383279") / 32
+    assert 0 <= Fraction(metrics.MIN_AVG_DISTORTION) - above <= Fraction(4, 10**17)
+    assert abs(metrics.MIN_AVG_DISTORTION - PERFECT_AVG_DISTORTION) <= 1e-16
 
 
 def test_closed_route_averages_match_adaptive_integration():

@@ -16,7 +16,7 @@ from qdelete import machine, metrics, optimizer
 from qdelete.machine import BlankState, couplings
 from qdelete.presets import by_name
 from paper_values import PERFECT_AVG_DISTORTION
-from helpers import count_calls, from_rows, random_machine, raw_of, rows
+from helpers import coordinates, count_calls, from_rows, random_machine, raw_of, rows
 
 SMALL = dict(restarts=2, max_iters=80, seed=5)
 
@@ -27,7 +27,7 @@ def case3_raw():
 
 def scored(cfg, c, sigma):
     """The search objective of couplings c and blank state sigma."""
-    return optimizer.scorer(cfg)([c.g, c.h, c.e, c.f], sigma.m1p)
+    return optimizer.scorer(cfg)(*coordinates(c), sigma.m1p)
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +93,17 @@ def test_decode_accepts_a_plain_list():
     st.floats(min_value=-8.0, max_value=8.0),
 )
 def test_sphere_point_is_exactly_the_numpy_scaling(seed, exponent):
-    # The search scores Python complexes; they must be bit for bit the
-    # complex128 view of the raw couplings times sqrt(2)/|u|.  decode's rows
-    # are built from them, and must be bit for bit the numpy rows of that u.
+    # The search scores plain floats; they must be bit for bit the raw
+    # couplings times sqrt(2)/|u|, which are the parts of the complex128
+    # product u * sqrt(2)/|u|.  decode's rows must be bit for bit the numpy
+    # rows of that product.
     raw = optimizer.sample_raw(np.random.default_rng(seed)) * 10.0 ** exponent
-    u, m1p = optimizer._sphere_point(raw)
-    reference = raw[0:8].view(complex) * (math.sqrt(2.0) / math.hypot(*raw[0:8]))
-    assert all(type(z) is complex for z in u) and type(m1p) is float
-    assert u == reference.tolist()
+    *coordinates, m1p = optimizer._sphere_point(raw.tolist())  # a list, as the search passes
+    k = math.sqrt(2.0) / math.hypot(*raw[0:8])
+    reference = raw[0:8].view(complex) * k
+    assert all(type(x) is float for x in coordinates) and type(m1p) is float
+    assert np.array(coordinates).tobytes() == (raw[0:8] * k).tobytes()
+    assert coordinates == reference.view(float).tolist()
     assert m1p == math.cos(raw[8])
     assert decoded_bytes(raw) == numpy_rows(reference).tobytes()
 
@@ -125,8 +128,8 @@ def test_decode_rows_keep_the_numpy_signed_zeros():
     draws = (np.append(rng.choice(values, 8), rng.standard_normal()) for _ in range(500))
     points += [raw for raw in draws if np.abs(raw[:8]).max() >= 0.5]  # the rest fail to decode
     for raw in points:
-        u, _ = optimizer._sphere_point(raw)
-        assert decoded_bytes(raw) == numpy_rows(np.array(u)).tobytes(), raw
+        u = np.array(raw[:8]).view(complex) * (math.sqrt(2.0) / math.hypot(*raw[:8]))
+        assert decoded_bytes(raw) == numpy_rows(u).tobytes(), raw
     # Here u has e and f with real part -5e-324, and halving it rounds to -0.0.
     # Each product rounded on its own, conj(e) * 0.5 has real part
     # -0.0 - (-0.78 * 0.0) = +0.0, and d0 = f/2 - conj(e) * 0.5 has real part
@@ -281,14 +284,18 @@ def test_search_loop_builds_no_couplings_or_blank_state_per_evaluation(monkeypat
     ],
 )
 def test_the_search_computes_only_the_terms_it_weighs(monkeypatch, settings, deficits, distortions):
-    names = ("fidelity_deficit", "distortion_coefficients", "avg_distortion")
+    # each evaluation scores the certified gaps, never the closed forms
+    names = ("fidelity_gap", "distortion_gap",
+             "fidelity_deficit", "distortion_coefficients", "avg_distortion")
     calls = count_calls(monkeypatch, *((metrics, name) for name in names))
     result = optimizer.optimize(optimizer.OptConfig(restarts=1, max_iters=40, seed=5, **settings))
     n = len(result.history)
     assert calls == Counter(
-        fidelity_deficit=deficits * n,
-        distortion_coefficients=distortions * n,
-        avg_distortion=distortions * n,
+        fidelity_gap=deficits * n,
+        distortion_gap=distortions * n,
+        fidelity_deficit=0,
+        distortion_coefficients=0,
+        avg_distortion=0,
     )
 
 
@@ -329,10 +336,10 @@ def search_objective(cfg):
 
     def fun(raw):
         try:
-            u, m1p = optimizer._sphere_point(raw)
+            point = optimizer._sphere_point(raw)
         except optimizer.DecodeError:
             return optimizer._DEGENERATE_PENALTY
-        return -value_of(u, m1p)
+        return -value_of(*point)
 
     return fun
 
@@ -433,6 +440,8 @@ EDGE_CASES = {
     "f-spread-equals-the-tolerance": (lambda x: 0.00025 * (x[2] > 0.0), [0.0] * 9, 0.00025, True),
     # only the worst vertex lies beyond tol in f: go on
     "worst-beyond-the-tolerance": (lambda x: float(x[2] > 0.0), [0.0] * 9, 0.00025, False),
+    # all values tie, and only the second vertex, x0[0] * 1.05, lies beyond tol in x: go on
+    "second-vertex-beyond-the-tolerance": (lambda x: 0.0, [1.0] + [0.0] * 8, 0.00025, False),
 }
 
 
@@ -610,12 +619,12 @@ def test_optimize_reaches_the_certified_optimum_and_never_beats_it(objective):
     cfg = optimizer.OptConfig(objective=objective, restarts=2, max_iters=400, seed=5)
     result = optimizer.optimize(cfg)
     if objective == "max-fidelity":
-        gaps = (1.0 - result.best_objective, 1.0 - result.avg_fidelity)
+        best_gap = 1.0 - result.best_objective
+        oracle_gap = 1.0 - result.avg_fidelity
     else:
-        gaps = (
-            -result.best_objective - PERFECT_AVG_DISTORTION,
-            result.avg_distortion - PERFECT_AVG_DISTORTION,
-        )
-    for gap in gaps:
-        assert -1e-12 <= gap <= 1e-8
+        best_gap = -result.best_objective - metrics.MIN_AVG_DISTORTION
+        oracle_gap = result.avg_distortion - PERFECT_AVG_DISTORTION
+    # the search scores the certified gaps, which are never negative
+    assert 0.0 <= best_gap <= 1e-8
+    assert -1e-12 <= oracle_gap <= 1e-8
 

@@ -14,7 +14,9 @@ import math
 import struct
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -23,9 +25,10 @@ from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, optimizer, qlinalg
 from qdelete.machine import BlankState, Couplings
+from qdelete.presets import by_name
 from paper_values import PERFECT_AVG_DISTORTION
 from reduced_states import mode1_state_closed, mode2_state_closed
-from helpers import from_rows, random_machine, raw_of, reference_images, with_couplings
+from helpers import coordinates, from_rows, random_machine, raw_of, reference_images, with_couplings
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -147,7 +150,7 @@ def np_conj_fidelity_deficit(c: Couplings, sigma: BlankState, mode: str) -> floa
 
 
 #: The scalar types couplings reach the closed forms as: Python complex from
-#: the search, numpy complex128 from arrays, and real values from real rows.
+#: decoded machines, numpy complex128 from arrays, and real values from real rows.
 SCALAR_KINDS = {
     "complex": lambda v: v.tolist(),
     "complex128": list,
@@ -190,26 +193,153 @@ def ieee(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+def weight_pair(cfg: optimizer.OptConfig) -> tuple[float, float]:
+    """(wf, wd) of a config, as the scorer resolves them."""
+    return {"max-fidelity": (1.0, 0.0), "min-distortion": (0.0, 1.0)}.get(
+        cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion)
+    )
+
+
+def reference_gaps(point) -> tuple[float, float]:
+    """1 - Fbar and Dbar - D* of a sphere point on numpy float64 scalars: the exactness reference.
+
+    Item by item the sums of squares of `metrics.fidelity_gap` and
+    `metrics.distortion_gap`, added in the same order.
+    """
+    gr, gi, hr, hi, er, ei, fr, fi, m = (np.float64(x) for x in point)
+    s = np.sqrt(1.0 - m * m)
+    fidelity = (np.square(m * gr - s * er) + np.square(m * gi - s * ei)
+                + np.square(s * hr - m * fr) + np.square(s * hi - m * fi)) / 6.0
+    row0 = np.square(er) + np.square(ei) + np.square(gr) + np.square(gi) - 1.0
+    row1 = np.square(hr) + np.square(hi) + np.square(fr) + np.square(fi) - 1.0
+    coherence_re = er * hr + ei * hi + gr * fr + gi * fi
+    coherence_im = ei * hr - er * hi + gi * fr - gr * fi
+    mismatch = np.square(er - hr) + np.square(ei - hi) + np.square(gr - fr) + np.square(gi - fi)
+    distortion = ((np.square(row0) + np.square(row1) + 2.0 * coherence_im * coherence_im) / 30.0
+                  + mismatch * (3.0 * np.pi / 64.0 - (1.0 + coherence_re) / 30.0))
+    return float(fidelity), float(distortion)
+
+
+#: D* = 2/5 - 3pi/32 on numpy float64 scalars.
+REFERENCE_MIN_AVG_DISTORTION = float(np.float64(2.0) / 5.0 - 3.0 * np.pi / 32.0)
+
+
 @settings(PROPERTY, max_examples=200)
 @given(seeds, st.floats(min_value=-8.0, max_value=8.0))
 def test_scorer_is_bit_for_bit_the_reference_formulas(seed, exponent):
-    # The search's closed forms and its skipped zero-weight term change no bit
-    # of wf * (1 - k/6) - wd * Dbar computed by the reference formulas.
+    # The search's certified gaps and its skipped zero-weight term change no
+    # bit of wf * (1 - fidelity gap) - wd * (D* + distortion gap) computed by
+    # the reference formulas.
     raw = optimizer.sample_raw(np.random.default_rng(seed)) * 10.0 ** exponent
-    u, m1p = optimizer._sphere_point(raw)
-    c, sigma = Couplings(*u), BlankState(m1p)
-    fbar = 1.0 - np_conj_fidelity_deficit(c, sigma, "consistent") / 6.0
-    dbar = reference_avg_distortion(c)
+    point = optimizer._sphere_point(raw.tolist())
+    fidelity_gap, distortion_gap = reference_gaps(point)
+    fbar, dbar = 1.0 - fidelity_gap, REFERENCE_MIN_AVG_DISTORTION + distortion_gap
     # the premises of the skip: w * Xbar is w itself when w is a zero
     assert 1.0 / 3.0 <= fbar <= 1.0 and dbar > 0.0
     for cfg in EXACT_CONFIGS:
-        wf, wd = {"max-fidelity": (1.0, 0.0), "min-distortion": (0.0, 1.0)}.get(
-            cfg.objective, (cfg.weight_fidelity, cfg.weight_distortion)
-        )
-        assert ieee(optimizer.scorer(cfg)(u, m1p)) == ieee(wf * fbar - wd * dbar), cfg
+        wf, wd = weight_pair(cfg)
+        assert ieee(optimizer.scorer(cfg)(*point)) == ieee(wf * fbar - wd * dbar), cfg
+    # the closed forms the reports use, on the same couplings
+    c, sigma = Couplings(*map(complex, point[0:8:2], point[1:8:2])), BlankState(point[8])
     for mode, deficit in DEFICITS.items():
-        assert ieee(deficit(*c, m1p)) == ieee(np_conj_fidelity_deficit(c, sigma, mode))
-    assert ieee(metrics.avg_distortion(*metrics.distortion_coefficients(*c))) == ieee(dbar)
+        assert ieee(deficit(*c, sigma.m1p)) == ieee(np_conj_fidelity_deficit(c, sigma, mode))
+    assert ieee(metrics.avg_distortion(*metrics.distortion_coefficients(*c))) == ieee(
+        reference_avg_distortion(c)
+    )
+
+
+# ---------------------------------------------------------------------------
+# certified gaps: the search's score never passes the optimum wf - wd * D*
+
+#: Raw points: standard normal draws at scales 1e-6 to 1e6, and any 9 finite floats.
+raw_points = st.one_of(
+    st.builds(
+        lambda seed, exponent: (optimizer.sample_raw(np.random.default_rng(seed))
+                                * 10.0 ** exponent).tolist(),
+        seeds, st.floats(min_value=-6.0, max_value=6.0),
+    ),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9, max_size=9),
+)
+
+
+def sphere_point(raw):
+    """The search's point of a raw point; hypothesis discards one that fails to decode."""
+    try:
+        return optimizer._sphere_point(raw)
+    except optimizer.DecodeError:
+        assume(False)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(raw_points)
+def test_certified_gaps_are_never_negative_and_no_score_passes_the_optimum(raw):
+    point = sphere_point(raw)
+    assert metrics.fidelity_gap(*point) >= 0.0
+    assert metrics.distortion_gap(*point[:8]) >= 0.0
+    for cfg in EXACT_CONFIGS:
+        wf, wd = weight_pair(cfg)
+        assert optimizer.scorer(cfg)(*point) <= wf - wd * metrics.MIN_AVG_DISTORTION, cfg
+
+
+@settings(PROPERTY, max_examples=200)
+@given(overlaps)
+@example(-1.0)
+@example(0.0)
+@example(1.0)
+def test_the_score_is_exactly_the_optimum_on_the_certified_family(m1p):
+    # (g, h, e, f) = (s, m, m, s) attains Fbar = 1 and Dbar = D*; the gaps
+    # are squares of rounding errors there, which vanish against 1 and D*
+    s = math.sqrt(1.0 - m1p * m1p)
+    points = [sphere_point(raw_of([s, m1p, m1p, s], m1p).tolist()),
+              sphere_point(optimizer.encode(by_name("perfect")).tolist())]
+    for cfg in EXACT_CONFIGS:
+        wf, wd = weight_pair(cfg)
+        optimum = wf - wd * metrics.MIN_AVG_DISTORTION
+        for point in points:
+            assert ieee(optimizer.scorer(cfg)(*point)) == ieee(optimum), (cfg, point)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(seeds, st.floats(min_value=-6.0, max_value=6.0))
+def test_certified_gaps_agree_with_the_closed_forms(seed, exponent):
+    raw = optimizer.sample_raw(np.random.default_rng(seed)) * 10.0 ** exponent
+    point = sphere_point(raw.tolist())
+    u = list(map(complex, point[0:8:2], point[1:8:2]))
+    deficit = metrics.fidelity_deficit(*u, point[8])
+    assert abs(metrics.fidelity_gap(*point) - deficit / 6.0) <= 1e-15
+    dbar = metrics.avg_distortion(*metrics.distortion_coefficients(*u))
+    assert abs(metrics.distortion_gap(*point[:8]) - (dbar - metrics.MIN_AVG_DISTORTION)) <= 1e-15
+
+
+@cache
+def minimized_objective():
+    """The function `optimize` hands `minimize`, taken from a one-evaluation solve."""
+    taken = []
+
+    def take(fun, x0, **kwargs):
+        taken.append(fun)
+        fun(x0)  # optimize decodes the best point it scored
+        return x0, 1
+
+    with mock.patch.object(optimizer, "minimize", take):
+        optimizer.optimize(optimizer.OptConfig(objective="weighted", restarts=1))
+    return taken[0]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.lists(st.floats(), min_size=9, max_size=9))
+@example([1e-12] + [0.0] * 8)
+@example([math.nextafter(1e-12, 0.0)] + [0.0] * 8)
+@example([1e308] * 9)
+@example([5e-324] * 8 + [0.0])
+@example([1.0] * 8 + [math.inf])
+def test_the_search_penalizes_exactly_the_points_decode_rejects(raw):
+    try:
+        optimizer.decode(raw)
+        rejected = False
+    except optimizer.DecodeError:
+        rejected = True
+    assert (minimized_objective()(raw) == optimizer._DEGENERATE_PENALTY) == rejected
 
 
 @PROPERTY
@@ -255,7 +385,7 @@ def test_scorer_matches_the_oracle_quadrature(seed, m1p, wf, wd):
         ("weighted", wf * fbar - wd * dbar, wf * 1e-10 + wd * 1e-8),
     ):
         cfg = optimizer.OptConfig(objective=objective, weight_fidelity=wf, weight_distortion=wd)
-        assert abs(optimizer.scorer(cfg)([c.g, c.h, c.e, c.f], p.sigma.m1p) - expected) <= tol
+        assert abs(optimizer.scorer(cfg)(*coordinates(c), p.sigma.m1p) - expected) <= tol
 
 
 @PROPERTY
