@@ -12,29 +12,4 @@ behind.  Subpackage layout:
 * `cli`       - the `qdelete` command
 """
 
-from .machine import (
-    BlankState,
-    Couplings,
-    MachineParams,
-    ValidationReport,
-    couplings,
-    isometry,
-    outputs,
-    validate,
-)
-from .presets import by_name as preset_by_name
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlankState",
-    "Couplings",
-    "MachineParams",
-    "ValidationReport",
-    "couplings",
-    "isometry",
-    "outputs",
-    "preset_by_name",
-    "validate",
-    "__version__",
-]

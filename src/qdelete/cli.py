@@ -20,6 +20,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 
+#: Above this many points, the byte size of a float64 grid overflows numpy's index type.
+_MAX_POINTS = np.iinfo(np.intp).max // 8
+
 #: `optimize` has one option per field, each named by `dest`, and takes the field's default.
 _OPT_FIELDS = dataclasses.fields(optimizer.OptConfig)
 
@@ -55,8 +58,8 @@ def cmd_sweep(args) -> int:
     simulate, so its curves come from the closed forms on its couplings
     (formula mode); a machine file that fails it exits 1.
     """
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
+    if not 2 <= args.points <= _MAX_POINTS:
+        raise ValueError(f"--points must be >= 2 and <= {_MAX_POINTS}, got {args.points}")
     p = machine.load(args.machine) if args.machine is not None else presets.by_name(args.preset)
     if args.m1p is not None:
         p = dataclasses.replace(p, sigma=machine.BlankState(args.m1p))
@@ -327,6 +330,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (OSError, ValueError) as exc:  # unreadable files and bad values, named by the message
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large to allocate, such as sweep's --points
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_USAGE
 
 

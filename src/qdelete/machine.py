@@ -189,27 +189,20 @@ def check_alpha_sq(alpha_sq) -> np.ndarray:
     return x
 
 
-def inputs(alpha_sq) -> np.ndarray:
-    """Amplitudes (x, ab, ab, 1 - x), ab = sqrt(x(1-x)), of the two-copy input
-    (alpha|0> + beta|1>)^{(x)2} on |00>, |01>, |10>, |11>; shape (..., 4)."""
-    x = check_alpha_sq(alpha_sq)
-    ab = np.sqrt(x * (1.0 - x))
-    return np.stack((x, ab, ab, 1.0 - x), axis=-1)
-
-
 def outputs(p: MachineParams, alpha_sq) -> np.ndarray:
-    """Output states ``inputs(alpha_sq) @ V.T``, shape (..., 12): the simulation kernel.
+    """The simulation kernel: output states (..., 12) of the inputs (alpha|0> + beta|1>)^{(x)2}.
 
-    Each output amplitude is fed by the one input amplitude its ancilla picks:
-    |Q> by ab (columns 1 and 2 of V), |A0> by x and |A1> by 1 - x.  So each is
-    one row sum of V times one weight: one IEEE product and no BLAS call,
-    which gives the same bits on every host.  The grid axes are innermost in
-    memory, where the partial traces of `qlinalg` run 3-6x faster at 1001
-    points.  For a valid machine every output state has unit norm within 1e-12.
+    With x = alpha^2, each output amplitude is fed by the one input weight its ancilla
+    picks: |Q> by ab = sqrt(x(1-x)) (columns 1 and 2 of V), |A0> by x and |A1> by 1 - x.
+    So each is one row sum of V times one weight: one IEEE product and no BLAS call,
+    which gives the same bits on every host.  The grid axes are innermost in memory,
+    where the partial traces of `qlinalg` run 3-6x faster at 1001 points.  For a valid
+    machine every output state has unit norm within 1e-12.
     """
-    w = inputs(alpha_sq).T  # the two transposes put the grid axes innermost, in their order
-    rows = isometry(p).sum(axis=1).reshape((4, 3) + (1,) * (w.ndim - 1))
-    return (rows * w[[2, 0, 3]]).reshape((12,) + w.shape[1:]).T  # ab, x, 1 - x: Q, A0, A1
+    x = check_alpha_sq(alpha_sq).T  # the two transposes keep the grid axes innermost, in order
+    w = np.stack((np.sqrt(x * (1.0 - x)), x, 1.0 - x))  # weights of |Q>, |A0>, |A1>
+    rows = isometry(p).sum(axis=1).reshape((4, 3) + (1,) * x.ndim)
+    return (rows * w).reshape((12,) + x.shape).T
 
 
 def to_dict(p: MachineParams) -> dict:

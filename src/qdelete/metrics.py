@@ -75,7 +75,7 @@ import numpy as np
 
 from . import qlinalg
 from .machine import MachineParams, require_valid
-from .machine import check_alpha_sq, couplings, inputs, outputs
+from .machine import check_alpha_sq, couplings, outputs
 
 #: Cross-term constant historically used for the average distortion.
 LEGACY_CROSS_CONSTANT = 0.589
@@ -122,9 +122,11 @@ _QX_BOTH = np.concatenate((_QX, _QX_FINE))
 def input_state(alpha_sq) -> np.ndarray:
     """Density matrix of the pure input alpha|0> + beta|1>, x = alpha^2.
 
-    Its entries are the two-copy amplitudes `inputs`; a grid gives a stack.
+    Its entries are x, ab, ab and 1 - x with ab = sqrt(x(1-x)); a grid gives a stack.
     """
-    return inputs(alpha_sq).reshape(np.shape(alpha_sq) + (2, 2)).astype(complex)
+    x = check_alpha_sq(alpha_sq)
+    ab = np.sqrt(x * (1.0 - x))
+    return np.stack((x, ab, ab, 1.0 - x), axis=-1).reshape(x.shape + (2, 2)).astype(complex)
 
 
 def distortion_coefficients(g, h, e, f) -> tuple[float, float]:

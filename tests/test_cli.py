@@ -464,6 +464,13 @@ BAD_INPUT = (
         ("sweep-points-neg", ["sweep", "--preset", "case3", "--points", "-3"], FEW_POINTS),
         ("sweep-points-nan", ["sweep", "--preset", "case3", "--points", "nan"],
          "argument --points: invalid int value: 'nan'"),
+        # each count fails at once: above numpy's size limit, at it, and far below it (7 PiB)
+        ("sweep-points-int64-max", ["sweep", "--preset", "case3", "--points", str(2**63 - 1)],
+         f"--points must be >= 2 and <= {2**60 - 1}, got {2**63 - 1}"),
+        ("sweep-points-size-limit", ["sweep", "--preset", "case3", "--points", str(2**60 - 1)],
+         "array is too big"),
+        ("sweep-points-1e15", ["sweep", "--preset", "case3", "--points", str(10**15)],
+         "out of memory: Unable to allocate 7.11 PiB"),
         ("sweep-unknown-preset", ["sweep", "--preset", "case7"],
          "argument --preset: invalid choice: 'case7'"),
         ("sweep-m1p-nan", ["sweep", "--preset", "case3", "--m1p", "nan"], BAD_M1P),
@@ -545,6 +552,15 @@ def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     assert rest.startswith(message.replace("@tmp", str(tmp_path)))
     assert "Traceback" not in err
     assert not (tmp_path / "best.json").exists() and not (tmp_path / "taken.json").exists()
+
+
+def test_a_memory_error_without_text_still_reads_as_one_line(monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.metrics, "curves", out_of_memory)
+    assert cli.main(["sweep", "--preset", "case3"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize(

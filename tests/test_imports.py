@@ -1,21 +1,20 @@
 """Every module-level import is read, and the package holds only what it runs.
 
 No linter is a dependency of this package, so these scans parse the sources
-with ``ast``.  The import scan covers each module of ``src/qdelete/`` (except
-``__init__.py``, whose imports are its exports) and each test module: a name
-counts as read when it occurs as a loaded name anywhere in the module;
-``from __future__`` imports are exempt.  The definition scan covers
-``src/qdelete/`` as a whole: every public module-level function, class or
-constant must be named somewhere in the package (as a loaded name or an
-attribute), and every
-public method must be read as an attribute somewhere in the package, unless
-the name is exported in ``__init__.__all__``.  A private module-level name
-must be named in its own module.  Code that only the tests call belongs in
-the tests.  The same scan covers ``tests/`` as one package that exports
-nothing, with the ``test_*`` functions exempt: a helper or constant that no
-test reads fails it.  A third scan requires each module-level name of
-``tests/`` to be defined in one module only: a helper that two test modules
-use lives in ``helpers.py``.
+with ``ast``.  The import scan covers each module of ``src/qdelete/`` and each
+test module: a name counts as read when it occurs as a loaded name anywhere
+in the module; ``from __future__`` imports are exempt.  The definition scan
+covers ``src/qdelete/`` as a whole: every public module-level function, class
+or constant must be named somewhere in the package (as a loaded name or an
+attribute), and every public method must be read as an attribute somewhere
+in the package, unless the name is exported in ``__init__.__all__``.  The
+package exports nothing: its ``__init__.py`` binds only ``__version__``, so
+no name is exempt.  A private module-level name must be named in its own
+module.  Code that only the tests call belongs in the tests.  The same scan
+covers ``tests/`` as one package that exports nothing, with the ``test_*``
+functions exempt: a helper or constant that no test reads fails it.  A third
+scan requires each module-level name of ``tests/`` to be defined in one
+module only: a helper that two test modules use lives in ``helpers.py``.
 """
 
 import ast
@@ -26,7 +25,7 @@ from mutants import PACKAGE, ROOT
 
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-MODULES = sorted([p for p in SOURCES if p.name != "__init__.py"] + TESTS)
+MODULES = SOURCES + TESTS
 
 
 def unused_imports(source: str) -> list[str]:
@@ -124,6 +123,13 @@ def test_package_defines_only_what_it_uses():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     unused = unreferenced_definitions(sources)
     assert not unused, f"src/qdelete/ defines but never uses or exports {unused}"
+
+
+def test_the_package_module_exports_nothing():
+    # no import, no __all__: every public name of the package must be used by it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [name for node in tree.body for name in module_level_names(node)] == ["__version__"]
 
 
 def test_tests_define_only_what_they_read():

@@ -270,7 +270,7 @@ def test_oracle_keeps_the_bytes_of_one_product_and_one_einsum_per_trace(grid):
     # basis images times the weight of the entry's ancilla j % 3, and one `einsum` per
     # trace.  Bytes make signed zeros count, as a negative m1p's 0 * m1p = -0.0 does.
     def one_product_per_amplitude(p, grid):
-        weights = machine.inputs(grid)[..., [1, 0, 3]]  # ab, x, 1 - x: |Q>, |A0>, |A1>
+        weights = np.stack((np.sqrt(grid * (1 - grid)), grid, 1 - grid), axis=-1)  # |Q>, |A0>, |A1>
         return sum(reference_images(p)) * weights[..., np.arange(qlinalg.JOINT_DIM) % 3]
 
     rng = np.random.default_rng(30)
