@@ -5,8 +5,8 @@ information from the second copy of a pure input, leaving a blank state
 behind.  Subpackage layout:
 
 * `qlinalg`   - the joint-state index and the batched partial traces
-* `machine`   - machine parameters, the 12x4 isometry, validation, file format
-* `metrics`   - distortion and fidelity: the simulation oracle, the closed forms, one quadrature
+* `machine`   - machine parameters, the 12x4 isometry, its reduced-state blocks, validation
+* `metrics`   - distortion and fidelity: the block oracle, the closed forms, one quadrature
 * `presets`   - named machines (`MachineParams`): the paper's four cases and "perfect"
 * `optimizer` - derivative-free search over the coupling sphere
 * `cli`       - the `qdelete` command

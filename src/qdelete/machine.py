@@ -189,20 +189,20 @@ def check_alpha_sq(alpha_sq) -> np.ndarray:
     return x
 
 
-def outputs(p: MachineParams, alpha_sq) -> np.ndarray:
-    """The simulation kernel: output states (..., 12) of the inputs (alpha|0> + beta|1>)^{(x)2}.
+def reduced_blocks(p: MachineParams) -> tuple[np.ndarray, np.ndarray]:
+    """The simulation kernel: both partial traces (P, Q), each (3, 2, 2), of V's ancilla slices.
 
-    With x = alpha^2, each output amplitude is fed by the one input weight its ancilla
-    picks: |Q> by ab = sqrt(x(1-x)) (columns 1 and 2 of V), |A0> by x and |A1> by 1 - x.
-    So each is one row sum of V times one weight: one IEEE product and no BLAS call,
-    which gives the same bits on every host.  The grid axes are innermost in memory,
-    where the partial traces of `qlinalg` run 3-6x faster at 1001 points.  For a valid
-    machine every output state has unit norm within 1e-12.
+    The input (alpha|0> + beta|1>)^{(x)2}, x = alpha^2, feeds each output amplitude by
+    the weight w_k of its ancilla k: ab = sqrt(x(1-x)) for |Q> (columns 1 and 2 of V), x
+    for |A0> and 1 - x for |A1>.  So the output is sum_k w_k s_k, where slice s_k holds
+    V's row sums at the entries of ancilla k, and its reduced states are sum_k w_k^2 P[k]
+    (mode 1) and sum_k w_k^2 Q[k] (mode 2) at every x, as the ancillas are orthonormal.
     """
-    x = check_alpha_sq(alpha_sq).T  # the two transposes keep the grid axes innermost, in order
-    w = np.stack((np.sqrt(x * (1.0 - x)), x, 1.0 - x))  # weights of |Q>, |A0>, |A1>
-    rows = isometry(p).sum(axis=1).reshape((4, 3) + (1,) * x.ndim)
-    return (rows * w).reshape((12,) + x.shape).T
+    slices = np.zeros((3, 4, 3), dtype=complex)  # (slice k, q1 q2, ancilla)
+    k = np.arange(3)
+    slices[k, :, k] = isometry(p).sum(axis=1).reshape(4, 3).T
+    slices = slices.reshape(3, qlinalg.JOINT_DIM)
+    return qlinalg.partial_trace_mode1(slices), qlinalg.partial_trace_mode2(slices)
 
 
 def to_dict(p: MachineParams) -> dict:

@@ -6,8 +6,8 @@ deleted copy) that are quadratic in the couplings g, h, e, f.  Both metrics
 come by two routes of one shape, ``route(p, grid) -> (F, D)``:
 
 * `curves`, the simulation oracle: validate and simulate the machine once
-  per grid (`machine.outputs`), take both batched partial traces of `qlinalg`
-  and measure; and
+  (`machine.reduced_blocks`, the partial traces of its three ancilla slices)
+  and mix the blocks into both reduced states at each x; and
 * `closed_curves`, the closed forms below in the machine's couplings.  It
   does not validate, so a machine that fails validation (case1) still has
   curves: that is formula mode.
@@ -73,9 +73,7 @@ import warnings
 
 import numpy as np
 
-from . import qlinalg
-from .machine import MachineParams, require_valid
-from .machine import check_alpha_sq, couplings, outputs
+from .machine import MachineParams, check_alpha_sq, couplings, reduced_blocks, require_valid
 
 #: Cross-term constant historically used for the average distortion.
 LEGACY_CROSS_CONSTANT = 0.589
@@ -117,16 +115,6 @@ def _unit_interval_gauss(n: int):
 _QX, _QW = _unit_interval_gauss(QUAD_ORDER)
 _QX_FINE, _QW_FINE = _unit_interval_gauss(QUAD_ORDER_REFINED)
 _QX_BOTH = np.concatenate((_QX, _QX_FINE))
-
-
-def input_state(alpha_sq) -> np.ndarray:
-    """Density matrix of the pure input alpha|0> + beta|1>, x = alpha^2.
-
-    Its entries are x, ab, ab and 1 - x with ab = sqrt(x(1-x)); a grid gives a stack.
-    """
-    x = check_alpha_sq(alpha_sq)
-    ab = np.sqrt(x * (1.0 - x))
-    return np.stack((x, ab, ab, 1.0 - x), axis=-1).reshape(x.shape + (2, 2)).astype(complex)
 
 
 def distortion_coefficients(g, h, e, f) -> tuple[float, float]:
@@ -213,18 +201,27 @@ def distortion_gap(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im) -> float:
 def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
     """Direct-simulation fidelity and distortion at each x of a grid, from one simulation.
 
-    F is the blank-state overlap ``(rho @ sig) @ conj(sig)`` of the mode-2
-    reduced state, which at x = 0 and 1 is the blank state itself: F(0) and F(1)
-    depend on m1p alone, within a few ulps of 1 (exactly 1.0 for the presets).
-    D is Tr[(input - rho_1)^2] of the mode-1 reduced state.
+    `reduced_blocks` gives the blocks P_k, Q_k once; the squared weights
+    w_k^2 = (x(1-x), x^2, (1-x)^2) mix them at each x.  F = sum_k w_k^2 <sig|Q_k|sig>
+    is the mode-2 blank-state overlap: at x = 0 and 1 it depends on m1p alone, within
+    a few ulps of 1 (exactly 1.0 for the presets).  D = d00^2 + d11^2 + 2|d01|^2 of
+    d = input - sum_k w_k^2 P_k, never negative.  The sums are written out on real
+    parts: no BLAS call, so every host gives the same bits.
     """
     require_valid(p)
-    xs = np.atleast_1d(alpha_sq_grid)
-    out = outputs(p, xs)
-    sig = p.sigma.ket()
-    fidelity = ((qlinalg.partial_trace_mode2(out) @ sig) @ sig.conj()).real
-    d = input_state(xs) - qlinalg.partial_trace_mode1(out)
-    return fidelity, np.einsum("...ij,...ji->...", d, d).real
+    x = check_alpha_sq(np.atleast_1d(alpha_sq_grid))
+    s0, s1 = p.sigma.ket().real.tolist()
+    coefficients = [  # per ancilla: <sig|Q|sig>, P00, P11, Re P01, Im P01
+        (s0 * s0 * q[0][0].real + 2.0 * s0 * s1 * q[0][1].real + s1 * s1 * q[1][1].real,
+         r[0][0].real, r[1][1].real, r[0][1].real, r[0][1].imag)
+        for r, q in zip(*(blocks.tolist() for blocks in reduced_blocks(p)))
+    ]
+    c = np.array(coefficients).reshape((3, 5) + (1,) * x.ndim)
+    u = 1.0 - x
+    y = x * u
+    mixed = c[0] * y + c[1] * (x * x) + c[2] * (u * u)
+    d00, d11, d01_re = x - mixed[1], u - mixed[2], np.sqrt(y) - mixed[3]
+    return mixed[0], d00 * d00 + d11 * d11 + 2.0 * (d01_re * d01_re + mixed[4] * mixed[4])
 
 
 def closed_curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:

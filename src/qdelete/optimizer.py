@@ -291,10 +291,12 @@ def scorer(cfg: OptConfig) -> Callable[..., float]:
     d_star = metrics.MIN_AVG_DISTORTION
     if wd == 0:
         return lambda *point: wf * (1.0 - fidelity_gap(*point))
-    if wf == 0:
-        return lambda *point: wf - wd * (d_star + distortion_gap(*point[:8]))
-    return lambda *point: (
-        wf * (1.0 - fidelity_gap(*point)) - wd * (d_star + distortion_gap(*point[:8]))
+    if wf == 0:  # the 9 names spare a slice of the point at every evaluation
+        return lambda g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im, m1p: wf - wd * (
+            d_star + distortion_gap(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im))
+    return lambda g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im, m1p: (
+        wf * (1.0 - fidelity_gap(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im, m1p))
+        - wd * (d_star + distortion_gap(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im))
     )
 
 

@@ -6,10 +6,9 @@ vectors of length 12 indexed by (q1, q2, anc) with flat index
 convention is normative: the isometry's layout and the tests rely on it.
 Reduced single-qubit states are 2x2 complex Hermitian matrices.  The partial
 traces take a state of shape (12,) or a stack of shape (..., 12) and return
-reduced states of shape (..., 2, 2).  They give the same bits on a row-major
-stack and on one with the batch axes innermost in memory, as
-`machine.outputs` stores its grid; on the latter they run 3-6x faster at
-1001 points.
+reduced states of shape (..., 2, 2); `machine.reduced_blocks` takes them of
+the (3, 12) stack of a machine's ancilla slices.  They give the same bits on a
+row-major stack and on one with the batch axes innermost in memory.
 
 All operations are pure functions on immutable values.
 """

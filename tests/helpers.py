@@ -2,8 +2,11 @@
 
 The kets and `reference_images` build the machine's basis images with
 ``np.kron`` and index writes, without `machine.isometry`, so tests can check
-the isometry against them.  `random_machine` draws machines with generic
-rows, which `optimizer.decode`'s rows u/2 -+ w are not.
+the isometry against them.  `outputs`, `input_state` and `einsum_traces` are
+the per-point simulation that `metrics.curves` is checked against: one
+12-amplitude output state per x and both partial traces of it.
+`random_machine` draws machines with generic rows, which `optimizer.decode`'s
+rows u/2 -+ w are not.
 """
 
 import math
@@ -68,6 +71,26 @@ def reference_images(p: MachineParams) -> list[np.ndarray]:
         images.append(image)
     images.append(np.kron(KET1, np.kron(sig, ANC_A1)))
     return images
+
+
+def outputs(p: MachineParams, alpha_sq) -> np.ndarray:
+    """The per-point reference simulation: output states (..., 12) of (alpha|0> + beta|1>)^{(x)2}.
+
+    With x = alpha^2, each output amplitude is one row sum of the isometry times
+    the weight of its ancilla: ab = sqrt(x(1-x)) for |Q>, x for |A0> and 1 - x for
+    |A1>.  The grid axes are innermost in memory.
+    """
+    x = machine.check_alpha_sq(alpha_sq).T  # the two transposes keep the grid axes in order
+    w = np.stack((np.sqrt(x * (1.0 - x)), x, 1.0 - x))  # weights of |Q>, |A0>, |A1>
+    rows = machine.isometry(p).sum(axis=1).reshape((4, 3) + (1,) * x.ndim)
+    return (rows * w).reshape((12,) + x.shape).T
+
+
+def input_state(alpha_sq) -> np.ndarray:
+    """Density matrix of the pure input alpha|0> + beta|1>, x = alpha^2; a grid gives a stack."""
+    x = machine.check_alpha_sq(alpha_sq)
+    ab = np.sqrt(x * (1.0 - x))
+    return np.stack((x, ab, ab, 1.0 - x), axis=-1).reshape(x.shape + (2, 2)).astype(complex)
 
 
 def einsum_traces(states) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from qdelete.optimizer import OptConfig
 from qdelete.presets import by_name
 from paper_values import PAPER_AVERAGES, exchange_only_averages
 from reduced_states import mode1_state_closed, mode2_state_closed
-from helpers import random_machine
+from helpers import input_state, outputs, random_machine
 
 SAMPLE_SEED = 20260811
 N_MACHINES = 200
@@ -112,10 +112,10 @@ def test_criterion_2_oracle_equivalence():
         c = machine.couplings(p)
         sig = p.sigma.ket()
         for x in GRID:
-            out = machine.outputs(p, x)
+            out = outputs(p, x)
             rho1 = qlinalg.partial_trace_mode1(out)
             rho2 = qlinalg.partial_trace_mode2(out)
-            d = metrics.input_state(x) - rho1
+            d = input_state(x) - rho1
             (fidelity,), (distortion,) = metrics.closed_curves(p, float(x))
             worst = max(
                 worst,
@@ -144,7 +144,7 @@ def test_criterion_3_unitarity_invariants():
         norm_sq_sum = abs(c.g) ** 2 + abs(c.h) ** 2 + abs(c.e) ** 2 + abs(c.f) ** 2
         coupling_dev = max(coupling_dev, abs(norm_sq_sum - 2.0))
         for x in GRID:
-            out = machine.outputs(p, x)
+            out = outputs(p, x)
             norm_dev = max(norm_dev, abs(np.vdot(out, out).real - 1.0))
             for rho in (qlinalg.partial_trace_mode1(out), qlinalg.partial_trace_mode2(out)):
                 trace_dev = max(trace_dev, abs(float(np.trace(rho).real) - 1.0))

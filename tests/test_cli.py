@@ -127,10 +127,10 @@ def test_sweep_two_points(tmp_path):
 
 def test_sweep_machine_validates_and_simulates_once(tmp_path, monkeypatch):
     path = write_machine(tmp_path, by_name("case3"))
-    # `metrics` holds its own binding of `outputs`; `require_valid` looks up `validate`
-    calls = count_calls(monkeypatch, (machine, "validate"), (metrics, "outputs"))
+    # `metrics` holds its own binding of `reduced_blocks`; `require_valid` looks up `validate`
+    calls = count_calls(monkeypatch, (machine, "validate"), (metrics, "reduced_blocks"))
     assert cli.main(["sweep", "--machine", str(path), "--points", "11"]) == 0
-    assert calls == {"validate": 1, "outputs": 1}
+    assert calls == {"validate": 1, "reduced_blocks": 1}
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,7 @@ def environment() -> dict:
     }
 
 
-def outputs(argv: list[str], workdir: Path) -> dict[str, bytes]:
+def command_outputs(argv: list[str], workdir: Path) -> dict[str, bytes]:
     """The normative outputs of one command, run in-process."""
     out = workdir / "best.json"
     if argv[0] == "optimize":
@@ -90,7 +90,7 @@ def digests() -> dict[str, str]:
     table = {}
     with tempfile.TemporaryDirectory(prefix="qdelete-golden-") as tmp:
         for name, argv in COMMANDS.items():
-            for kind, data in outputs(argv, Path(tmp)).items():
+            for kind, data in command_outputs(argv, Path(tmp)).items():
                 table[f"{name} {kind}"] = hashlib.sha256(data).hexdigest()
     return table
 

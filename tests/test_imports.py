@@ -7,12 +7,12 @@ in the module; ``from __future__`` imports are exempt.  The definition scan
 covers ``src/qdelete/`` as a whole: every public module-level function, class
 or constant must be named somewhere in the package (as a loaded name or an
 attribute), and every public method must be read as an attribute somewhere
-in the package, unless the name is exported in ``__init__.__all__``.  The
-package exports nothing: its ``__init__.py`` binds only ``__version__``, so
-no name is exempt.  A private module-level name must be named in its own
-module.  Code that only the tests call belongs in the tests.  The same scan
-covers ``tests/`` as one package that exports nothing, with the ``test_*``
-functions exempt: a helper or constant that no test reads fails it.  A third
+in the package.  No name is exempt: the package exports nothing, and its
+``__init__.py`` binds only ``__version__``.  A private module-level name must
+be named in its own module.  Code that only the tests call belongs in the
+tests, as the per-point simulation (``helpers.outputs``) does.  The same scan
+covers ``tests/`` as one package, with the ``test_*`` functions exempt: a
+helper or constant that no test reads fails it.  A third
 scan requires each module-level name of ``tests/`` to be defined in one
 module only: a helper that two test modules use lives in ``helpers.py``.
 """
@@ -74,9 +74,9 @@ def module_level_names(node: ast.stmt) -> list[str]:
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """Definitions of a package that the package never uses.
 
-    ``sources`` maps module names to their source; the ``__init__`` module's
-    ``__all__`` lists the exports.  A module-level definition counts as used
-    when its name is loaded or read as an attribute anywhere in the package; a
+    ``sources`` maps module names to their source.  A module-level definition
+    counts as used when its name is loaded or read as an attribute anywhere in
+    the package; a
     method only when it is read as an attribute, since a local name that
     equals the method's does not call it.  Module-level constants (names
     bound by a top-level assignment) count like functions.  A private
@@ -94,12 +94,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
                 named_in[module].add(node.attr)
-    exported = set()
-    for node in trees["__init__"].body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
-            exported.update(ast.literal_eval(node.value))
-    module_level_used = loaded | attributes | exported
-    method_used = attributes | exported
+    module_level_used = loaded | attributes
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for module, tree in trees.items():
@@ -112,7 +107,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
             ]
             if isinstance(node, ast.ClassDef):
                 found += [
-                    (f"{module}.{node.name}.{item.name}", item.name, method_used)
+                    (f"{module}.{node.name}.{item.name}", item.name, attributes)
                     for item in node.body
                     if isinstance(item, functions) and not item.name.startswith("_")
                 ]
@@ -122,7 +117,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
 def test_package_defines_only_what_it_uses():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     unused = unreferenced_definitions(sources)
-    assert not unused, f"src/qdelete/ defines but never uses or exports {unused}"
+    assert not unused, f"src/qdelete/ defines but never uses {unused}"
 
 
 def test_the_package_module_exports_nothing():
@@ -133,9 +128,9 @@ def test_the_package_module_exports_nothing():
 
 
 def test_tests_define_only_what_they_read():
-    # the same scan over tests/ as one package with nothing exported; pytest
-    # collects the test_* functions, so no module need name them
-    sources = {"__init__": "", **{p.stem: p.read_text(encoding="utf-8") for p in TESTS}}
+    # the same scan over tests/ as one package; pytest collects the test_*
+    # functions, so no module need name them
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in TESTS}
     unused = [
         path for path in unreferenced_definitions(sources)
         if not path.rpartition(".")[2].startswith("test_")
@@ -153,16 +148,16 @@ def test_tests_define_each_module_level_name_once():
     assert not twice, f"tests/ defines these names in more than one module: {twice}"
 
 
-def test_the_definition_scan_finds_unused_and_exempts_exports():
+def test_the_definition_scan_finds_unused_definitions():
     sources = {
-        "__init__": "from .a import Exported\n__all__ = ['Exported']\n",
+        "__init__": "__all__ = ['orphan']\n",
         "a": (
-            "class Exported:\n"
+            "class Widget:\n"
             "    def used(self):\n        return helper()\n"
             "    def unused(self):\n        pass\n"
             "    def shadowed(self):\n        pass\n"
             "    def _private(self):\n        pass\n"
-            "def helper(shadowed=None):\n    return Exported().used, shadowed, _PRIVATE_CONSTANT\n"
+            "def helper(shadowed=None):\n    return Widget().used, shadowed, _PRIVATE_CONSTANT\n"
             "def orphan():\n    pass\n"
             "def _private():\n    pass\n"
             "USED, UNUSED_CONSTANT = 1, 2\n"
@@ -171,16 +166,17 @@ def test_the_definition_scan_finds_unused_and_exempts_exports():
         ),
         "b": "import a\ndef caller():\n    return a.orphan_attr\n",
     }
-    # `shadowed` is read only as a parameter of the same name, which is no call
+    # `shadowed` is read only as a parameter of the same name, which is no call, and
+    # a name listed in `__all__` is not exempt
     assert unreferenced_definitions(sources) == [
-        "a.Exported.unused", "a.Exported.shadowed", "a.orphan", "a.UNUSED_CONSTANT",
+        "a.Widget.unused", "a.Widget.shadowed", "a.orphan", "a.UNUSED_CONSTANT",
         "a.ANNOTATED", "b.caller",
     ]
 
 
 def test_the_definition_scan_requires_private_names_in_their_own_module():
     sources = {
-        "__init__": "from .b import caller\n__all__ = ['caller']\n",
+        "__init__": "import b\nb.caller()\n",
         "a": (
             "__version__ = '1'\n"
             "class Public:\n    def _hook(self):\n        pass\n"

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from qdelete import machine, qlinalg
 from qdelete.machine import BlankState, MachineParams
 from qdelete.presets import by_name
-from helpers import from_rows, random_machine, reference_images
+from helpers import from_rows, outputs, random_machine, reference_images
 
 # ---------------------------------------------------------------------------
 # validation
@@ -95,7 +95,7 @@ def test_random_valid_machines_have_identity_gram():
 
 
 # ---------------------------------------------------------------------------
-# application: the isometry and the batched outputs
+# application: the isometry, its reduced-state blocks and the reference outputs
 
 
 def test_isometry_columns_are_basis_images():
@@ -118,10 +118,10 @@ def test_outputs_grid_matches_one_call_per_point():
     xs = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=9)))
     for _ in range(5):
         p = random_machine(rng)
-        batch = machine.outputs(p, xs)
+        batch = outputs(p, xs)
         assert batch.shape == (xs.size, 12)
         for x, state in zip(xs, batch):
-            single = machine.outputs(p, float(x))
+            single = outputs(p, float(x))
             assert single.shape == (12,)
             assert_allclose(state, single, atol=1e-15)
 
@@ -129,19 +129,34 @@ def test_outputs_grid_matches_one_call_per_point():
 @pytest.mark.parametrize("grid", [[0.5, 1.1], [math.nan], -0.1])
 def test_outputs_reject_out_of_range_grid(grid):
     with pytest.raises(ValueError):
-        machine.outputs(by_name("case3"), grid)
+        outputs(by_name("case3"), grid)
 
 
 def test_outputs_endpoints_are_products():
     p = by_name("case3")
     v = machine.isometry(p)
-    assert_allclose(machine.outputs(p, 1.0), v[:, 0], atol=0)
-    assert_allclose(machine.outputs(p, 0.0), v[:, 3], atol=0)
+    assert_allclose(outputs(p, 1.0), v[:, 0], atol=0)
+    assert_allclose(outputs(p, 0.0), v[:, 3], atol=0)
+
+
+def test_reduced_blocks_mix_into_the_reduced_states_of_the_outputs():
+    # the ancillas are orthonormal, so both reduced states of the output are the
+    # blocks weighted by the squared ancilla weights x(1-x), x^2 and (1-x)^2
+    rng = np.random.default_rng(107)
+    xs = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=9)))
+    weights = np.stack((xs * (1 - xs), xs * xs, (1 - xs) * (1 - xs)), axis=-1)
+    for p in [random_machine(rng) for _ in range(5)] + [by_name("case2")]:
+        blocks = machine.reduced_blocks(p)
+        states = outputs(p, xs)
+        for block, trace in zip(blocks, (qlinalg.partial_trace_mode1, qlinalg.partial_trace_mode2)):
+            assert block.shape == (3, 2, 2)
+            mixed = np.einsum("nk,kij->nij", weights, block)
+            assert_allclose(mixed, trace(states), rtol=0, atol=1e-15)
 
 
 def test_outputs_case2_balanced_input():
     p = by_name("case2")
-    s = machine.outputs(p, 0.5)
+    s = outputs(p, 0.5)
     sig = p.sigma.ket()
     expected = np.zeros(12, dtype=complex)
     expected[qlinalg.joint_index(0, 0, 1)] = 0.5 * sig[0]

@@ -13,7 +13,9 @@ from paper_values import (
     PERFECT_AVG_DISTORTION, exchange_only_averages, exchange_only_coefficients,
 )
 from reduced_states import mode1_state_closed, mode2_state_closed
-from helpers import einsum_traces, random_machine, reference_images, with_couplings
+from helpers import (
+    einsum_traces, input_state, outputs, random_machine, reference_images, with_couplings,
+)
 
 CASE1 = Couplings(g=0j, h=0j, e=0j, f=0j)
 CASE2 = Couplings(g=0j, h=0j, e=1 + 0j, f=1 + 0j)
@@ -189,10 +191,12 @@ def test_levels_that_differ_by_exactly_the_tolerance_converge():
 
 
 def test_curves_fidelity_endpoints_exact_on_the_presets():
-    for name in ("case2", "case3", "perfect"):
-        p = by_name(name)
-        assert metrics.curves(p, 0.0)[0][0] == 1.0
-        assert metrics.curves(p, 1.0)[0][0] == 1.0
+    # at x = 0 and 1 the blocks mix to the blank state and the pure input exactly,
+    # so the distortion vanishes there too
+    for name in ("case2", "case3", "case4", "perfect"):
+        fidelity, distortion = metrics.curves(by_name(name), [0.0, 1.0])
+        assert fidelity.tolist() == [1.0, 1.0]
+        assert distortion.tolist() == [0.0, 0.0]
 
 
 def test_fidelity_deficit_cases():
@@ -238,16 +242,16 @@ def test_avg_fidelity_silent_in_range():
     ],
 )
 def test_batched_curves_match_per_point_simulation(seed, xs):
-    # reference: one single-point `outputs`, partial trace and expectation per grid point
+    # reference: one single-point simulation, partial trace and expectation per grid point
     rng = np.random.default_rng(seed)
     for _ in range(5):
         p = random_machine(rng)
         sig = p.sigma.ket()
         fidelity, distortion = [], []
         for x in xs:
-            out = machine.outputs(p, x)
+            out = outputs(p, x)
             fidelity.append(np.vdot(sig, qlinalg.partial_trace_mode2(out) @ sig).real)
-            d = metrics.input_state(x) - qlinalg.partial_trace_mode1(out)
+            d = input_state(x) - qlinalg.partial_trace_mode1(out)
             distortion.append(np.trace(d @ d).real)
         assert_allclose(metrics.curves(p, xs), (fidelity, distortion), atol=1e-13)
 
@@ -264,31 +268,49 @@ ORACLE_GRIDS = {
 }
 
 
+def block_arithmetic(p, grid):
+    """The oracle derived on the test side: blocks from the basis images, mixed per x.
+
+    V's row sums are the sum of the basis images; slice k keeps the entries of
+    ancilla k (flat index j with j % 3 == k) and +0 elsewhere, and one `einsum` per
+    trace of the three slices gives the blocks P_k and Q_k.  At each x the squared
+    weights (x(1-x), x^2, (1-x)^2) mix the real numbers the curves need, in that order.
+    """
+    row_sums = sum(reference_images(p))
+    ancilla = np.arange(qlinalg.JOINT_DIM) % 3
+    slices = np.stack([np.where(ancilla == k, row_sums, 0) for k in range(3)])
+    blocks_1, blocks_2 = einsum_traces(slices)
+    x = np.atleast_1d(grid)
+    u = 1 - x
+    weights = (x * u, x * x, u * u)
+
+    def mix(per_ancilla):
+        (w0, w1, w2), (v0, v1, v2) = weights, per_ancilla
+        return w0 * v0 + w1 * v1 + w2 * v2
+
+    s0, s1 = p.sigma.ket().real
+    overlap = (s0 * s0 * blocks_2[:, 0, 0].real + 2 * s0 * s1 * blocks_2[:, 0, 1].real
+               + s1 * s1 * blocks_2[:, 1, 1].real)
+    d00 = x - mix(blocks_1[:, 0, 0].real)
+    d11 = u - mix(blocks_1[:, 1, 1].real)
+    d01_re = np.sqrt(x * u) - mix(blocks_1[:, 0, 1].real)
+    d01_im = mix(blocks_1[:, 0, 1].imag)
+    distortion = d00 * d00 + d11 * d11 + 2 * (d01_re * d01_re + d01_im * d01_im)
+    return (blocks_1, blocks_2), (mix(overlap), distortion)
+
+
 @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
 def test_oracle_keeps_the_bytes_of_one_product_and_one_einsum_per_trace(grid):
-    # The reference is the oracle written as one product per amplitude, the sum of the
-    # basis images times the weight of the entry's ancilla j % 3, and one `einsum` per
-    # trace.  Bytes make signed zeros count, as a negative m1p's 0 * m1p = -0.0 does.
-    def one_product_per_amplitude(p, grid):
-        weights = np.stack((np.sqrt(grid * (1 - grid)), grid, 1 - grid), axis=-1)  # |Q>, |A0>, |A1>
-        return sum(reference_images(p)) * weights[..., np.arange(qlinalg.JOINT_DIM) % 3]
-
+    # The blocks are one `einsum` per trace of the ancilla slices, and each value of a
+    # curve is one product per ancilla and block entry, summed: `block_arithmetic`.
+    # Bytes make signed zeros count, as a negative m1p's 0 * m1p = -0.0 does.
     rng = np.random.default_rng(30)
     negative_m1p = machine.MachineParams(a0=1.0, b1=1.0, sigma=BlankState(-0.6))
     presets = [by_name(name) for name in ("case2", "case3", "case4", "perfect")]
     for p in [random_machine(rng) for _ in range(8)] + presets + [negative_m1p]:
-        states = machine.outputs(p, grid)
-        reference = one_product_per_amplitude(p, grid)
-        assert states.tobytes() == reference.tobytes()
-        for trace, expected in zip(
-            (qlinalg.partial_trace_mode1, qlinalg.partial_trace_mode2), einsum_traces(reference)
-        ):
-            assert trace(states).tobytes() == expected.tobytes()
-        xs = np.atleast_1d(grid)
-        rho1, rho2 = einsum_traces(one_product_per_amplitude(p, xs))
-        sig = p.sigma.ket()
-        d = metrics.input_state(xs) - rho1
-        expected = ((rho2 @ sig) @ sig.conj()).real, np.einsum("...ij,...ji->...", d, d).real
+        blocks, expected = block_arithmetic(p, grid)
+        for got, want in zip(machine.reduced_blocks(p), blocks):
+            assert got.tobytes() == want.tobytes()
         for got, want in zip(metrics.curves(p, grid), expected):
             assert got.tobytes() == want.tobytes()
 
@@ -341,17 +363,17 @@ def test_curves_reject_bad_grid(grid):
 
 
 def test_input_state_entries():
-    rho = metrics.input_state(0.5)
+    rho = input_state(0.5)
     assert_allclose(rho, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), atol=1e-15)
-    assert_allclose(metrics.input_state(1.0), PURE0, atol=0)
+    assert_allclose(input_state(1.0), PURE0, atol=0)
 
 
 def test_input_state_stacks_over_a_grid():
     xs = np.array([0.0, 0.3, 1.0])
-    stacked = metrics.input_state(xs)
+    stacked = input_state(xs)
     assert stacked.shape == (3, 2, 2)
     for x, rho in zip(xs, stacked):
-        assert_allclose(rho, metrics.input_state(float(x)), atol=0)
+        assert_allclose(rho, input_state(float(x)), atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_scorer_known_machines():
 
 def test_scorer_runs_no_oracle_and_no_validation(monkeypatch):
     for module, names in (
-        (machine, ("validate", "isometry", "outputs")),
+        (machine, ("validate", "isometry", "reduced_blocks")),
         (metrics, ("curves", "closed_curves", "levels", "averages")),
     ):
         for name in names:

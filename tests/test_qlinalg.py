@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdelete import qlinalg
-from qdelete.machine import outputs
 from qdelete.presets import by_name
-from helpers import ANC_A0, KET0, einsum_traces
+from helpers import ANC_A0, KET0, einsum_traces, outputs
 
 
 def random_state(rng):
