@@ -90,38 +90,40 @@ def collect_case_rows() -> list[dict]:
     """Metric table for every registry preset, by all evaluation routes.
 
     A preset is feasible when its machine passes the validation inside
-    `metrics.averages`; the quadrature averages of an infeasible one
-    integrate its closed-form curves.
+    `metrics.averages`; an infeasible one takes its oracle columns from the
+    consistent closed forms on its couplings (formula mode, as in `sweep`).
     """
     rows = []
     for name in presets.PRESET_NAMES:
         p = presets.by_name(name)
         c, m1p = machine.couplings(p), p.sigma.m1p
         dc = metrics.distortion_coefficients(*c)
+        fbar_consistent = metrics.avg_fidelity(metrics.fidelity_deficit(*c, m1p))
+        dbar_analytic = metrics.avg_distortion(*dc)
         feasible = True
         try:
-            fbar_quad, dbar_quad = metrics.averages(p)
+            fbar_oracle, dbar_oracle = metrics.averages(p)
         except machine.MachineValidationError:
             feasible = False
-            fbar_quad, dbar_quad = metrics.averages(p, metrics.closed_curves)
+            fbar_oracle, dbar_oracle = fbar_consistent, dbar_analytic
         rows.append(
             {
                 "preset": name,
                 "feasible": feasible,
                 "dbar_legacy": metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT),
-                "dbar_analytic": metrics.avg_distortion(*dc),
-                "dbar_quad": dbar_quad,
+                "dbar_analytic": dbar_analytic,
+                "dbar_oracle": dbar_oracle,
                 "fbar_legacy": metrics.avg_fidelity(metrics.legacy_fidelity_deficit(*c, m1p)),
-                "fbar_consistent": metrics.avg_fidelity(metrics.fidelity_deficit(*c, m1p)),
-                "fbar_quad": fbar_quad,
+                "fbar_consistent": fbar_consistent,
+                "fbar_oracle": fbar_oracle,
             }
         )
     return rows
 
 
 #: Titles of the `cases` columns; each title in lower case is its key in a case row.
-_CASE_COLUMNS = ("preset", "feasible", "Dbar_legacy", "Dbar_analytic", "Dbar_quad",
-                 "Fbar_legacy", "Fbar_consistent", "Fbar_quad")
+_CASE_COLUMNS = ("preset", "feasible", "Dbar_legacy", "Dbar_analytic", "Dbar_oracle",
+                 "Fbar_legacy", "Fbar_consistent", "Fbar_oracle")
 
 
 def _case_line(preset, feasible, *averages) -> str:
@@ -146,10 +148,9 @@ class DiagnoseReport:
 
     samples: int
     seed: int
-    max_legacy_distortion_dev: float     # |avg_distortion(legacy) - quadrature|
-    max_analytic_distortion_dev: float   # |avg_distortion(analytic) - quadrature|
+    max_legacy_distortion_dev: float     # |avg_distortion(legacy) - oracle average|
+    max_analytic_distortion_dev: float   # |avg_distortion(analytic) - oracle average|
     max_legacy_dev_mismatch: float       # vs |0.589 - 3pi/64| * |coherence sum|
-    max_quad_level_disagreement: float   # coarse vs refined quadrature
     max_deficit_gap: float               # |deficit(legacy) - deficit(consistent)|
     max_fidelity_oracle_dev: float       # direct simulation vs consistent closed form
     max_distortion_oracle_dev: float     # direct simulation vs closed form
@@ -176,15 +177,14 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
             p = dataclasses.replace(p, sigma=machine.BlankState(m1p))
         c = machine.couplings(p)
         dc = metrics.distortion_coefficients(*c)
-        _, (coarse, fine) = metrics.levels(p, metrics.closed_curves)
-        dev_legacy = abs(metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) - fine)
+        _, dbar = metrics.averages(p)
+        dev_legacy = abs(metrics.avg_distortion(*dc, metrics.LEGACY_CROSS_CONSTANT) - dbar)
         fidelity, distortion = metrics.curves(p, grid)
         closed_fidelity, closed_distortion = metrics.closed_curves(p, grid)
         deviations.append((
             dev_legacy,
-            abs(metrics.avg_distortion(*dc) - fine),
+            abs(metrics.avg_distortion(*dc) - dbar),
             abs(dev_legacy - legacy_const_gap * abs(dc[1])),
-            abs(fine - coarse),
             abs(metrics.legacy_fidelity_deficit(*c, p.sigma.m1p)
                 - metrics.fidelity_deficit(*c, p.sigma.m1p)),
             float(np.max(np.abs(fidelity - closed_fidelity))),
@@ -196,14 +196,13 @@ def run_diagnose(samples: int, seed: int, m1p: float | None = None) -> DiagnoseR
 def cmd_diagnose(args) -> int:
     report = run_diagnose(args.samples, args.seed, args.m1p)
     print(f"samples: {report.samples}   seed: {report.seed}")
-    print("average distortion, closed form vs quadrature:")
-    print(f"  max |legacy (0.589)  - quadrature| = {_f10(report.max_legacy_distortion_dev)}")
-    print(f"  max |analytic (3pi/64) - quadrature| = {_f10(report.max_analytic_distortion_dev)}")
+    print("average distortion, closed form vs oracle:")
+    print(f"  max |legacy (0.589)  - oracle| = {_f10(report.max_legacy_distortion_dev)}")
+    print(f"  max |analytic (3pi/64) - oracle| = {_f10(report.max_analytic_distortion_dev)}")
     print(
         "  max |legacy deviation - |0.589 - 3pi/64|*|coherence sum|| = "
         f"{_f10(report.max_legacy_dev_mismatch)}"
     )
-    print(f"  max quadrature level disagreement = {_f10(report.max_quad_level_disagreement)}")
     print("fidelity deficit conventions:")
     print(f"  max |legacy - consistent| = {_f10(report.max_deficit_gap)}")
     print(

@@ -12,10 +12,11 @@ come by two routes of one shape, ``route(p, grid) -> (F, D)``:
   does not validate, so a machine that fails validation (case1) still has
   curves: that is formula mode.
 
-One quadrature serves both routes: `levels(p, route)` sums each curve at two
-Gauss-Legendre orders and `averages(p, route)` is their converged result.
-The closed-form reduced states that the formulas below come from are kept by
-the tests (`tests/reduced_states.py`), not here.
+`averages(p)` gives the exact uniform averages of the oracle's curves: it
+mixes the same blocks with Beta moments of the squared weights, three fixed
+tables of rationals and multiples of pi.  The closed-form reduced states that
+the formulas below come from are kept by the tests (`tests/reduced_states.py`),
+not here.
 
 Distortion is the squared Hilbert-Schmidt distance between the ideal input
 state and the kept mode's reduced state.  With y = x(1-x) it is the
@@ -39,8 +40,8 @@ closed-form averages are kept:
 
 * the cross constant of `avg_distortion`: the default, 3*pi/64, is the exact
   Beta-integral value; `LEGACY_CROSS_CONSTANT`, 0.589, is the one
-  historically quoted.  The quadrature adjudicates: only 3*pi/64 matches the
-  defining integral.
+  historically quoted.  The oracle's averages adjudicate: only 3*pi/64
+  matches them.
 * the weight that carries m1p^2: `fidelity_deficit` derives it from the
   mode-2 reduced state and attaches it to (|h|^2 + |e|^2);
   `legacy_fidelity_deficit` attaches it to (|g|^2 + |f|^2).  Direct
@@ -86,35 +87,23 @@ ANALYTIC_CROSS_CONSTANT = 3.0 * math.pi / 64.0
 #: of -(D* + gap) never passes the exact optimum.
 MIN_AVG_DISTORTION = 2.0 / 5.0 - 3.0 * math.pi / 32.0
 
-#: Gauss-Legendre orders for the averaging quadrature; the two levels must
-#: agree within QUAD_AGREEMENT_TOL or the integral is reported as
-#: non-converged.
-QUAD_ORDER = 64
-QUAD_ORDER_REFINED = 128
-QUAD_AGREEMENT_TOL = 1e-8
+#: Integrals over x in [0, 1] of the squared ancilla weights w_k^2 = (x(1-x), x^2,
+#: (1-x)^2); each entry of the three moment tables is a Beta function B(a, b).
+WEIGHT_MOMENTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0)
 
+#: Integrals of w_k^2 w_l^2 (row k, column l).
+WEIGHT_PAIR_MOMENTS = (
+    (1.0 / 30.0, 1.0 / 20.0, 1.0 / 20.0),
+    (1.0 / 20.0, 1.0 / 5.0, 1.0 / 30.0),
+    (1.0 / 20.0, 1.0 / 30.0, 1.0 / 5.0),
+)
 
-class ConvergenceError(RuntimeError):
-    """The two quadrature refinement levels failed to agree."""
-
-
-def _converged(what: str, coarse: float, fine: float) -> float:
-    """The refined level, once it agrees with the coarse one within tolerance."""
-    if abs(fine - coarse) > QUAD_AGREEMENT_TOL:
-        raise ConvergenceError(
-            f"{what} quadrature did not converge: levels differ by {abs(fine - coarse):.3e}"
-        )
-    return fine
-
-
-def _unit_interval_gauss(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-_QX, _QW = _unit_interval_gauss(QUAD_ORDER)
-_QX_FINE, _QW_FINE = _unit_interval_gauss(QUAD_ORDER_REFINED)
-_QX_BOTH = np.concatenate((_QX, _QX_FINE))
+#: Integrals of w_k^2 (row k) times the input state's entries x, 1-x and sqrt(x(1-x)).
+INPUT_MOMENTS = (
+    (1.0 / 12.0, 1.0 / 12.0, 3.0 * math.pi / 128.0),
+    (1.0 / 4.0, 1.0 / 12.0, 5.0 * math.pi / 128.0),
+    (1.0 / 12.0, 1.0 / 4.0, 5.0 * math.pi / 128.0),
+)
 
 
 def distortion_coefficients(g, h, e, f) -> tuple[float, float]:
@@ -198,6 +187,17 @@ def distortion_gap(g_re, g_im, h_re, h_im, e_re, e_im, f_re, f_im) -> float:
     )
 
 
+def _ancilla_coefficients(p: MachineParams) -> list[tuple[float, ...]]:
+    """Validate p and simulate it once: <sig|Q|sig>, P00, P11, Re P01, Im P01 per ancilla."""
+    require_valid(p)
+    s0, s1 = p.sigma.ket().real.tolist()
+    return [
+        (s0 * s0 * q[0][0].real + 2.0 * s0 * s1 * q[0][1].real + s1 * s1 * q[1][1].real,
+         r[0][0].real, r[1][1].real, r[0][1].real, r[0][1].imag)
+        for r, q in zip(*(blocks.tolist() for blocks in reduced_blocks(p)))
+    ]
+
+
 def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
     """Direct-simulation fidelity and distortion at each x of a grid, from one simulation.
 
@@ -208,14 +208,8 @@ def curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarray]:
     d = input - sum_k w_k^2 P_k, never negative.  The sums are written out on real
     parts: no BLAS call, so every host gives the same bits.
     """
-    require_valid(p)
+    coefficients = _ancilla_coefficients(p)
     x = check_alpha_sq(np.atleast_1d(alpha_sq_grid))
-    s0, s1 = p.sigma.ket().real.tolist()
-    coefficients = [  # per ancilla: <sig|Q|sig>, P00, P11, Re P01, Im P01
-        (s0 * s0 * q[0][0].real + 2.0 * s0 * s1 * q[0][1].real + s1 * s1 * q[1][1].real,
-         r[0][0].real, r[1][1].real, r[0][1].real, r[0][1].imag)
-        for r, q in zip(*(blocks.tolist() for blocks in reduced_blocks(p)))
-    ]
     c = np.array(coefficients).reshape((3, 5) + (1,) * x.ndim)
     u = 1.0 - x
     y = x * u
@@ -239,25 +233,20 @@ def closed_curves(p: MachineParams, alpha_sq_grid) -> tuple[np.ndarray, np.ndarr
     return fidelity, quartic * y * y - 2.0 * coherence_sum * y ** 1.5 + 2.0 * y
 
 
-def levels(p: MachineParams, route=curves) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Coarse and refined Gauss-Legendre sums over x in [0, 1] of F and of D by `route`.
+def averages(p: MachineParams) -> tuple[float, float]:
+    """Exact uniform averages over x in [0, 1] of `curves`: its blocks mixed by the moments.
 
-    `route` is `curves` or `closed_curves`; the result is
-    ``((F coarse, F refined), (D coarse, D refined))``.
+    Fbar = sum_k int w_k^2 <sig|Q_k|sig> and, as the input state has unit purity,
+    Dbar = 1 - 2 sum_k int w_k^2 Tr(rho_in P_k) + sum_kl int w_k^2 w_l^2 Tr(P_k P_l).
+    The sums are plain floats: no BLAS call, so every host gives the same bits.
     """
-    return tuple(
-        (float(np.sum(_QW * v[:QUAD_ORDER])), float(np.sum(_QW_FINE * v[QUAD_ORDER:])))
-        for v in route(p, _QX_BOTH)
-    )
-
-
-def averages(p: MachineParams, route=curves) -> tuple[float, float]:
-    """Average fidelity and distortion: the refined `levels` of `route`.
-
-    For a valid machine both routes give ``avg_fidelity`` of
-    ``fidelity_deficit`` and ``avg_distortion`` at its default cross constant
-    within 1e-8.  Raises :class:`ConvergenceError` if the two levels of either
-    disagree by more than QUAD_AGREEMENT_TOL.
-    """
-    fidelity, distortion = levels(p, route)
-    return _converged("fidelity", *fidelity), _converged("distortion", *distortion)
+    coefficients = _ancilla_coefficients(p)
+    fidelity = overlap = purity = 0.0
+    for (q, a00, a11, a01_re, a01_im), w, (m00, m11, m01), pair_row in zip(
+        coefficients, WEIGHT_MOMENTS, INPUT_MOMENTS, WEIGHT_PAIR_MOMENTS
+    ):
+        fidelity += w * q
+        overlap += m00 * a00 + m11 * a11 + 2.0 * m01 * a01_re
+        for (_, b00, b11, b01_re, b01_im), w2 in zip(coefficients, pair_row):
+            purity += w2 * (a00 * b00 + a11 * b11 + 2.0 * (a01_re * b01_re + a01_im * b01_im))
+    return fidelity, 1.0 - 2.0 * overlap + purity

@@ -17,8 +17,8 @@ score passes the certified optimum wf - wd * D*.  `_sphere_point` holds the
 decode rule, and both `decode` and the search's objective call it.  An
 evaluation builds no complex number, no `Couplings` and no `BlankState` and
 records one float, the best objective so far; a restart's `HistoryEntry`
-records are built after its search.  The simulation-quadrature oracle checks
-the returned machine's averages once.
+records are built after its search.  The returned machine's averages come
+once from the simulation oracle's exact averages, `metrics.averages`.
 
 The simplex is `minimize`: scipy's adaptive Nelder-Mead on plain float lists,
 with tied vertices in index order on every CPU, and no command imports scipy.

@@ -52,7 +52,7 @@ def test_criterion_1_case_table_reproduction():
     rows = {row["preset"]: row for row in cli.collect_case_rows()}
 
     closed_dev = 0.0
-    quad_dev = 0.0
+    oracle_dev = 0.0
     for name, (dbar, fbar) in PAPER_AVERAGES.items():
         row = rows[name]
         closed_dev = max(
@@ -60,7 +60,9 @@ def test_criterion_1_case_table_reproduction():
             abs(row["dbar_analytic"] - dbar),
             abs(row["fbar_consistent"] - fbar),
         )
-        quad_dev = max(quad_dev, abs(row["dbar_quad"] - dbar), abs(row["fbar_quad"] - fbar))
+        oracle_dev = max(
+            oracle_dev, abs(row["dbar_oracle"] - dbar), abs(row["fbar_oracle"] - fbar)
+        )
     # legacy closed forms coincide for the four numbered cases (no coherence,
     # balanced weights), so they must hit the same numbers
     for name, (dbar, fbar) in PAPER_AVERAGES.items():
@@ -87,21 +89,20 @@ def test_criterion_1_case_table_reproduction():
             abs(metrics.avg_fidelity(deficit_legacy) - fbar_legacy),
             abs(metrics.avg_fidelity(deficit_consistent) - fbar_consistent),
         )
-        fbar_quad, dbar_quad = metrics.averages(p)
-        quad_dev = max(
-            quad_dev,
-            abs(metrics.averages(p, metrics.closed_curves)[1] - dbar),
-            abs(dbar_quad - dbar),
-            abs(fbar_quad - fbar_legacy),
-            abs(fbar_quad - fbar_consistent),
+        fbar_oracle, dbar_oracle = metrics.averages(p)
+        oracle_dev = max(
+            oracle_dev,
+            abs(dbar_oracle - dbar),
+            abs(fbar_oracle - fbar_legacy),
+            abs(fbar_oracle - fbar_consistent),
         )
     elapsed = time.perf_counter() - t0
 
     _report(
         1,
         "case table reproduction",
-        closed_dev <= 1e-10 and quad_dev <= 1e-8 and elapsed < 1.0,
-        f"closed dev {closed_dev:.2e}, quad dev {quad_dev:.2e}, {elapsed:.2f}s",
+        closed_dev <= 1e-10 and oracle_dev <= 1e-14 and elapsed < 1.0,
+        f"closed dev {closed_dev:.2e}, oracle dev {oracle_dev:.2e}, {elapsed:.2f}s",
     )
 
 
@@ -216,9 +217,8 @@ def test_criterion_4_figure_reproduction(tmp_path):
 def test_criterion_5_cross_constant_adjudication():
     report = cli.run_diagnose(samples=100, seed=SAMPLE_SEED)
     ok = (
-        report.max_analytic_distortion_dev <= 1e-6
-        and report.max_legacy_dev_mismatch <= 1e-9
-        and report.max_quad_level_disagreement <= 1e-8
+        report.max_analytic_distortion_dev <= 1e-14
+        and report.max_legacy_dev_mismatch <= 1e-14
     )
     _report(
         5,
@@ -226,8 +226,7 @@ def test_criterion_5_cross_constant_adjudication():
         ok,
         f"analytic dev {report.max_analytic_distortion_dev:.2e}, "
         f"legacy dev {report.max_legacy_distortion_dev:.2e} "
-        f"(= |0.589 - 3pi/64|*|coherence sum| within {report.max_legacy_dev_mismatch:.2e}), "
-        f"quad levels {report.max_quad_level_disagreement:.2e}",
+        f"(= |0.589 - 3pi/64|*|coherence sum| within {report.max_legacy_dev_mismatch:.2e})",
     )
 
 

@@ -215,11 +215,11 @@ def test_collect_case_rows_match_expected_records():
     rows = {row["preset"]: row for row in cli.collect_case_rows()}
     for name in ("case2", "case3", "case4"):
         assert rows[name]["fbar_legacy"] == rows[name]["fbar_consistent"]
-    assert abs(rows["perfect"]["fbar_quad"] - 1.0) <= 1e-10
+    assert abs(rows["perfect"]["fbar_oracle"] - 1.0) <= 1e-14
     # the legacy 0.589 constant drives the closed-form average negative here,
     # a reproducible artifact the diagnose command quantifies
     assert rows["perfect"]["dbar_legacy"] < 0.0
-    assert abs(rows["perfect"]["dbar_analytic"] - rows["perfect"]["dbar_quad"]) <= 1e-8
+    assert abs(rows["perfect"]["dbar_analytic"] - rows["perfect"]["dbar_oracle"]) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_collect_case_rows_match_expected_records():
 
 
 def test_run_diagnose_report_bounds():
-    # criterion 5 bounds the report's quadrature deviations
+    # criterion 5 bounds the report's average deviations
     report = cli.run_diagnose(samples=20, seed=9)
     assert report.max_fidelity_oracle_dev <= 1e-10
     assert report.max_distortion_oracle_dev <= 1e-10
@@ -243,7 +243,7 @@ def test_diagnose_defaults_to_100_samples_from_seed_0(capsys):
     assert cli.main(["diagnose"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("samples: 100   seed: 0\n")
-    assert "quadrature" in out
+    assert "closed form vs oracle" in out
 
 
 def test_diagnose_compares_the_curves_on_21_points(monkeypatch):

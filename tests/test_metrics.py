@@ -1,10 +1,9 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from qdelete import machine, metrics, qlinalg
 from qdelete.machine import BlankState, Couplings
@@ -147,43 +146,53 @@ def test_closed_route_averages_match_adaptive_integration():
     for _ in range(5):
         c = random_couplings(rng)
         p = with_couplings(c, BlankState(rng.uniform(-1.0, 1.0)))
-        averages = metrics.averages(p, metrics.closed_curves)
+        averages = (
+            1.0 - metrics.fidelity_deficit(*c, p.sigma.m1p) / 6.0,
+            metrics.avg_distortion(*metrics.distortion_coefficients(*c)),
+        )
         for curve, average in enumerate(averages):
-            reference, err = quad(lambda x: metrics.closed_curves(p, x)[curve][0], 0.0, 1.0)
-            assert err < 1e-7
-            assert abs(average - reference) <= 1e-7
+            reference, err = quad(lambda x: metrics.closed_curves(p, x)[curve][0], 0.0, 1.0,
+                                  epsabs=1e-13, epsrel=0.0)
+            assert err < 1e-12
+            assert abs(average - reference) <= 1e-12
 
 
-def test_quadrature_reports_non_convergence():
-    def route(p, xs):  # the oracle's shape, with a cross term too large for the rule
-        return np.ones_like(xs), 2e9 * (xs * (1.0 - xs)) ** 1.5
-
-    (f_coarse, f_fine), (d_coarse, d_fine) = metrics.levels(by_name("case3"), route)
-    assert abs(f_fine - f_coarse) <= metrics.QUAD_AGREEMENT_TOL
-    assert abs(d_fine - d_coarse) > metrics.QUAD_AGREEMENT_TOL
-    gap = f"distortion quadrature did not converge: levels differ by {abs(d_fine - d_coarse):.3e}"
-    with pytest.raises(metrics.ConvergenceError, match=re.escape(gap)):
-        metrics.averages(by_name("case3"), route)
+def beta(a: float, b: float) -> float:
+    """B(a, b) = integral_0^1 x^(a-1) (1-x)^(b-1) dx, from the gamma function."""
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
-def test_levels_call_the_route_once_on_the_64_and_128_gauss_legendre_nodes():
-    grids = []
-
-    def route(p, xs):
-        grids.append(xs)
-        return np.ones_like(xs), xs
-
-    metrics.levels(by_name("case3"), route)
-    nodes = [0.5 * (np.polynomial.legendre.leggauss(n)[0] + 1.0) for n in (64, 128)]
-    assert len(grids) == 1
-    assert_array_equal(grids[0], np.concatenate(nodes))
+#: Exponents (i, j) of x^i (1-x)^j in the squared ancilla weights x(1-x), x^2, (1-x)^2
+#: and in the input state's entries x, 1-x, sqrt(x(1-x)).
+WEIGHT_POWERS = ((1, 1), (2, 0), (0, 2))
+INPUT_POWERS = ((1, 0), (0, 1), (0.5, 0.5))
 
 
-def test_levels_that_differ_by_exactly_the_tolerance_converge():
-    tol = metrics.QUAD_AGREEMENT_TOL
-    assert metrics._converged("fidelity", 0.0, tol) == tol
-    with pytest.raises(metrics.ConvergenceError, match="fidelity"):
-        metrics._converged("fidelity", 0.0, math.nextafter(tol, 1.0))
+def test_moment_tables_are_beta_integrals():
+    # Each moment is the integral of x^i (1-x)^j, B(i + 1, j + 1): checked against
+    # the gamma function and against scipy's quadrature with that algebraic weight.
+    from scipy.integrate import quad
+
+    def add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    moments = [(metrics.WEIGHT_MOMENTS[k], WEIGHT_POWERS[k]) for k in range(3)]
+    moments += [(metrics.WEIGHT_PAIR_MOMENTS[k][l], add(WEIGHT_POWERS[k], WEIGHT_POWERS[l]))
+                for k in range(3) for l in range(3)]
+    moments += [(metrics.INPUT_MOMENTS[k][j], add(WEIGHT_POWERS[k], INPUT_POWERS[j]))
+                for k in range(3) for j in range(3)]
+    for moment, (i, j) in moments:
+        weighted, err = quad(lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(i, j))
+        assert err <= 1e-14
+        assert abs(moment - beta(i + 1, j + 1)) <= 1e-16, (i, j)
+        assert abs(moment - weighted) <= 1e-16, (i, j)
+    # the cross constant is 2 B(5/2, 5/2): the legacy 0.589 is not that integral
+    assert abs(metrics.ANALYTIC_CROSS_CONSTANT - 2.0 * beta(2.5, 2.5)) <= 1e-16
+    assert abs(metrics.LEGACY_CROSS_CONSTANT - 2.0 * beta(2.5, 2.5)) > 1e-3
+
+
+def test_perfect_averages_are_the_certified_optima_to_the_bit():
+    assert metrics.averages(by_name("perfect")) == (1.0, metrics.MIN_AVG_DISTORTION)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +265,14 @@ def test_batched_curves_match_per_point_simulation(seed, xs):
         assert_allclose(metrics.curves(p, xs), (fidelity, distortion), atol=1e-13)
 
 
-#: Grids of the oracle byte pin: 0-d, the sweep's 21 and 1001 points, the
-#: quadrature's 192 nodes, a 2-D grid and an empty one.
+#: Grids of the oracle byte pin: 0-d, the sweep's 21 and 1001 points, the 64 and
+#: 128 Gauss-Legendre nodes on [0, 1] (192 irregular points), a 2-D grid and an empty one.
 ORACLE_GRIDS = {
     "0d": np.float64(0.3),
     "21": np.linspace(0.0, 1.0, 21),
-    "quadrature": metrics._QX_BOTH,
+    "quadrature": np.concatenate(
+        [0.5 * (np.polynomial.legendre.leggauss(n)[0] + 1.0) for n in (64, 128)]
+    ),
     "1001": np.linspace(0.0, 1.0, 1001),
     "2d": np.linspace(0.0, 1.0, 35).reshape(5, 7),
     "empty": np.empty(0),

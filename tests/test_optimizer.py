@@ -180,9 +180,10 @@ def test_decoded_certificate_couplings_reach_both_optima(m1p):
     p = optimizer.decode(raw_of([s, m1p, m1p, s], m1p))
     assert machine.validate(p, tol=1e-12).is_valid
     fbar, dbar = metrics.averages(p)
-    assert abs(fbar - 1.0) <= 1e-10
-    assert abs(dbar - PERFECT_AVG_DISTORTION) <= 1e-10
-    assert abs(metrics.averages(p, metrics.closed_curves)[1] - PERFECT_AVG_DISTORTION) <= 1e-10
+    assert abs(fbar - 1.0) <= 1e-14
+    assert abs(dbar - PERFECT_AVG_DISTORTION) <= 1e-14
+    closed_dbar = metrics.avg_distortion(*metrics.distortion_coefficients(*couplings(p)))
+    assert abs(closed_dbar - PERFECT_AVG_DISTORTION) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,7 @@ def test_scorer_known_machines():
 def test_scorer_runs_no_oracle_and_no_validation(monkeypatch):
     for module, names in (
         (machine, ("validate", "isometry", "reduced_blocks")),
-        (metrics, ("curves", "closed_curves", "levels", "averages")),
+        (metrics, ("curves", "closed_curves", "averages")),
     ):
         for name in names:
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("oracle or validation called"))
@@ -599,8 +600,10 @@ def test_optimize_result_machine_is_valid_and_reproducible():
     assert machine.validate(result.best_machine, tol=1e-10).is_valid
     # both averages come from the oracle, and its distortion agrees with the closed form's
     assert metrics.averages(result.best_machine) == (result.avg_fidelity, result.avg_distortion)
-    closed_route = metrics.averages(result.best_machine, metrics.closed_curves)
-    assert abs(closed_route[1] - result.avg_distortion) <= 1e-8
+    closed_dbar = metrics.avg_distortion(
+        *metrics.distortion_coefficients(*couplings(result.best_machine))
+    )
+    assert abs(closed_dbar - result.avg_distortion) <= 1e-14
 
 
 @pytest.mark.parametrize("objective", optimizer.OBJECTIVES)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qdelete import machine, metrics, presets
 from qdelete.machine import BlankState, MachineParams, couplings
@@ -33,17 +33,19 @@ def test_feasible_presets_validate_tightly():
 
 
 def test_expected_values_via_quadrature():
+    # scipy's adaptive quadrature of the closed curves, and the oracle's exact averages
+    from scipy.integrate import quad
+
     assert list(PRESET_AVERAGES) == list(presets.PRESET_NAMES)
     for name in presets.PRESET_NAMES:
         p = presets.by_name(name)
-        expected_dbar, expected_fbar = PRESET_AVERAGES[name]
-        routes = [metrics.closed_curves]
+        expected = PRESET_AVERAGES[name][::-1]  # (Fbar, Dbar), the order of `averages`
+        for curve, average in enumerate(expected):
+            reference, err = quad(lambda x: metrics.closed_curves(p, x)[curve][0], 0.0, 1.0,
+                                  epsabs=1e-13, epsrel=0.0)
+            assert err <= 1e-13 and abs(reference - average) <= 1e-13, (name, curve)
         if machine.validate(p).is_valid:
-            routes.append(metrics.curves)
-        for route in routes:
-            fbar, dbar = metrics.averages(p, route)
-            assert abs(dbar - expected_dbar) <= 1e-8, (name, route.__name__)
-            assert abs(fbar - expected_fbar) <= 1e-10, (name, route.__name__)
+            assert_allclose(metrics.averages(p), expected, rtol=0, atol=1e-14, err_msg=name)
 
 
 def test_case1_expected_numbers():
@@ -125,7 +127,7 @@ def test_case4_hadamard_rows():
     assert abs(dbar - 0.4) <= 1e-12
     dc = metrics.distortion_coefficients(*c)
     assert abs(metrics.avg_distortion(*dc) - dbar) <= 1e-12
-    assert abs(metrics.averages(p, metrics.closed_curves)[1] - dbar) <= 1e-8
+    assert abs(metrics.averages(p)[1] - dbar) <= 1e-14
 
 
 def test_perfect_preset_pointwise_unit_fidelity():

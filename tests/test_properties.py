@@ -384,6 +384,29 @@ def test_oracle_curves_respect_the_pointwise_certificate(seed, m1p, xs):
 
 
 @PROPERTY
+@given(seeds, overlaps, grids)
+def test_oracle_curves_are_the_pointwise_certificate_plus_squares(seed, m1p, xs):
+    # On the sphere |u|^2 = 2, with cs = 2 Re(coherence), the gap to the bound is
+    # D(x) - 2y(1 - sqrt(y))^2 = y^2 [row0^2 + row1^2 + 2 Im(coherence)^2]
+    #                            + y^(3/2) (|e - h|^2 + |g - f|^2) (2 - (2 + cs) sqrt(y) / 2),
+    # and the fidelity's is 1 - F(x) = 6 (1 - Fbar) y.
+    p = qr_machine(seed, m1p)
+    g, h, e, f = machine.couplings(p)
+    coherence = e * h.conjugate() + g * f.conjugate()
+    row0 = abs(e) ** 2 + abs(g) ** 2 - 1.0
+    row1 = abs(h) ** 2 + abs(f) ** 2 - 1.0
+    mismatch = abs(e - h) ** 2 + abs(g - f) ** 2
+    y = xs * (1.0 - xs)
+    root_y = np.sqrt(y)
+    squares = (y * y * (row0 ** 2 + row1 ** 2 + 2.0 * coherence.imag ** 2)
+               + y * root_y * mismatch * (2.0 - (2.0 + 2.0 * coherence.real) * root_y / 2.0))
+    fidelity, distortion = metrics.curves(p, xs)
+    bound = 2.0 * y * (1.0 - root_y) ** 2
+    assert_allclose(distortion - bound, squares, rtol=0, atol=1e-14)
+    assert_allclose(1.0 - fidelity, 6.0 * (1.0 - metrics.averages(p)[0]) * y, rtol=0, atol=1e-14)
+
+
+@PROPERTY
 @given(overlaps, grids)
 def test_certificate_family_attains_the_pointwise_bounds(m1p, xs):
     # (g, h, e, f) = (s, m, m, s) with m = m1p, s = sqrt(1 - m^2) meets both
@@ -399,17 +422,15 @@ def test_certificate_family_attains_the_pointwise_bounds(m1p, xs):
 
 @PROPERTY
 @given(seeds, overlaps, weights, weights)
-def test_scorer_matches_the_oracle_quadrature(seed, m1p, wf, wd):
-    # The 128-node rule misses the (x(1-x))^1.5 term of the distortion by
-    # about 1e-11; the fidelity integrand is a polynomial it integrates exactly.
+def test_scorer_matches_the_oracle_averages(seed, m1p, wf, wd):
     assume(wf > 0 or wd > 0)
     p = qr_machine(seed, m1p)
     c = machine.couplings(p)
     fbar, dbar = metrics.averages(p)
     for objective, expected, tol in (
-        ("max-fidelity", fbar, 1e-10),
-        ("min-distortion", -dbar, 1e-8),
-        ("weighted", wf * fbar - wd * dbar, wf * 1e-10 + wd * 1e-8),
+        ("max-fidelity", fbar, 1e-14),
+        ("min-distortion", -dbar, 1e-14),
+        ("weighted", wf * fbar - wd * dbar, (wf + wd) * 1e-14),
     ):
         cfg = optimizer.OptConfig(objective=objective, weight_fidelity=wf, weight_distortion=wd)
         assert abs(optimizer.scorer(cfg)(*coordinates(c), p.sigma.m1p) - expected) <= tol
